@@ -91,7 +91,7 @@ def cmd_inspect(args: argparse.Namespace) -> int:
         print(f"inspect: unknown format {fmt!r} (csv | json)")
         return 1
     out = args.out or (
-        path[: -len(".json")] + ".html" if fmt == "json"
+        os.path.splitext(path)[0] + ".html" if fmt == "json"
         else os.path.join(path, "graph.html"))
     export_graph_html(nodes, edges, out,
                       max_nodes=args.max_nodes,

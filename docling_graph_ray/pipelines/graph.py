@@ -775,197 +775,6 @@ def graph_connected_components(sf_dir: str):
     return connected_components(edges, label_blocks=8)
 
 
-def graph_edge_fanout(sf_dir: str):
-    """Per-label edge fanout stats (total edges, distinct sources,
-    busiest source's count) over orders viewed as edges: label =
-    o_orderstatus, src = o_custkey.  Exercises the r5 partial-aggregate
-    ``edge_fanout`` (no whole-label group) against a plain two-level
-    GROUP BY oracle (16_extraction_evaluation.py:368-389)."""
-    from docling_graph_ray.stages.evaluate import edge_fanout
-
-    orders = _read(sf_dir, "orders", ["o_orderstatus", "o_custkey"])
-    return edge_fanout(orders, label_col="o_orderstatus",
-                       src_col="o_custkey")
-
-
-def _copurchase_edges(sf_dir: str):
-    """Part co-purchase graph: parts are vertices, an (undirected)
-    edge links two parts that appear in the same order.  Pair
-    enumeration is bounded — TPC-H orders carry ≤7 lineitems, so the
-    per-order triu blowup is O(1) per row."""
-    from docling_graph_ray.stages.bucketing import add_part, run_starts
-
-    li = _read(sf_dir, "lineitem", ["l_orderkey", "l_partkey"])
-    in_schema = pa.schema([("l_orderkey", pa.int64()),
-                           ("l_partkey", pa.int64())])
-    edge_schema = pa.schema([("src", pa.int64()), ("dst", pa.int64())])
-
-    def pairs_partition(g: pa.Table) -> pa.Table:
-        if g.num_rows == 0 or "l_orderkey" not in g.schema.names:
-            return edge_schema.empty_table()
-        if "_part" in g.schema.names:
-            g = g.drop_columns(["_part"])
-        # distinct part per order, then run-sorted triu pair expansion
-        g = g.group_by(["l_orderkey", "l_partkey"]).aggregate([])
-        idx = pc.sort_indices(g, sort_keys=[
-            ("l_orderkey", "ascending"), ("l_partkey", "ascending")])
-        g = g.take(idx).combine_chunks()
-        parts = g.column("l_partkey").to_numpy(zero_copy_only=False)
-        starts, lens = run_starts(g, ["l_orderkey"])
-        outs = []
-        for d in np.unique(lens[lens >= 2]):
-            runs_d = starts[lens == d]
-            iu, ju = np.triu_indices(int(d), 1)
-            outs.append((parts[(runs_d[:, None] + iu[None, :]).ravel()],
-                         parts[(runs_d[:, None] + ju[None, :]).ravel()]))
-        if not outs:
-            return edge_schema.empty_table()
-        return pa.table({
-            "src": pa.array(np.concatenate([o[0] for o in outs]),
-                            pa.int64()),
-            "dst": pa.array(np.concatenate([o[1] for o in outs]),
-                            pa.int64()),
-        })
-
-    return (
-        li.map_batches(add_part(["l_orderkey"], 64, in_schema),
-                       batch_format="pyarrow")
-        .groupby("_part")
-        .map_groups(pairs_partition, batch_format="pyarrow")
-    )
-
-
-def graph_triangle_count(sf_dir: str):
-    """Exact triangle census of the part co-purchase graph via the
-    degree-oriented distributed ``triangle_count``
-    (stages/graphalgo.py), whose wedge work is O(m^1.5) regardless of
-    hub degree.  Oracle: DuckDB three-way self-join over the distinct
-    canonical pair list."""
-    from docling_graph_ray.stages.graphalgo import triangle_count
-
-    return triangle_count(_copurchase_edges(sf_dir), num_partitions=64)
-
-
-def graph_local_clustering(sf_dir: str):
-    """Per-vertex local clustering coefficient (Watts–Strogatz) of the
-    part co-purchase graph: wedges carry their generating center so
-    each closed triangle credits all three corners; coeff =
-    2·tri/(deg·(deg−1)) is one IEEE division on exact integers, so it
-    hashes identically to the DuckDB oracle's same expression."""
-    from docling_graph_ray.stages.graphalgo import local_clustering
-
-    return local_clustering(_copurchase_edges(sf_dir), num_partitions=64)
-
-
-def graph_k_core(sf_dir: str, k: int = 64):
-    """k-core of the part co-purchase graph (k=64): iterative peeling
-    via stages/graphalgo.py:k_core — per-round bucketed degree count +
-    survivor semi-joins behind a round_barrier.  Measured peel depth on
-    this corpus is ≤2 rounds (sf0.001: 2, sf0.01: 1); the DuckDB oracle
-    unrolls 6 rounds, exact because extra peeling rounds past the
-    fixpoint are no-ops."""
-    from docling_graph_ray.stages.graphalgo import k_core
-
-    return k_core(_copurchase_edges(sf_dir), k=k, num_partitions=64)
-
-
-def graph_hits(sf_dir: str, iters: int = 3):
-    """HITS hubs/authorities over the customer→part purchase digraph
-    (customers are hubs, parts authorities; distinct purchase pairs
-    from orders⋈lineitem).  Oracle: the three sum-normalized power
-    iterations unrolled as MATERIALIZED DuckDB CTEs; final 8-digit
-    rounding absorbs float-sum-order drift (the graph_pagerank
-    pattern).  stages/graphalgo.py:hits."""
-    from docling_graph_ray.stages.graphalgo import hits
-    from docling_graph_ray.stages.joins import lookup_join_auto
-
-    orders = _read(sf_dir, "orders", ["o_orderkey", "o_custkey"])
-    li = _read(sf_dir, "lineitem", ["l_orderkey", "l_partkey"])
-    joined = lookup_join_auto(
-        li, orders, on="l_orderkey", key_col="o_orderkey",
-        value_cols=["o_custkey"], probe_rows=orders.count(),
-    )
-
-    def as_edges(b: pa.Table) -> pa.Table:
-        t = b.filter(pc.is_valid(b.column("o_custkey")))
-        return pa.table({
-            "src": t.column("o_custkey").cast(pa.int64()),
-            "dst": pc.add(t.column("l_partkey").cast(pa.int64()),
-                          pa.scalar(1_000_000, pa.int64())),
-        })
-
-    return hits(joined.map_batches(as_edges, batch_format="pyarrow"),
-                iters=iters, ndigits=8)
-
-
-def graph_sssp(sf_dir: str, source: int = 1):
-    """Hop distances from part 1 across the co-purchase graph via
-    distributed Bellman-Ford (stages/graphalgo.py:sssp — per-round
-    relax + bucketed min-fold behind round_barrier; rounds bounded by
-    the hop diameter, ≤3 on this corpus).  Oracle: six unrolled
-    relaxation rounds (exact past the fixpoint — extra rounds are
-    no-ops on a monotone min)."""
-    from docling_graph_ray.stages.graphalgo import sssp
-
-    return sssp(_copurchase_edges(sf_dir), source=source,
-                src_col="src", dst_col="dst", undirected=True)
-
-
-def graph_closeness_sampled(sf_dir: str, s1: int = 1, s2: int = 2):
-    """Sampled closeness centrality (Eppstein–Wang style, 2 pivots):
-    two Bellman-Ford fixpoints joined on nodes both pivots reach;
-    closeness_e9 = round(2·1e9 / (d1 + d2)) — one float division on
-    exact integers, bit-identical to the SQL twin.  The sampling-based
-    estimator is the standard scale substitute for exact all-pairs
-    closeness (O(k·m) instead of O(n·m))."""
-    from docling_graph_ray.stages.graphalgo import sssp
-    from docling_graph_ray.stages.joins import lookup_join
-
-    edges = _copurchase_edges(sf_dir).materialize()
-    d1 = sssp(edges, source=s1, undirected=True,
-              src_col="src", dst_col="dst")
-    d2 = sssp(edges, source=s2, undirected=True,
-              src_col="src", dst_col="dst")
-    joined = lookup_join(
-        d1.map_batches(lambda t: t.rename_columns(["node", "d1"]),
-                       batch_format="pyarrow"),
-        d2.map_batches(lambda t: t.rename_columns(["node", "d2"]),
-                       batch_format="pyarrow"),
-        on="node", key_col="node", value_cols=["d2"])
-
-    def finish(b: pa.Table) -> pa.Table:
-        t = b.filter(pc.is_valid(b.column("d2")))
-        dsum = pc.add(t.column("d1").cast(pa.int64()),
-                      t.column("d2").cast(pa.int64()))
-        t = t.append_column("_s", dsum).filter(
-            pc.greater(dsum, 0))
-        sd = t.column("_s").to_numpy(zero_copy_only=False) \
-            .astype(np.float64)
-        # positive values; floor(x + 0.5) = half-away, matching
-        # DuckDB ROUND (np.round ties to even)
-        e9 = np.floor(np.float64(2000000000.0) / sd
-                      + 0.5).astype(np.int64)
-        return pa.table({
-            "node": t.column("node").cast(pa.int64()),
-            "d1": t.column("d1").cast(pa.int64()),
-            "d2": t.column("d2").cast(pa.int64()),
-            "closeness_e9": pa.array(e9, pa.int64()),
-        })
-
-    return joined.map_batches(finish, batch_format="pyarrow")
-
-
-def graph_degree_assortativity(sf_dir: str):
-    """Newman degree assortativity of the part co-purchase graph: all
-    sums exact int64 (order-free block partials), one fixed float64
-    expression at the end — bit-identical to the DuckDB oracle's same
-    expression tree (stages/graphalgo.py:degree_assortativity)."""
-    from docling_graph_ray.stages.graphalgo import degree_assortativity
-
-    return degree_assortativity(_copurchase_edges(sf_dir),
-                                num_partitions=64)
-
-
 def graph_pagerank(sf_dir: str, iters: int = 5):
     """PageRank over the supplier→nation→region hierarchy (suppliers
     endorse their nation, nations their region; regions are dangling).

@@ -131,15 +131,6 @@ def top_filtered_orders(sf_dir: str, k: int = 10):
     ).limit(k)
 
 
-def distinct_brand_type(sf_dir: str):
-    ds = _read(sf_dir, "part", ["p_brand", "p_type"])
-    return (
-        ds.groupby(["p_brand", "p_type"])
-        .count()
-        .map_batches(lambda t: t.select(["p_brand", "p_type"]), batch_format="pyarrow")
-    )
-
-
 # ---------------------------------------------------------------------------
 # joins
 
@@ -223,29 +214,6 @@ def orderpriority_lineitem_counts(sf_dir: str, num_partitions: int = 8):
     )
 
 
-def nation_region(sf_dir: str):
-    """Broadcast join of two small dims: nation ⋈ region names."""
-    region = {
-        k: v
-        for ref in _read(sf_dir, "region").to_arrow_refs()
-        for k, v in zip(
-            ray.get(ref).column("r_regionkey").to_pylist(),
-            ray.get(ref).column("r_name").to_pylist(),
-        )
-    }
-    r_ref = ray.put(region)
-    nation = _read(sf_dir, "nation", ["n_name", "n_regionkey"])
-
-    def fn(batch: pa.Table) -> pa.Table:
-        m = ray.get(r_ref)
-        r_names = pa.array(
-            [m.get(k) for k in batch.column("n_regionkey").to_pylist()], pa.string()
-        )
-        return pa.table({"n_name": batch.column("n_name"), "r_name": r_names})
-
-    return nation.map_batches(fn, batch_format="pyarrow")
-
-
 def _nation_counts(cust_subset):
     """Per-nation customer counts with batch-local partials before the
     tiny groupby.  Batches downstream of a join may be empty pass-through
@@ -290,26 +258,6 @@ def semi_join_customers(sf_dir: str, num_partitions: int = 8):
     matched = semi_join(cust, keys, on="c_custkey", key_col="o_custkey",
                         num_partitions=max(num_partitions, 64))
     return _nation_counts(matched)
-
-
-def anti_join_customers(sf_dir: str, num_partitions: int = 8):
-    """Hash-shuffle ANTI join: customers with no order above 300000
-    totalprice, per nation (the plain customers-without-orders anti-join
-    is degenerate on this data — every customer has orders).  Same
-    shuffle shape as the semi join; the filter prunes at the read."""
-    cust = _read(sf_dir, "customer", ["c_custkey", "c_nationkey"])
-    orders = _read(sf_dir, "orders", ["o_custkey", "o_totalprice"])
-
-    def big_orders(b: pa.Table) -> pa.Table:
-        t = b.filter(pc.greater(b.column("o_totalprice"), 300_000.0))
-        return t.select(["o_custkey"]).group_by("o_custkey").aggregate([])
-
-    from docling_graph_ray.stages.joins import semi_join
-
-    keys = orders.map_batches(big_orders, batch_format="pyarrow")
-    unmatched = semi_join(cust, keys, on="c_custkey", key_col="o_custkey",
-                          anti=True, num_partitions=max(num_partitions, 64))
-    return _nation_counts(unmatched)
 
 
 # ---------------------------------------------------------------------------
@@ -381,709 +329,6 @@ def latest_event_per_user(sf_dir: str):
         .map_batches(add_part(["user_id"], 64), batch_format="pyarrow")
         .groupby("_part")
         .map_groups(top1_partition, batch_format="pyarrow")
-    )
-
-
-def q5_local_supplier_revenue(sf_dir: str, num_partitions: int = 8):
-    """TPC-H Q5 shape — local-supplier revenue per ASIA nation for
-    1995 orders: the deepest join chain in the suite
-    (region→nation→{customer, supplier} dims on the driver; orders
-    filtered AT THE READ by the date window; orders⋈customer via
-    lookup_join_auto; lineitem⋈orders via the native hash-shuffle
-    Dataset.join of the two O(rows) tables; supplier nation attached
-    by a second lookup; the c_nation = s_nation locality filter and
-    the revenue partials fold before the 5-row groupby).  Revenue is
-    exact e4 minor units (the q1 convention)."""
-    import datetime
-
-    from docling_graph_ray.stages.joins import lookup_join_auto
-
-    # nation/region are true dims (25/5 rows) — driver-side dict
-    nat = {}
-    for ref in _read(sf_dir, "nation").to_arrow_refs():
-        t = ray.get(ref)
-        for r in t.to_pylist():
-            nat[r["n_nationkey"]] = (r["n_name"], r["n_regionkey"])
-    region_asia = {
-        r["r_regionkey"]
-        for ref in _read(sf_dir, "region").to_arrow_refs()
-        for r in ray.get(ref).to_pylist() if r["r_name"] == "ASIA"
-    }
-    asia_nations = {k for k, (_, rk) in nat.items()
-                    if rk in region_asia}
-
-    lo = datetime.datetime(1995, 1, 1)
-    hi = datetime.datetime(1996, 1, 1)
-    orders = _read(sf_dir, "orders",
-                   ["o_orderkey", "o_custkey", "o_orderdate"]) \
-        .map_batches(
-            lambda b: b.filter(pc.and_(
-                pc.greater_equal(b.column("o_orderdate"),
-                                 pa.scalar(lo)),
-                pc.less(b.column("o_orderdate"), pa.scalar(hi))))
-            .select(["o_orderkey", "o_custkey"]),
-            batch_format="pyarrow")
-
-    cust = _read(sf_dir, "customer", ["c_custkey", "c_nationkey"])
-    ordc = lookup_join_auto(
-        orders, cust, on="o_custkey", key_col="c_custkey",
-        value_cols=["c_nationkey"], num_partitions=num_partitions,
-        probe_rows=cust.count(),
-    ).map_batches(
-        lambda b: b.filter(pc.is_valid(b.column("c_nationkey")))
-        .select(["o_orderkey", "c_nationkey"]),
-        batch_format="pyarrow")
-
-    li = _read(sf_dir, "lineitem",
-               ["l_orderkey", "l_suppkey", "l_extendedprice",
-                "l_discount"])
-    joined = li.join(ordc, join_type="inner",
-                     num_partitions=num_partitions,
-                     on=("l_orderkey",), right_on=("o_orderkey",))
-
-    supp = _read(sf_dir, "supplier", ["s_suppkey", "s_nationkey"])
-    full = lookup_join_auto(
-        joined, supp, on="l_suppkey", key_col="s_suppkey",
-        value_cols=["s_nationkey"], num_partitions=num_partitions,
-        probe_rows=supp.count(),
-    )
-
-    asia_arr = pa.array(sorted(asia_nations), pa.int64())
-
-    def partial(b: pa.Table) -> pa.Table:
-        keep = pc.and_(
-            pc.equal(b.column("c_nationkey").cast(pa.int64()),
-                     pc.fill_null(b.column("s_nationkey"),
-                                  -1).cast(pa.int64())),
-            pc.is_in(b.column("c_nationkey").cast(pa.int64()),
-                     value_set=asia_arr))
-        t = b.filter(keep)
-        rev = _cents(pc.multiply(
-            t.column("l_extendedprice"),
-            pc.subtract(pa.scalar(1.0), t.column("l_discount"))), 10000)
-        g = pa.table({
-            "n_nationkey": t.column("c_nationkey").cast(pa.int64()),
-            "revenue_e4": rev,
-        }).group_by("n_nationkey").aggregate([("revenue_e4", "sum")])
-        return g.rename_columns(["n_nationkey", "revenue_e4"])
-
-    agg = (full.map_batches(partial, batch_format="pyarrow")
-           .groupby("n_nationkey").sum("revenue_e4")
-           .map_batches(
-               lambda t: t.rename_columns(["n_nationkey", "revenue_e4"]),
-               batch_format="pyarrow"))
-
-    name_map = {k: v[0] for k, v in nat.items()}
-
-    def finish(b: pa.Table) -> pa.Table:
-        keys = b.column("n_nationkey").to_pylist()
-        return pa.table({
-            "n_name": pa.array([name_map[k] for k in keys], pa.string()),
-            "revenue_e4": b.column("revenue_e4").cast(pa.int64()),
-        })
-
-    return agg.map_batches(finish, batch_format="pyarrow")
-
-
-def brand_price_regression(sf_dir: str, num_partitions: int = 16):
-    """Grouped OLS: per part brand, regress line-item price (cents) on
-    quantity.  The distributed shape is pure moment sums — per-batch
-    exact int64 partials of (n, Σx, Σy, Σxx, Σxy) per brand fold
-    through one bucketed aggregate; slope/intercept are fixed float64
-    expressions over those integers, mirrored op-for-op in the SQL
-    twin (the degree-assortativity arithmetic, grouped).  Lineitem
-    joins its brand via the auto lookup on partkey."""
-    from docling_graph_ray.stages.bucketing import bucketed_aggregate
-    from docling_graph_ray.stages.joins import lookup_join_auto
-
-    part = _read(sf_dir, "part", ["p_partkey", "p_brand"])
-    li = _read(sf_dir, "lineitem",
-               ["l_partkey", "l_quantity", "l_extendedprice"])
-    joined = lookup_join_auto(
-        li, part, on="l_partkey", key_col="p_partkey",
-        value_cols=["p_brand"], num_partitions=num_partitions,
-        probe_rows=part.count(),
-    )
-
-    def moments(b: pa.Table) -> pa.Table:
-        t = b.filter(pc.is_valid(b.column("p_brand")))
-        x = t.column("l_quantity").cast(pa.int64()) \
-            .to_numpy(zero_copy_only=False)
-        y = _cents(t.column("l_extendedprice"), 100) \
-            .to_numpy(zero_copy_only=False)
-        tb = pa.table({
-            "p_brand": t.column("p_brand"),
-            "n": pa.array(np.ones(len(x), np.int64)),
-            "sx": pa.array(x, pa.int64()),
-            "sy": pa.array(y, pa.int64()),
-            "sxx": pa.array(x * x, pa.int64()),
-            "sxy": pa.array(x * y, pa.int64()),
-        })
-        g = tb.group_by("p_brand").aggregate(
-            [("n", "sum"), ("sx", "sum"), ("sy", "sum"),
-             ("sxx", "sum"), ("sxy", "sum")])
-        return g.rename_columns(
-            ["p_brand", "n", "sx", "sy", "sxx", "sxy"])
-
-    agg = bucketed_aggregate(
-        joined.map_batches(moments, batch_format="pyarrow"),
-        ["p_brand"],
-        [("n", "sum"), ("sx", "sum"), ("sy", "sum"), ("sxx", "sum"),
-         ("sxy", "sum")],
-        rename=["p_brand", "n", "sx", "sy", "sxx", "sxy"],
-        combine=True)
-
-    def finish(b: pa.Table) -> pa.Table:
-        n = b.column("n").to_numpy(zero_copy_only=False) \
-            .astype(np.float64)
-        sx = b.column("sx").to_numpy(zero_copy_only=False) \
-            .astype(np.float64)
-        sy = b.column("sy").to_numpy(zero_copy_only=False) \
-            .astype(np.float64)
-        sxx = b.column("sxx").to_numpy(zero_copy_only=False) \
-            .astype(np.float64)
-        sxy = b.column("sxy").to_numpy(zero_copy_only=False) \
-            .astype(np.float64)
-        den = n * sxx - sx * sx
-        slope = (n * sxy - sx * sy) / den
-        intercept = (sy - slope * sx) / n
-        return pa.table({
-            "p_brand": b.column("p_brand"),
-            "n": b.column("n").cast(pa.int64()),
-            "slope": pa.array(slope, pa.float64()),
-            "intercept": pa.array(intercept, pa.float64()),
-        })
-
-    return agg.map_batches(finish, batch_format="pyarrow")
-
-
-def orders_running_total(sf_dir: str):
-    """Per-customer running revenue total ordered by (orderdate,
-    orderkey) — the classic partitioned cumulative window, computed
-    per customer-hash bucket with one sort + vectorized cumsum per
-    bucket (per-customer runs are tiny; the bucket, not the customer,
-    is the unit of work).  Exact cents.  Oracle: SUM OVER (PARTITION
-    BY ... ORDER BY ...)."""
-    from docling_graph_ray.stages.bucketing import add_part, run_starts
-
-    orders = _read(sf_dir, "orders",
-                   ["o_custkey", "o_orderkey", "o_orderdate",
-                    "o_totalprice"])
-    in_schema = pa.schema([("o_custkey", pa.int64()),
-                           ("o_orderkey", pa.int64()),
-                           ("o_orderdate", pa.timestamp("us")),
-                           ("o_totalprice", pa.float64())])
-    out_schema = pa.schema([("o_custkey", pa.int64()),
-                            ("o_orderkey", pa.int64()),
-                            ("cents", pa.int64()),
-                            ("running_cents", pa.int64())])
-
-    def running_partition(g: pa.Table) -> pa.Table:
-        if g.num_rows == 0 or "o_custkey" not in g.schema.names:
-            return out_schema.empty_table()
-        if "_part" in g.schema.names:
-            g = g.drop_columns(["_part"])
-        idx = pc.sort_indices(g, sort_keys=[
-            ("o_custkey", "ascending"), ("o_orderdate", "ascending"),
-            ("o_orderkey", "ascending")])
-        g = g.take(idx).combine_chunks()
-        cents = _cents(g.column("o_totalprice"), 100) \
-            .to_numpy(zero_copy_only=False)
-        starts, lens = run_starts(g, ["o_custkey"])
-        cum = np.cumsum(cents)
-        # subtract each run's preceding prefix so the cumsum restarts
-        # at every customer boundary
-        base = np.repeat(np.r_[0, cum[starts[1:] - 1]]
-                         if len(starts) > 1 else np.array([0]), lens)
-        return pa.table({
-            "o_custkey": g.column("o_custkey").cast(pa.int64()),
-            "o_orderkey": g.column("o_orderkey").cast(pa.int64()),
-            "cents": pa.array(cents, pa.int64()),
-            "running_cents": pa.array(cum - base, pa.int64()),
-        })
-
-    return (orders.map_batches(add_part(["o_custkey"], 64, in_schema),
-                               batch_format="pyarrow")
-            .groupby("_part")
-            .map_groups(running_partition, batch_format="pyarrow"))
-
-
-def events_pivot_type_counts(sf_dir: str):
-    """Per-user event-type pivot: one row per user, one count column
-    per event type (the fixed corpus type set).  A conditional-
-    aggregate pivot — per-batch grouped counts per (user, type) fold
-    through one bucketed sum, then widen per bucket; no per-user
-    group ever exceeds the type count.  Oracle: SQL FILTER
-    aggregates."""
-    from docling_graph_ray.stages.bucketing import bucketed_aggregate
-
-    types = ["click", "error", "purchase", "signup", "view"]
-    ev = _read(sf_dir, "events", ["user_id", "event_type"])
-
-    def partial(b: pa.Table) -> pa.Table:
-        t = pa.table({"user_id": b.column("user_id").cast(pa.int64()),
-                      "event_type": b.column("event_type")})
-        g = t.group_by(["user_id", "event_type"]).aggregate(
-            [([], "count_all")])
-        return g.rename_columns(["user_id", "event_type", "n"])
-
-    narrow = bucketed_aggregate(
-        ev.map_batches(partial, batch_format="pyarrow"),
-        ["user_id", "event_type"], [("n", "sum")],
-        rename=["user_id", "event_type", "n"], combine=True)
-
-    out_schema = pa.schema([("user_id", pa.int64())] + [
-        (f"n_{t}", pa.int64()) for t in types])
-
-    def widen(b: pa.Table) -> pa.Table:
-        if b.num_rows == 0 or "user_id" not in b.schema.names:
-            return out_schema.empty_table()
-        users = b.column("user_id").to_numpy(zero_copy_only=False)
-        uniq, inv = np.unique(users, return_inverse=True)
-        cols = {t: np.zeros(len(uniq), np.int64) for t in types}
-        tv = b.column("event_type").to_pylist()
-        nv = b.column("n").to_numpy(zero_copy_only=False)
-        for i, t in enumerate(tv):
-            if t in cols:
-                cols[t][inv[i]] += nv[i]
-        data = {"user_id": pa.array(uniq, pa.int64())}
-        for t in types:
-            data[f"n_{t}"] = pa.array(cols[t], pa.int64())
-        return pa.table(data)
-
-    # widen per hash bucket of users: each user's narrow rows co-live
-    # in one bucket already (bucketed_aggregate keyed them by user
-    # too), so a per-block widen is complete per user
-    from docling_graph_ray.stages.bucketing import add_part
-
-    narrow_schema = pa.schema([("user_id", pa.int64()),
-                               ("event_type", pa.string()),
-                               ("n", pa.int64())])
-    return (narrow.map_batches(add_part(["user_id"], 64, narrow_schema),
-                               batch_format="pyarrow")
-            .groupby("_part")
-            .map_groups(lambda g: widen(
-                g.drop_columns(["_part"])
-                if "_part" in g.schema.names else g),
-                batch_format="pyarrow"))
-
-
-def orders_rollup_revenue(sf_dir: str):
-    """GROUP BY ROLLUP(o_orderstatus, o_orderpriority) revenue in
-    exact cents: three grouping levels (status+priority, status,
-    grand total) computed as one narrow partial fold reused three
-    times — the ROLLUP union never re-reads the source.  NULL marks
-    the rolled-up level, as in SQL."""
-    from docling_graph_ray.stages.bucketing import bucketed_aggregate
-
-    orders = _read(sf_dir, "orders",
-                   ["o_orderstatus", "o_orderpriority", "o_totalprice"])
-
-    def partial(b: pa.Table) -> pa.Table:
-        t = pa.table({
-            "o_orderstatus": b.column("o_orderstatus"),
-            "o_orderpriority": b.column("o_orderpriority"),
-            "cents": _cents(b.column("o_totalprice"), 100),
-        })
-        g = t.group_by(["o_orderstatus", "o_orderpriority"]).aggregate(
-            [("cents", "sum"), ([], "count_all")])
-        return g.rename_columns(
-            ["o_orderstatus", "o_orderpriority", "cents", "n"])
-
-    base = bucketed_aggregate(
-        orders.map_batches(partial, batch_format="pyarrow"),
-        ["o_orderstatus", "o_orderpriority"],
-        [("cents", "sum"), ("n", "sum")],
-        rename=["o_orderstatus", "o_orderpriority", "cents", "n"],
-        combine=True).materialize()
-
-    def to_status_level(b: pa.Table) -> pa.Table:
-        return pa.table({
-            "o_orderstatus": b.column("o_orderstatus"),
-            "cents": b.column("cents").cast(pa.int64()),
-            "n": b.column("n").cast(pa.int64()),
-        })
-
-    lvl1 = bucketed_aggregate(
-        base.map_batches(to_status_level, batch_format="pyarrow"),
-        ["o_orderstatus"], [("cents", "sum"), ("n", "sum")],
-        rename=["o_orderstatus", "cents", "n"], combine=True,
-    ).map_batches(
-        lambda t: pa.table({
-            "o_orderstatus": t.column("o_orderstatus"),
-            "o_orderpriority": pa.nulls(t.num_rows, pa.string()),
-            "cents": t.column("cents").cast(pa.int64()),
-            "n": t.column("n").cast(pa.int64()),
-        }), batch_format="pyarrow")
-
-    total_cents = int(base.sum("cents") or 0)
-    total_n = int(base.sum("n") or 0)
-    import ray as _ray
-
-    lvl0 = _ray.data.from_arrow(pa.table({
-        "o_orderstatus": pa.nulls(1, pa.string()),
-        "o_orderpriority": pa.nulls(1, pa.string()),
-        "cents": pa.array([total_cents], pa.int64()),
-        "n": pa.array([total_n], pa.int64()),
-    }))
-
-    base_cast = base.map_batches(
-        lambda t: pa.table({
-            "o_orderstatus": t.column("o_orderstatus"),
-            "o_orderpriority": t.column("o_orderpriority"),
-            "cents": t.column("cents").cast(pa.int64()),
-            "n": t.column("n").cast(pa.int64()),
-        }), batch_format="pyarrow")
-    return base_cast.union(lvl1, lvl0)
-
-
-def events_growth_accounting(sf_dir: str):
-    """Daily growth accounting: per day, active users split into NEW
-    (first-ever event that day) vs RETURNING.  Two bucketed folds —
-    per-user first-day (min), then per-day counts with the new/
-    returning split attached by one lookup join — no window over the
-    corpus.  Oracle: MIN OVER user + conditional aggregate."""
-    from docling_graph_ray.stages.bucketing import bucketed_aggregate
-    from docling_graph_ray.stages.joins import lookup_join
-
-    ev = _read(sf_dir, "events", ["user_id", "ts"])
-
-    def day_partial(b: pa.Table) -> pa.Table:
-        day = pc.strftime(b.column("ts"), format="%Y-%m-%d")
-        t = pa.table({"user_id": b.column("user_id").cast(pa.int64()),
-                      "day": day})
-        g = t.group_by(["user_id", "day"]).aggregate([])
-        return g
-
-    user_days = bucketed_aggregate(
-        ev.map_batches(day_partial, batch_format="pyarrow"),
-        ["user_id", "day"], [("", "count_all")],
-        rename=["user_id", "day", "_n"], combine=True,
-    ).map_batches(lambda t: t.select(["user_id", "day"]),
-                  batch_format="pyarrow").materialize()
-
-    first_day = bucketed_aggregate(
-        user_days, ["user_id"], [("day", "min")],
-        rename=["user_id", "first_day"], combine=True)
-
-    joined = lookup_join(user_days, first_day, on="user_id",
-                         key_col="user_id", value_cols=["first_day"])
-
-    def split_partial(b: pa.Table) -> pa.Table:
-        is_new = pc.equal(b.column("day"), b.column("first_day")) \
-            .cast(pa.int64())
-        t = pa.table({
-            "day": b.column("day"),
-            "n_active": pa.array(np.ones(b.num_rows, np.int64)),
-            "n_new": is_new,
-        })
-        g = t.group_by("day").aggregate(
-            [("n_active", "sum"), ("n_new", "sum")])
-        return g.rename_columns(["day", "n_active", "n_new"])
-
-    agg = bucketed_aggregate(
-        joined.map_batches(split_partial, batch_format="pyarrow"),
-        ["day"], [("n_active", "sum"), ("n_new", "sum")],
-        rename=["day", "n_active", "n_new"], combine=True)
-
-    def finish(b: pa.Table) -> pa.Table:
-        na = b.column("n_active").cast(pa.int64())
-        nn = b.column("n_new").cast(pa.int64())
-        return pa.table({
-            "day": b.column("day").cast(pa.string()),
-            "n_active": na,
-            "n_new": nn,
-            "n_returning": pc.subtract(na, nn),
-        })
-
-    return agg.map_batches(finish, batch_format="pyarrow")
-
-
-def events_cohort_ltv(sf_dir: str):
-    """Value-weighted cohort matrix (LTV curve): users cohorted by
-    first active day; each (cohort, day-offset) cell carries the
-    active-user count AND the exact cents spent — the revenue twin of
-    ``events_retention``, same user-hash bucketed shape (events never
-    shuffle raw; (user, day, cents) partials do).  Oracle: MIN OVER
-    user for the cohort + exact-cents conditional rollup."""
-    from docling_graph_ray.stages.bucketing import add_part, run_starts
-
-    ev = _read(sf_dir, "events", ["ts", "user_id", "value"])
-
-    def day_vals(batch: pa.Table) -> pa.Table:
-        day = pc.floor_temporal(batch.column("ts"), unit="day")
-        days = (day.to_numpy(zero_copy_only=False)
-                .astype("datetime64[D]").astype(np.int64))
-        t = pa.table({
-            "user_id": batch.column("user_id").cast(pa.int64()),
-            "day": pa.array(days, pa.int64()),
-            "cents": _cents(pc.fill_null(batch.column("value"), 0.0),
-                            100),
-        })
-        g = t.group_by(["user_id", "day"]).aggregate([("cents", "sum")])
-        return g.rename_columns(["user_id", "day", "cents"])
-
-    out_schema = pa.schema([("cohort_day", pa.int64()),
-                            ("day_offset", pa.int64()),
-                            ("n_users", pa.int64()),
-                            ("value_cents", pa.int64())])
-
-    def ltv_partition(g: pa.Table) -> pa.Table:
-        if g.num_rows == 0 or "user_id" not in g.schema.names:
-            return out_schema.empty_table()
-        if "_part" in g.schema.names:
-            g = g.drop_columns(["_part"])
-        g = g.group_by(["user_id", "day"]).aggregate([("cents", "sum")])
-        g = g.rename_columns(["user_id", "day", "cents"])
-        idx = pc.sort_indices(g, sort_keys=[
-            ("user_id", "ascending"), ("day", "ascending")])
-        g = g.take(idx).combine_chunks()
-        days = g.column("day").to_numpy(zero_copy_only=False)
-        cents = g.column("cents").to_numpy(zero_copy_only=False)
-        starts, lens = run_starts(g, ["user_id"])
-        cohort = np.repeat(days[starts], lens)
-        t = pa.table({
-            "cohort_day": pa.array(cohort, pa.int64()),
-            "day_offset": pa.array(days - cohort, pa.int64()),
-            "n_users": pa.array(np.ones(len(days), np.int64)),
-            "value_cents": pa.array(cents, pa.int64()),
-        })
-        agg = t.group_by(["cohort_day", "day_offset"]).aggregate(
-            [("n_users", "sum"), ("value_cents", "sum")])
-        return agg.rename_columns(
-            ["cohort_day", "day_offset", "n_users", "value_cents"])
-
-    partials = (
-        ev.map_batches(day_vals, batch_format="pyarrow")
-        .map_batches(add_part(["user_id"], 64), batch_format="pyarrow")
-        .groupby("_part")
-        .map_groups(ltv_partition, batch_format="pyarrow")
-    )
-    return (
-        partials.groupby(["cohort_day", "day_offset"])
-        .sum(["n_users", "value_cents"])
-        .map_batches(
-            lambda t: t.rename_columns(
-                ["cohort_day", "day_offset", "n_users", "value_cents"]),
-            batch_format="pyarrow")
-    )
-
-
-def events_transition_matrix(sf_dir: str):
-    """First-order Markov transition matrix of event types: per user,
-    consecutive (ordered by ts, event_id) event pairs count as
-    transitions; probabilities are one IEEE division per cell over
-    exact counts.  Same bucketed shifted-compare shape as the
-    inter-arrival op — no per-user group, no corpus sort.  Oracle:
-    lead() window + conditional aggregate."""
-    from docling_graph_ray.stages.bucketing import (
-        add_part,
-        bucketed_aggregate,
-    )
-
-    ev = _read(sf_dir, "events", ["user_id", "ts", "event_type",
-                                  "event_id"])
-    in_schema = pa.schema([("user_id", pa.int64()),
-                           ("ts", pa.timestamp("us")),
-                           ("event_type", pa.string()),
-                           ("event_id", pa.int64())])
-    pair_schema = pa.schema([("from_type", pa.string()),
-                             ("to_type", pa.string()),
-                             ("n", pa.int64())])
-
-    def pairs_partition(g: pa.Table) -> pa.Table:
-        if g.num_rows == 0 or "user_id" not in g.schema.names:
-            return pair_schema.empty_table()
-        if "_part" in g.schema.names:
-            g = g.drop_columns(["_part"])
-        idx = pc.sort_indices(g, sort_keys=[
-            ("user_id", "ascending"), ("ts", "ascending"),
-            ("event_id", "ascending")])
-        g = g.take(idx).combine_chunks()
-        users = g.column("user_id").to_numpy(zero_copy_only=False)
-        same = pa.array(users[:-1] == users[1:])
-        frm = g.column("event_type").slice(0, g.num_rows - 1) \
-            .filter(same)
-        to = g.column("event_type").slice(1).filter(same)
-        t = pa.table({"from_type": frm, "to_type": to})
-        agg = t.group_by(["from_type", "to_type"]).aggregate(
-            [([], "count_all")])
-        return agg.rename_columns(["from_type", "to_type", "n"]) \
-            .cast(pair_schema)
-
-    counts = bucketed_aggregate(
-        (ev.map_batches(add_part(["user_id"], 64, in_schema),
-                        batch_format="pyarrow")
-         .groupby("_part")
-         .map_groups(pairs_partition, batch_format="pyarrow")),
-        ["from_type", "to_type"], [("n", "sum")],
-        rename=["from_type", "to_type", "n"], combine=True).take_all()
-
-    # the matrix is |types|^2 rows — a driver-side dimension
-    row_totals: dict[str, int] = {}
-    for r in counts:
-        row_totals[r["from_type"]] = \
-            row_totals.get(r["from_type"], 0) + r["n"]
-    rows = sorted(counts, key=lambda r: (r["from_type"], r["to_type"]))
-    return pa.table({
-        "from_type": pa.array([r["from_type"] for r in rows],
-                              pa.string()),
-        "to_type": pa.array([r["to_type"] for r in rows], pa.string()),
-        "n": pa.array([int(r["n"]) for r in rows], pa.int64()),
-        "p": pa.array(
-            [float(np.float64(r["n"])
-                   / np.float64(row_totals[r["from_type"]]))
-             for r in rows], pa.float64()),
-    })
-
-
-def events_interarrival(sf_dir: str):
-    """Per-event-type inter-arrival statistics: gaps between a user's
-    consecutive events (ordered by ts, event_id), attributed to the
-    earlier event's type.  Counts/sums/extrema are exact int64
-    microseconds; the mean is one IEEE division; the median runs over
-    second-quantized gaps through the exact grouped value histogram
-    (text_analysis.py:grouped_value_quantiles — bounded domain, no
-    per-type whole-group sort).  Oracle: SQL lead() window +
-    quantile_disc."""
-    from docling_graph_ray.stages.bucketing import (
-        add_part,
-        bucketed_aggregate,
-        run_starts,
-    )
-    from docling_graph_ray.stages.text_analysis import (
-        grouped_value_quantiles,
-    )
-
-    ev = _read(sf_dir, "events",
-               ["user_id", "ts", "event_type", "event_id"])
-    in_schema = pa.schema([("user_id", pa.int64()),
-                           ("ts", pa.timestamp("us")),
-                           ("event_type", pa.string()),
-                           ("event_id", pa.int64())])
-    gap_schema = pa.schema([("event_type", pa.string()),
-                            ("gap_us", pa.int64()),
-                            ("gap_s", pa.int64())])
-
-    def gaps_partition(g: pa.Table) -> pa.Table:
-        if g.num_rows == 0 or "user_id" not in g.schema.names:
-            return gap_schema.empty_table()
-        if "_part" in g.schema.names:
-            g = g.drop_columns(["_part"])
-        idx = pc.sort_indices(g, sort_keys=[
-            ("user_id", "ascending"), ("ts", "ascending"),
-            ("event_id", "ascending")])
-        g = g.take(idx).combine_chunks()
-        ts = g.column("ts").cast(pa.int64()).to_numpy(
-            zero_copy_only=False)
-        users = g.column("user_id").to_numpy(zero_copy_only=False)
-        same = users[:-1] == users[1:]
-        gap = (ts[1:] - ts[:-1])[same]
-        types = g.column("event_type").slice(0, g.num_rows - 1) \
-            .filter(pa.array(same))
-        return pa.table({
-            "event_type": types,
-            "gap_us": pa.array(gap, pa.int64()),
-            "gap_s": pa.array(gap // 1_000_000, pa.int64()),
-        })
-
-    gaps = (
-        ev.map_batches(add_part(["user_id"], 64, in_schema),
-                       batch_format="pyarrow")
-        .groupby("_part")
-        .map_groups(gaps_partition, batch_format="pyarrow")
-    ).materialize()
-
-    stats = bucketed_aggregate(
-        gaps, ["event_type"],
-        [("gap_us", "sum"), ("gap_us", "count"), ("gap_us", "min"),
-         ("gap_us", "max")],
-        rename=["event_type", "sum_gap_us", "n_gaps", "min_gap_us",
-                "max_gap_us"], combine=False,
-    ).take_all()
-
-    med = {r[0]: r[2] for r in zip(
-        *[grouped_value_quantiles(gaps, "event_type", "gap_s",
-                                  [0.5]).column(c).to_pylist()
-          for c in ("event_type", "q", "value")])}
-
-    rows = sorted(stats, key=lambda r: r["event_type"])
-    out = {
-        "event_type": [r["event_type"] for r in rows],
-        "n_gaps": [int(r["n_gaps"]) for r in rows],
-        "sum_gap_us": [int(r["sum_gap_us"]) for r in rows],
-        "min_gap_us": [int(r["min_gap_us"]) for r in rows],
-        "max_gap_us": [int(r["max_gap_us"]) for r in rows],
-        "mean_gap_us": [
-            float(np.float64(r["sum_gap_us"]) / np.float64(r["n_gaps"]))
-            for r in rows],
-        "median_gap_s": [int(med[r["event_type"]]) for r in rows],
-    }
-    return pa.table({
-        "event_type": pa.array(out["event_type"], pa.string()),
-        "n_gaps": pa.array(out["n_gaps"], pa.int64()),
-        "sum_gap_us": pa.array(out["sum_gap_us"], pa.int64()),
-        "min_gap_us": pa.array(out["min_gap_us"], pa.int64()),
-        "max_gap_us": pa.array(out["max_gap_us"], pa.int64()),
-        "mean_gap_us": pa.array(out["mean_gap_us"], pa.float64()),
-        "median_gap_s": pa.array(out["median_gap_s"], pa.int64()),
-    })
-
-
-def customer_revenue_pareto(sf_dir: str, n_tiles: int = 10):
-    """Customer revenue concentration (Pareto/ABC deciles): exact
-    per-customer cents fold, then the distributed-rank pattern
-    (stages/ranking.py — sort → block-offset metadata pass → rank
-    assignment, no per-row shuffle) and an exact integer decile
-    rollup.  Oracle: SQL row_number + window cumulative sum."""
-    from docling_graph_ray.stages.bucketing import bucketed_aggregate
-    from docling_graph_ray.stages.ranking import pareto_deciles
-
-    orders = _read(sf_dir, "orders", ["o_custkey", "o_totalprice"])
-
-    def partial(b: pa.Table) -> pa.Table:
-        t = pa.table({"o_custkey": b.column("o_custkey").cast(pa.int64()),
-                      "cents": _cents(b.column("o_totalprice"), 100)})
-        g = t.group_by("o_custkey").aggregate([("cents", "sum")])
-        return g.rename_columns(["o_custkey", "cents"])
-
-    rev = bucketed_aggregate(
-        orders.map_batches(partial, batch_format="pyarrow"),
-        ["o_custkey"], [("cents", "sum")], rename=["o_custkey", "cents"],
-        combine=True)
-    return pareto_deciles(rev, val_col="cents", key_col="o_custkey",
-                          n_tiles=n_tiles)
-
-
-def events_kmv_distinct(sf_dir: str, k: int = 256):
-    """KMV distinct-user sketch over events (stages/sketch.py:
-    kmv_distinct): per-block k smallest distinct mix32 hashes fold to
-    one bounded candidate set; the k-th smallest hash and the single
-    estimate division are exactly reproducible in SQL (window rank +
-    one IEEE division), so the sketch itself is oracle-gated."""
-    from docling_graph_ray.stages.sketch import kmv_distinct
-
-    return kmv_distinct(_read(sf_dir, "events", ["user_id"]),
-                        col="user_id", k=k)
-
-
-def events_daily(sf_dir: str):
-    ds = _read(sf_dir, "events", ["ts", "value"])
-
-    def partial(batch: pa.Table) -> pa.Table:
-        day = pc.strftime(batch.column("ts"), format="%Y-%m-%d")
-        t = pa.table({"day": day, "value_millis": _cents(batch.column("value"), 1000)})
-        g = t.group_by("day").aggregate([("value_millis", "sum"), ("value_millis", "count")])
-        return g.rename_columns(["day", "sum_value_millis", "n_events"])
-
-    return (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby("day")
-        .sum(["sum_value_millis", "n_events"])
-        .map_batches(
-            lambda t: t.rename_columns(["day", "sum_value_millis", "n_events"]),
-            batch_format="pyarrow",
-        )
     )
 
 
@@ -1350,163 +595,4 @@ def orders_followup_window(sf_dir: str, days: int = 30):
             ),
             batch_format="pyarrow",
         )
-    )
-
-
-def events_funnel(sf_dir: str, steps: tuple = ("view", "click", "purchase"),
-                  window_days: int = 30):
-    """Windowed funnel analysis (the ClickHouse ``windowFunnel``
-    analogue, beyond the reference like the as-of/range joins): per
-    user, greedily match the ordered step sequence — step i+1 must
-    occur STRICTLY after the matched step i and within ``window_days``
-    of the matched step 1 — and report how many users reach each depth.
-
-    Scale shape: one shuffle of ``(user, ts, type)`` rows bucketed by
-    ``hash(user) % P`` (all of one user's events co-locate — the same
-    partitioning contract as sessionize); inside each of the P calls
-    the greedy chain is a per-step ``np.minimum.at`` fold over the
-    sorted run — no Python loop over users or events.  Each partition
-    emits one count row per step; the final sum is |steps| × P rows."""
-    from docling_graph_ray.stages.bucketing import add_part, run_starts
-
-    ev = _read(sf_dir, "events", ["event_id", "ts", "user_id", "event_type"])
-    ev = ev.map_batches(
-        lambda b: b.filter(pc.is_in(b.column("event_type"),
-                                    value_set=pa.array(list(steps)))),
-        batch_format="pyarrow",
-    )
-    window_us = np.int64(window_days) * 86_400_000_000
-    sentinel = np.iinfo(np.int64).max
-
-    def funnel_partition(g: pa.Table) -> pa.Table:
-        empty = pa.table({
-            "step": pa.array([], pa.int64()),
-            "event_type": pa.array([], pa.string()),
-            "n_users": pa.array([], pa.int64()),
-        })
-        if g.num_rows == 0 or "user_id" not in g.schema.names:
-            return empty
-        if "_part" in g.schema.names:
-            g = g.drop_columns(["_part"])
-        idx = pc.sort_indices(g, sort_keys=[
-            ("user_id", "ascending"), ("ts", "ascending"),
-            ("event_id", "ascending")])
-        g = g.take(idx).combine_chunks()
-        ts = (g.column("ts").to_numpy(zero_copy_only=False)
-              .astype("datetime64[us]").astype(np.int64))
-        starts, lens = run_starts(g, ["user_id"])
-        u = len(starts)
-        uidx = np.repeat(np.arange(u, dtype=np.int64), lens)
-        types = g.column("event_type")
-        t_prev = None
-        t_first = None
-        counts = []
-        for i, step in enumerate(steps):
-            is_step = pc.equal(types, step).to_numpy(zero_copy_only=False)
-            is_step = np.asarray(is_step, dtype=bool)
-            if i == 0:
-                mask = is_step
-            else:
-                # sentinel + window would overflow int64; users without
-                # a step-1 match already fail ts > t_prev, so cap the
-                # deadline at the sentinel instead of adding past it
-                deadline = np.where(t_first < sentinel - window_us,
-                                    t_first + window_us, sentinel)
-                mask = (is_step & (ts > t_prev[uidx])
-                        & (ts <= deadline[uidx]))
-            t_i = np.full(u, sentinel, dtype=np.int64)
-            if mask.any():
-                np.minimum.at(t_i, uidx[mask], ts[mask])
-            counts.append(int((t_i < sentinel).sum()))
-            t_prev = t_i
-            t_first = t_i if i == 0 else t_first
-        return pa.table({
-            "step": pa.array(range(1, len(steps) + 1), pa.int64()),
-            "event_type": pa.array(list(steps), pa.string()),
-            "n_users": pa.array(counts, pa.int64()),
-        })
-
-    partials = (
-        ev.map_batches(add_part(["user_id"], 64), batch_format="pyarrow")
-        .groupby("_part")
-        .map_groups(funnel_partition, batch_format="pyarrow")
-    )
-    return (
-        partials.groupby(["step", "event_type"]).sum("n_users")
-        .map_batches(
-            lambda t: t.rename_columns(["step", "event_type", "n_users"]),
-            batch_format="pyarrow")
-    )
-
-
-def events_retention(sf_dir: str):
-    """Cohort retention (the growth-analytics classic): users cohorted
-    by their FIRST active day; for each (cohort, day-offset) count how
-    many cohort members were active that day.  Days ride as
-    epoch-day integers end-to-end — no timezone or date-render
-    ambiguity in the oracle compare.
-
-    Scale shape: activity pre-dedups to (user, day) INSIDE each batch
-    (map-side combiner — events never shuffle), one user-hash bucketed
-    shuffle co-locates each user's day set, and every partition emits
-    exact (cohort, offset) count partials; the final sum is
-    days² × P rows at most."""
-    from docling_graph_ray.stages.bucketing import add_part, run_starts
-
-    ev = _read(sf_dir, "events", ["ts", "user_id"])
-
-    def day_pairs(batch: pa.Table) -> pa.Table:
-        day = pc.floor_temporal(batch.column("ts"), unit="day")
-        days = (day.to_numpy(zero_copy_only=False)
-                .astype("datetime64[D]").astype(np.int64))
-        t = pa.table({
-            "user_id": batch.column("user_id").cast(pa.int64()),
-            "day": pa.array(days, pa.int64()),
-        })
-        return t.group_by(["user_id", "day"]).aggregate([])
-
-    def retention_partition(g: pa.Table) -> pa.Table:
-        empty = pa.table({
-            "cohort_day": pa.array([], pa.int64()),
-            "day_offset": pa.array([], pa.int64()),
-            "n_users": pa.array([], pa.int64()),
-        })
-        if g.num_rows == 0 or "user_id" not in g.schema.names:
-            return empty
-        if "_part" in g.schema.names:
-            g = g.drop_columns(["_part"])
-        # the bucketed rows may repeat a (user, day) pair across source
-        # batches — dedup once per partition before the fold
-        g = g.group_by(["user_id", "day"]).aggregate([])
-        idx = pc.sort_indices(g, sort_keys=[
-            ("user_id", "ascending"), ("day", "ascending")])
-        g = g.take(idx).combine_chunks()
-        days = g.column("day").to_numpy(zero_copy_only=False)
-        starts, lens = run_starts(g, ["user_id"])
-        cohort = np.repeat(days[starts], lens)  # per-user min day
-        off = days - cohort
-        t = pa.table({
-            "cohort_day": pa.array(cohort, pa.int64()),
-            "day_offset": pa.array(off, pa.int64()),
-        })
-        cnt = t.group_by(["cohort_day", "day_offset"]).aggregate(
-            [([], "count_all")])
-        return pa.table({
-            "cohort_day": cnt.column("cohort_day"),
-            "day_offset": cnt.column("day_offset"),
-            "n_users": cnt.column("count_all").cast(pa.int64()),
-        })
-
-    partials = (
-        ev.map_batches(day_pairs, batch_format="pyarrow")
-        .map_batches(add_part(["user_id"], 64), batch_format="pyarrow")
-        .groupby("_part")
-        .map_groups(retention_partition, batch_format="pyarrow")
-    )
-    return (
-        partials.groupby(["cohort_day", "day_offset"]).sum("n_users")
-        .map_batches(
-            lambda t: t.rename_columns(
-                ["cohort_day", "day_offset", "n_users"]),
-            batch_format="pyarrow")
     )

@@ -22,7 +22,7 @@ from docling_graph_ray.stages.dedup import (
     ngram_jaccard_dedup,
     simhash_dedup,
 )
-from docling_graph_ray.stages.similarity import brute_force_topk, lsh_bucket_topk
+from docling_graph_ray.stages.similarity import brute_force_topk
 
 
 def _docs(sf_dir: str, columns=None):
@@ -421,29 +421,6 @@ def doc_minhash_dedup(sf_dir: str):
     return minhash_lsh_dedup(_docs(sf_dir, ["doc_id", "text"]))
 
 
-def doc_oov_rate(sf_dir: str):
-    """Per-doc out-of-vocabulary rate against the corpus top-30 tokens
-    (the synthetic vocabulary has ~50, so the tail is genuinely OOV).
-    Oracle-checked (r5): SQL top-k vocab CTE + per-doc LEFT JOIN count,
-    identical integer division + round 6."""
-    from docling_graph_ray.stages.sketch import oov_rate
-
-    return oov_rate(_docs(sf_dir, ["doc_id", "text"]), vocab_k=30)
-
-
-def doc_corpus_kl(sf_dir: str):
-    """Token-distribution drift between the en slice and the rest:
-    add-1-smoothed KL(P‖Q) / KL(Q‖P) over the union vocabulary.
-    Oracle-checked (r5): identical smoothed-log association in SQL,
-    both divergences rounded to 6."""
-    from docling_graph_ray.stages.sketch import corpus_kl
-
-    return corpus_kl(
-        _docs(sf_dir, ["doc_id", "text", "lang"]),
-        split_col="lang", split_value="en",
-    )
-
-
 def doc_source_overlap(sf_dir: str):
     """Cross-source exact-duplicate overlap matrix (who re-hosts whom).
     The synthetic corpus has NO cross-source duplicate texts, so the
@@ -471,15 +448,6 @@ def doc_source_overlap(sf_dir: str):
     return source_overlap(docs.map_batches(plant, batch_format="pyarrow"))
 
 
-def doc_zipf_fit(sf_dir: str):
-    """Zipf-slope corpus statistic over the top-40 token frequencies.
-    Oracle-checked (r5): SQL row_number rank (n DESC, token ASC) + the
-    identical closed-form least-squares sums, round 6 both sides."""
-    from docling_graph_ray.stages.sketch import zipf_fit
-
-    return zipf_fit(_docs(sf_dir, ["doc_id", "text"]), k=40)
-
-
 def doc_char_entropy(sf_dir: str):
     """Per-document Shannon byte entropy — the gibberish/low-diversity
     quality signal.  Oracle-checked (r5): per-char grouped counts +
@@ -488,29 +456,6 @@ def doc_char_entropy(sf_dir: str):
     return _docs(sf_dir, ["doc_id", "text"]).map_batches(
         ta.byte_entropy_batch, batch_format="pyarrow"
     )
-
-
-def doc_source_distinct_estimate(sf_dir: str, p: int = 12):
-    """Per-source approximate distinct-text counts — the groupby form
-    of the HLL sketch (mergeable registers shuffle, never values).
-    Oracle-checked (r5): the sha256-register + Flajolet-estimate
-    arithmetic of ``doc_distinct_estimate`` grouped by source."""
-    from docling_graph_ray.stages.sketch import grouped_distinct_estimate
-
-    return grouped_distinct_estimate(
-        _docs(sf_dir, ["source", "text"]),
-        key_col="source", col="text", p=p,
-    )
-
-
-def doc_heavy_hitters(sf_dir: str):
-    """Exact frequent tokens (global share >= phi) via the 2-pass
-    candidates → exact-recount scheme — the full vocabulary never
-    shuffles.  Oracle-checked (r5): plain SQL token counts with the
-    identical ceil(phi*N) float threshold."""
-    from docling_graph_ray.stages.sketch import heavy_hitters
-
-    return heavy_hitters(_docs(sf_dir, ["doc_id", "text"]), phi=0.01)
 
 
 def doc_minhash_cc_dedup(sf_dir: str):
@@ -628,7 +573,7 @@ def emb_semantic_dedup(sf_dir: str):
     Oracle-checked (r5, the emitted-model pattern): the unit-normalized
     fitted codebook is written to ``SEMDEDUP_CENTROIDS_OUT``; the
     DuckDB twin recomputes every cluster assignment (argmax cosine,
-    cluster-asc tiebreak — the ``emb_ivf_topk`` idiom), then the pairwise
+    cluster-asc tiebreak — the ``emb_kmeans`` idiom), then the pairwise
     closed-form rep per member.  The same deterministic twins as
     ``emb_near_dedup`` are planted so duplicates actually exist; every
     verdict sits ≥ 8e-3 from the threshold, so numpy-vs-DuckDB
@@ -680,43 +625,6 @@ def emb_topk(sf_dir: str, k: int = 10):
     return brute_force_topk(
         _embs(sf_dir, ["vec_id", "embedding"]), q, k=k, query_ids=qids,
         dtype=np.float64,  # oracle-matched precision (DuckDB DOUBLE[] cosine)
-    )
-
-
-# Fixed hyperplane location shared with the static oracle SQL (the
-# runner executes the Ray query — which writes it — before the twin).
-LSH_PLANES_OUT = "/tmp/graft_oracle_lsh_planes.parquet"
-
-
-def emb_lsh_topk(sf_dir: str, k: int = 10):
-    """LSH-bucketed approximate cosine top-k.  Oracle-checked (r5, the
-    emitted-model pattern): the exact hyperplane matrix the bucketing
-    uses (float64) is written to ``LSH_PLANES_OUT``; the DuckDB twin
-    recomputes every bucket bit as sign(unnest-join dot), expands the
-    1-bit-flip neighborhood of the query buckets with xor, and re-ranks
-    the surviving candidates by round(cosine, 6) with the same vec_id
-    tiebreak.  Bucket bits are computed on the UN-normalized embedding
-    in SQL (sign is invariant under positive scaling), so normalization
-    drift cannot flip a bit; f64 dot signs agree to ~1e-16."""
-    import pyarrow.parquet as pq
-
-    from docling_graph_ray.stages.similarity import lsh_planes
-
-    q, qids = _query_matrix(sf_dir)
-    planes = lsh_planes(dim=q.shape[1], n_planes=8, seed=42,
-                        dtype=np.float64)
-    pq.write_table(
-        pa.table({
-            "plane": pa.array(range(planes.shape[1]), pa.int64()),
-            "vec": pa.array([planes[:, j].tolist()
-                             for j in range(planes.shape[1])],
-                            pa.list_(pa.float64())),
-        }),
-        LSH_PLANES_OUT,
-    )
-    return lsh_bucket_topk(
-        _embs(sf_dir, ["vec_id", "embedding"]), q, k=k, query_ids=qids,
-        dtype=np.float64, planes=planes,
     )
 
 
@@ -808,190 +716,6 @@ def pages_host_pagerank(sf_dir: str, iters: int = 5):
 
     return pagerank(_host_edge_ids(sf_dir), src_col="a", dst_col="b",
                     iters=iters, ndigits=8)
-
-
-def pages_host_hits(sf_dir: str, iters: int = 3):
-    """HITS hubs/authorities over the harvested host link graph (the
-    crawl's second centrality lens: hubs = link-heavy sites,
-    authorities = link targets).  Shares the edge harvest with
-    pages_host_pagerank (_host_edge_ids) and the parameterized
-    unrolled-iteration oracle pattern."""
-    from docling_graph_ray.stages.graphalgo import hits
-
-    return hits(_host_edge_ids(sf_dir), src_col="a", dst_col="b",
-                iters=iters, ndigits=8)
-
-
-#: Decoded-pages parquet emitted for the crawl-delta oracle.
-CRAWL_DELTA_PAGES_OUT = "/tmp/graft_oracle_crawl_delta_pages"
-
-#: Url parquet emitted for the robots-filter oracle.
-ROBOTS_URLS_OUT = "/tmp/graft_oracle_robots_urls"
-
-#: (url, warc_ts) parquet emitted for the fetch-schedule oracle.
-FETCH_SCHED_OUT = "/tmp/graft_oracle_fetch_schedule"
-
-#: Fixed demo robots rules (SQL-expressible: '*' = every host, else an
-#: exact site host).  site123 gets a more specific /forum/archive rule
-#: that must beat the global /forum/ one.
-ROBOTS_RULES = [
-    ("*", "/forum/"),
-    ("*", "/shop/"),
-    ("site123.example", "/forum/archive"),
-]
-
-
-def pages_robots_filter(sf_dir: str):
-    """Robots-style path-prefix disallow annotation over the crawl's
-    urls (stages/robots.py): rules broadcast once, per-batch parse +
-    longest-prefix match, exact host beating '*' at equal length.
-    Urls are left as parquet evidence; the oracle recomputes host/path
-    regexes and the rule CASE over the same artifact."""
-    import shutil
-
-    import ray as _ray
-
-    from docling_graph_ray.fixtures.pages import pages_dataset
-    from docling_graph_ray.stages.robots import robots_annotate
-
-    tier = sf_dir.rstrip("/").rsplit("/", 1)[-1]
-    n = _SF_ROWS.get(tier, 300)
-    shutil.rmtree(ROBOTS_URLS_OUT, ignore_errors=True)
-    pages_dataset(n, profile="t1").map_batches(
-        lambda b: pa.table({"url": b.column("url")}),
-        batch_format="pyarrow").write_parquet(ROBOTS_URLS_OUT)
-    return robots_annotate(
-        _ray.data.read_parquet(ROBOTS_URLS_OUT), ROBOTS_RULES)
-
-
-def pages_crawl_delta(sf_dir: str):
-    """Crawl-delta report: per url, how many crawls landed and whether
-    the content CHANGED between them (the fixture re-crawls ~3% of
-    urls with regenerated html and duplicates ~1% byte-identically,
-    so all three statuses occur).  One decode pass leaves the pages as
-    parquet evidence; the per-url fold is a bucketed groupby of
-    (n_crawls, n_distinct_variants) with status derived from the two
-    counts.  Oracle: DuckDB md5-distinct recount over the emitted
-    parquet (python hashlib.md5 == DuckDB md5)."""
-    import hashlib as _hl
-    import shutil
-
-    import ray as _ray
-
-    from docling_graph_ray.fixtures.pages import pages_dataset
-    from docling_graph_ray.stages.bucketing import bucketed_aggregate
-    from docling_graph_ray.stages.linkgraph import decode_pages_batch
-
-    tier = sf_dir.rstrip("/").rsplit("/", 1)[-1]
-    n = _SF_ROWS.get(tier, 300)
-    shutil.rmtree(CRAWL_DELTA_PAGES_OUT, ignore_errors=True)
-    pages_dataset(n, profile="t1").map_batches(
-        decode_pages_batch, batch_format="pyarrow",
-    ).write_parquet(CRAWL_DELTA_PAGES_OUT)
-
-    def partial(b: pa.Table) -> pa.Table:
-        digests = pa.array(
-            [_hl.md5((t or "").encode()).hexdigest()
-             for t in b.column("html_text").to_pylist()], pa.string())
-        t = pa.table({"url": b.column("url"), "d": digests})
-        g = t.group_by(["url", "d"]).aggregate([([], "count_all")])
-        return g.rename_columns(["url", "d", "n"])
-
-    per_variant = bucketed_aggregate(
-        _ray.data.read_parquet(CRAWL_DELTA_PAGES_OUT).map_batches(
-            partial, batch_format="pyarrow"),
-        ["url", "d"], [("n", "sum")], rename=["url", "d", "n"],
-        combine=True)
-
-    def fold(b: pa.Table) -> pa.Table:
-        t = pa.table({"url": b.column("url"),
-                      "one": pa.array(np.ones(b.num_rows, np.int64)),
-                      "n": b.column("n").cast(pa.int64())})
-        g = t.group_by("url").aggregate([("one", "sum"), ("n", "sum")])
-        return g.rename_columns(["url", "n_variants", "n_crawls"])
-
-    counts = bucketed_aggregate(
-        per_variant.map_batches(fold, batch_format="pyarrow"),
-        ["url"], [("n_variants", "sum"), ("n_crawls", "sum")],
-        rename=["url", "n_variants", "n_crawls"], combine=True)
-
-    def status(b: pa.Table) -> pa.Table:
-        nv = b.column("n_variants").to_numpy(zero_copy_only=False)
-        nc = b.column("n_crawls").to_numpy(zero_copy_only=False)
-        st = np.where(nc == 1, "single",
-                      np.where(nv > 1, "changed", "unchanged"))
-        return pa.table({
-            "url": b.column("url"),
-            "n_crawls": pa.array(nc, pa.int64()),
-            "n_variants": pa.array(nv, pa.int64()),
-            "status": pa.array(st, pa.string()),
-        })
-
-    return counts.map_batches(status, batch_format="pyarrow")
-
-
-def pages_fetch_schedule(sf_dir: str, delay_s: int = 10):
-    """Politeness fetch scheduling: per host, crawls order by
-    (warc_ts, url) and each gets a slot; its scheduled offset is
-    ``slot · delay_s`` seconds after the host's first fetch — the
-    standard per-host rate-limit plan a distributed frontier needs.
-    Same bucketed rank shape as the running-total op (the bucket, not
-    the host, is the unit of work).  Urls ride the robots artifact's
-    pattern: left as parquet evidence for the window-rank oracle."""
-    import shutil
-
-    import ray as _ray
-
-    from docling_graph_ray.fixtures.pages import pages_dataset
-    from docling_graph_ray.stages.bucketing import add_part, run_starts
-
-    tier = sf_dir.rstrip("/").rsplit("/", 1)[-1]
-    n = _SF_ROWS.get(tier, 300)
-    shutil.rmtree(FETCH_SCHED_OUT, ignore_errors=True)
-    pages_dataset(n, profile="t1").map_batches(
-        lambda b: pa.table({"url": b.column("url"),
-                            "warc_ts": b.column("warc_ts")}),
-        batch_format="pyarrow").write_parquet(FETCH_SCHED_OUT)
-
-    in_schema = pa.schema([("url", pa.string()),
-                           ("warc_ts", pa.timestamp("us"))])
-    out_schema = pa.schema([("url", pa.string()),
-                            ("host", pa.string()),
-                            ("slot", pa.int64()),
-                            ("offset_s", pa.int64())])
-
-    def sched_partition(g: pa.Table) -> pa.Table:
-        if g.num_rows == 0 or "url" not in g.schema.names:
-            return out_schema.empty_table()
-        if "_part" in g.schema.names:
-            g = g.drop_columns(["_part"])
-        idx = pc.sort_indices(g, sort_keys=[
-            ("host", "ascending"), ("warc_ts", "ascending"),
-            ("url", "ascending")])
-        g = g.take(idx).combine_chunks()
-        starts, lens = run_starts(g, ["host"])
-        slot = np.concatenate([np.arange(x) for x in lens]) \
-            if len(lens) else np.array([], np.int64)
-        return pa.table({
-            "url": g.column("url"),
-            "host": g.column("host"),
-            "slot": pa.array(slot, pa.int64()),
-            "offset_s": pa.array(slot * delay_s, pa.int64()),
-        })
-
-    def add_host(b: pa.Table) -> pa.Table:
-        host = pc.replace_substring_regex(
-            b.column("url"), r"^https?://([^/]+).*$", r"\1")
-        return b.append_column("host", host)
-
-    hosted = _ray.data.read_parquet(FETCH_SCHED_OUT).map_batches(
-        add_host, batch_format="pyarrow")
-    hosted_schema = pa.schema(list(in_schema) +
-                              [pa.field("host", pa.string())])
-    return (hosted.map_batches(add_part(["host"], 64, hosted_schema),
-                               batch_format="pyarrow")
-            .groupby("_part")
-            .map_groups(sched_partition, batch_format="pyarrow"))
 
 
 def pages_flagship_lineage(sf_dir: str):
@@ -1449,130 +1173,6 @@ def doc_geometry(sf_dir: str):
     )
 
 
-# Fixed codebook location shared with the static oracle SQL.
-IVF_CENTROIDS_OUT = "/tmp/graft_oracle_ivf_centroids.parquet"
-
-
-def emb_ivf_topk(sf_dir: str, k: int = 10):
-    """IVF-partitioned approximate cosine top-k (the tunable scale path:
-    codebook broadcast once, each query probes n_probe inverted lists).
-    Oracle-checked (r5, the emitted-model pattern): the trained codebook
-    (unit-normalized, cast to float64 — exactly what the assignment pass
-    broadcasts) is written to ``IVF_CENTROIDS_OUT``; the DuckDB twin
-    recomputes every vector's inverted-list assignment (argmax cosine,
-    centroid-ascending tiebreak — numpy argmax picks the lowest index),
-    each query's n_probe probe set, and the final per-query top-k by
-    round(cosine, 6) with the vec_id tiebreak.  The iterative Lloyd's
-    training stays numpy; the claimed candidate routing and ranking are
-    fully SQL-verified."""
-    import pyarrow.parquet as pq
-
-    from docling_graph_ray.stages.similarity import (
-        ivf_topk,
-        train_ivf_centroids,
-    )
-
-    q, qids = _query_matrix(sf_dir)
-    embs = _embs(sf_dir, ["vec_id", "embedding"])
-    cent = train_ivf_centroids(embs, n_centroids=16, seed=42)
-    cent64 = np.asarray(cent, dtype=np.float64)
-    pq.write_table(
-        pa.table({
-            "cluster": pa.array(range(len(cent64)), pa.int64()),
-            "centroid": pa.array([c.tolist() for c in cent64],
-                                 pa.list_(pa.float64())),
-        }),
-        IVF_CENTROIDS_OUT,
-    )
-    return ivf_topk(
-        embs, q, k=k, query_ids=qids, dtype=np.float64, centroids=cent64,
-    )
-
-
-# Fixed emitted-codebook location for the PQ oracle.
-PQ_CODEBOOKS_OUT = "/tmp/graft_oracle_pq_codebooks.parquet"
-
-
-def emb_pq_topk(sf_dir: str, k: int = 10):
-    """Product-quantization ADC top-k (Jégou et al. 2011) — the
-    memory-compression ANN scale path: vectors live as m uint8 codes
-    (32x smaller than f32), queries scan a per-query lookup table
-    instead of full-dimension dots.  Oracle-checked (the emitted-model
-    pattern): the trained ``(sub, code, centroid)`` codebooks are
-    written to ``PQ_CODEBOOKS_OUT``; the DuckDB twin recomputes every
-    vector's per-subspace encoding (L2 argmin, code-asc ties), every
-    query's LUT, the ADC sums and the final ranking by
-    ``(round(ip, 6) DESC, vec_id ASC)``.  The Lloyd's training stays
-    numpy; the claimed encoding + ranking are fully SQL-verified."""
-    import pyarrow.parquet as pq
-
-    from docling_graph_ray.stages.similarity import (
-        pq_adc_topk,
-        pq_train_codebooks,
-    )
-
-    q, qids = _query_matrix(sf_dir)
-    embs = _embs(sf_dir, ["vec_id", "embedding"])
-    cb = pq_train_codebooks(embs, m=8, n_codes=16, iters=5)
-    m, n_codes, _sub = cb.shape
-    pq.write_table(
-        pa.table({
-            "sub": pa.array([s for s in range(m) for _ in range(n_codes)],
-                            pa.int64()),
-            "code": pa.array(list(range(n_codes)) * m, pa.int64()),
-            "centroid": pa.array(
-                [cb[s, c].tolist() for s in range(m) for c in range(n_codes)],
-                pa.list_(pa.float64())),
-        }),
-        PQ_CODEBOOKS_OUT,
-    )
-    return pq_adc_topk(embs, q, cb, k=k, query_ids=qids)
-
-
-# Fixed emitted-model locations for the IVF-PQ oracle.
-IVFPQ_COARSE_OUT = "/tmp/graft_oracle_ivfpq_coarse.parquet"
-IVFPQ_CODEBOOKS_OUT = "/tmp/graft_oracle_ivfpq_codebooks.parquet"
-
-
-def emb_ivfpq_topk(sf_dir: str, k: int = 10, n_probe: int = 4):
-    """IVF-PQ approximate top-k — the full FAISS-style index: coarse
-    inverted lists bound the candidate set, residual PQ codes bound the
-    memory (8 B + 1 list id per vector).  Oracle-checked (the
-    emitted-model pattern): both the coarse centroids and the residual
-    codebooks are written; the DuckDB twin recomputes every vector's
-    list assignment, residual, per-subspace encoding, each query's
-    probe set and the final ``<q,c> + Σ lut`` ranking."""
-    import pyarrow.parquet as pq
-
-    from docling_graph_ray.stages.similarity import ivfpq_topk, ivfpq_train
-
-    q, qids = _query_matrix(sf_dir)
-    embs = _embs(sf_dir, ["vec_id", "embedding"])
-    coarse, cb = ivfpq_train(embs, n_lists=16, m=8, n_codes=16, iters=5)
-    pq.write_table(
-        pa.table({
-            "lst": pa.array(range(len(coarse)), pa.int64()),
-            "centroid": pa.array([c.tolist() for c in coarse],
-                                 pa.list_(pa.float64())),
-        }),
-        IVFPQ_COARSE_OUT,
-    )
-    m, n_codes, _sub = cb.shape
-    pq.write_table(
-        pa.table({
-            "sub": pa.array([s for s in range(m) for _ in range(n_codes)],
-                            pa.int64()),
-            "code": pa.array(list(range(n_codes)) * m, pa.int64()),
-            "centroid": pa.array(
-                [cb[s, c].tolist() for s in range(m) for c in range(n_codes)],
-                pa.list_(pa.float64())),
-        }),
-        IVFPQ_CODEBOOKS_OUT,
-    )
-    return ivfpq_topk(embs, q, coarse, cb, k=k, n_probe=n_probe,
-                      query_ids=qids)
-
-
 def template_field_profile(sf_dir: str):
     """Distributed field profiling of the documents table for template
     induction (templategen.profile_columns + exact distinct counts):
@@ -1828,49 +1428,6 @@ def doc_priority_sample(sf_dir: str, k: int = 50):
         id_col="doc_id", weight_col="n_chars", k=k)
 
 
-def doc_inverted_index(sf_dir: str, chunk_span: int = 64):
-    """Chunked inverted-index postings over the documents table
-    (stages/postings.py:build_postings): one explode pass, one bucketed
-    shuffle keyed on (token, doc_id // 64) so a stop-word's posting
-    list never lands whole on one worker.  Postings are comma-joined
-    id strings — deterministic and hash-comparable to the DuckDB
-    string_agg oracle."""
-    from docling_graph_ray.stages.postings import build_postings
-
-    return build_postings(
-        _docs(sf_dir, ["doc_id", "text"]), chunk_span=chunk_span)
-
-
-#: Fixed demo query set for the BM25 oracle (terms from the synthetic
-#: corpus vocabulary; stable across scale factors).
-BM25_QUERIES = {
-    "q1": ["scan", "column"],
-    "q2": ["join", "merge", "key"],
-    "q3": ["sort", "order"],
-}
-
-
-def doc_bm25_topk(sf_dir: str, k: int = 10):
-    """BM25 top-10 per query (stages/retrieval.py:bm25_topk): stats
-    pass folds to scalars, scoring pass does per-block partial top-k,
-    per-term contributions are nano-quantized so ranking is an exact
-    int64 sum — bit-identical to the DuckDB window-rank oracle."""
-    from docling_graph_ray.stages.retrieval import bm25_topk
-
-    return bm25_topk(_docs(sf_dir, ["doc_id", "text"]),
-                     BM25_QUERIES, k=k)
-
-
-def doc_bigram_pmi(sf_dir: str, k: int = 50):
-    """Top-50 adjacent-bigram collocations by PMI (Church & Hanks) —
-    stages/collocations.py:bigram_pmi.  Counts exact, PMI
-    nano-quantized for an order-free ranking that hashes identically
-    to the DuckDB lockstep-unnest oracle."""
-    from docling_graph_ray.stages.collocations import bigram_pmi
-
-    return bigram_pmi(_docs(sf_dir, ["text"]), min_count=5, k=k)
-
-
 def media_phash_dedup(sf_dir: str):
     """Perceptual-hash image near-duplicate clusters
     (stages/multimodal.py:media_phash_clusters): real PNG decode →
@@ -1926,91 +1483,6 @@ def doc_group_split(sf_dir: str):
         assign, batch_format="pyarrow")
 
 
-def emb_label_centroids(sf_dir: str):
-    """Per-label embedding centroids with EXACT distributed sums:
-    each float32 component quantizes by ``floor(x * 2^20)`` — the
-    multiply is exact (power of two) and floor is tie-free, so the
-    int64 per-(label, dim) sums are order-free and the centroid is one
-    IEEE division, bit-identical to the DuckDB LATERAL-unnest twin.
-    The shuffle payload is labels × dims integers, never the vectors."""
-    from docling_graph_ray.stages.bucketing import bucketed_aggregate
-
-    embs = _embs(sf_dir, ["embedding", "label"])
-
-    def partial(b: pa.Table) -> pa.Table:
-        lab = b.column("label").cast(pa.int64()) \
-            .to_numpy(zero_copy_only=False)
-        lists = b.column("embedding")
-        flat = pc.list_flatten(lists).cast(pa.float64()) \
-            .to_numpy(zero_copy_only=False)
-        lens = np.asarray(pc.list_value_length(lists)
-                          .to_numpy(zero_copy_only=False), np.int64)
-        q = np.floor(flat * np.float64(1048576.0)).astype(np.int64)
-        labs = np.repeat(lab, lens)
-        dims = np.concatenate([np.arange(n) for n in lens]) \
-            if len(lens) else np.array([], np.int64)
-        ones = np.zeros(len(q), np.int64)
-        # count rows once per vector: tag dim 0 only
-        ones[dims == 0] = 1
-        t = pa.table({
-            "label": pa.array(labs, pa.int64()),
-            "dim": pa.array(dims, pa.int64()),
-            "s": pa.array(q, pa.int64()),
-            "n": pa.array(ones, pa.int64()),
-        })
-        g = t.group_by(["label", "dim"]).aggregate(
-            [("s", "sum"), ("n", "sum")])
-        return g.rename_columns(["label", "dim", "s", "n"])
-
-    agg = bucketed_aggregate(
-        embs.map_batches(partial, batch_format="pyarrow"),
-        ["label", "dim"], [("s", "sum"), ("n", "sum")],
-        rename=["label", "dim", "s", "n"], combine=True)
-
-    # n only counted at dim 0; spread it via a per-label max inside
-    # the finisher (labels × dims rows — tiny)
-    out_schema = pa.schema([("label", pa.int64()), ("dim", pa.int64()),
-                            ("n", pa.int64()), ("sum_q20", pa.int64()),
-                            ("centroid_q20", pa.float64())])
-
-    def finish(b: pa.Table) -> pa.Table:
-        import collections
-
-        if b.num_rows == 0 or "label" not in b.schema.names:
-            return out_schema.empty_table()
-        n_by_label = collections.defaultdict(int)
-        for r in zip(b.column("label").to_pylist(),
-                     b.column("n").to_pylist()):
-            n_by_label[r[0]] += r[1]
-        labs = b.column("label").to_pylist()
-        n = np.array([n_by_label[x] for x in labs], np.int64)
-        s = b.column("s").to_numpy(zero_copy_only=False)
-        cent = s.astype(np.float64) / n.astype(np.float64)
-        return pa.table({
-            "label": pa.array(labs, pa.int64()),
-            "dim": b.column("dim").cast(pa.int64()),
-            "n": pa.array(n, pa.int64()),
-            "sum_q20": pa.array(s, pa.int64()),
-            "centroid_q20": pa.array(cent, pa.float64()),
-        })
-
-    # per-label rows co-live in one bucket (bucketed by (label, dim)
-    # hash)… they may NOT: (label, dim) hashing spreads one label's
-    # dims across buckets, so the n-spread must see ALL of a label's
-    # rows — re-bucket by label alone before finishing
-    from docling_graph_ray.stages.bucketing import add_part
-
-    agg_schema = pa.schema([("label", pa.int64()), ("dim", pa.int64()),
-                            ("s", pa.int64()), ("n", pa.int64())])
-    return (agg.map_batches(add_part(["label"], 16, agg_schema),
-                            batch_format="pyarrow")
-            .groupby("_part")
-            .map_groups(lambda g: finish(
-                g.drop_columns(["_part"])
-                if "_part" in g.schema.names else g),
-                batch_format="pyarrow"))
-
-
 #: Hive-partitioned export root for the partitioned-sink oracle.
 PARTITIONED_EXPORT_OUT = "/tmp/graft_oracle_partitioned_export"
 
@@ -2055,329 +1527,6 @@ def doc_partitioned_export(sf_dir: str):
          ("max_doc", "max")],
         rename=["lang", "n_docs", "sum_chars", "min_doc", "max_doc"],
         combine=False)
-
-
-def doc_source_moments(sf_dir: str):
-    """Per-source length distribution moments (mean, population std,
-    skewness, excess kurtosis) from EXACT integer power sums — the
-    one-pass distributed-moments pattern: per-batch int64 partials of
-    (n, Σx, Σx², Σx³, Σx⁴) per source, one bucketed fold, then fixed
-    float64 expressions mirrored op-for-op in SQL.  Int sums are exact
-    while Σx⁴ < 2^63 (n_chars ≤ ~1e4 here; at larger scales switch the
-    upper moments to compensated float partials and accept last-ulp
-    drift)."""
-    from docling_graph_ray.stages.bucketing import bucketed_aggregate
-
-    docs = _docs(sf_dir, ["source", "n_chars"])
-
-    def partial(b: pa.Table) -> pa.Table:
-        x = b.column("n_chars").cast(pa.int64()) \
-            .to_numpy(zero_copy_only=False)
-        t = pa.table({
-            "source": b.column("source"),
-            "n": pa.array(np.ones(len(x), np.int64)),
-            "s1": pa.array(x, pa.int64()),
-            "s2": pa.array(x * x, pa.int64()),
-            "s3": pa.array(x * x * x, pa.int64()),
-            "s4": pa.array(x * x * x * x, pa.int64()),
-        })
-        g = t.group_by("source").aggregate(
-            [("n", "sum"), ("s1", "sum"), ("s2", "sum"),
-             ("s3", "sum"), ("s4", "sum")])
-        return g.rename_columns(["source", "n", "s1", "s2", "s3", "s4"])
-
-    agg = bucketed_aggregate(
-        docs.map_batches(partial, batch_format="pyarrow"),
-        ["source"],
-        [("n", "sum"), ("s1", "sum"), ("s2", "sum"), ("s3", "sum"),
-         ("s4", "sum")],
-        rename=["source", "n", "s1", "s2", "s3", "s4"], combine=True)
-
-    def finish(b: pa.Table) -> pa.Table:
-        n = b.column("n").to_numpy(zero_copy_only=False) \
-            .astype(np.float64)
-        s1 = b.column("s1").to_numpy(zero_copy_only=False) \
-            .astype(np.float64)
-        s2 = b.column("s2").to_numpy(zero_copy_only=False) \
-            .astype(np.float64)
-        s3 = b.column("s3").to_numpy(zero_copy_only=False) \
-            .astype(np.float64)
-        s4 = b.column("s4").to_numpy(zero_copy_only=False) \
-            .astype(np.float64)
-        mean = s1 / n
-        m2 = s2 / n - mean * mean
-        m3 = s3 / n - mean * (s2 / n) * 3.0 + mean * mean * mean * 2.0
-        m4 = (s4 / n - mean * (s3 / n) * 4.0
-              + mean * mean * (s2 / n) * 6.0
-              - mean * mean * mean * mean * 3.0)
-        std = np.sqrt(m2)
-        skew = m3 / (std * std * std)
-        kurt = m4 / (m2 * m2) - 3.0
-        return pa.table({
-            "source": b.column("source").cast(pa.string()),
-            "n": b.column("n").cast(pa.int64()),
-            "mean": pa.array(mean, pa.float64()),
-            "std": pa.array(std, pa.float64()),
-            "skew": pa.array(skew, pa.float64()),
-            "kurtosis": pa.array(kurt, pa.float64()),
-        })
-
-    return agg.map_batches(finish, batch_format="pyarrow")
-
-
-def doc_source_gini(sf_dir: str):
-    """Per-source Gini coefficient of document lengths (corpus
-    inequality — is one source dominated by a few giant documents?).
-    Exact: the (source, value) histogram folds through one bucketed
-    sum (domain-bounded, the quantile machinery's shape), and the
-    rank-sum Σ i·x_i is computed CLOSED-FORM over tied blocks
-    (Σ ranks of a tied run = c·cum + c(c+1)/2), so no per-group sort
-    of raw rows anywhere.  G = 2S/(nT) − (n+1)/n as mirrored float64
-    ops over exact integers.  Oracle: SQL row_number rank-sum."""
-    from docling_graph_ray.stages.bucketing import bucketed_aggregate
-
-    docs = _docs(sf_dir, ["source", "n_chars"])
-
-    def partial(b: pa.Table) -> pa.Table:
-        t = pa.table({"source": b.column("source"),
-                      "v": b.column("n_chars").cast(pa.int64())})
-        g = t.group_by(["source", "v"]).aggregate([([], "count_all")])
-        return g.rename_columns(["source", "v", "c"])
-
-    hist = bucketed_aggregate(
-        docs.map_batches(partial, batch_format="pyarrow"),
-        ["source", "v"], [("c", "sum")], rename=["source", "v", "c"],
-        combine=True).take_all()
-
-    from collections import defaultdict
-
-    by_src: dict[str, list[tuple[int, int]]] = defaultdict(list)
-    for r in hist:
-        by_src[r["source"]].append((int(r["v"]), int(r["c"])))
-
-    rows = {"source": [], "n": [], "total": [], "rank_sum": [],
-            "gini": []}
-    for src in sorted(by_src):
-        pairs = sorted(by_src[src])
-        n = sum(c for _, c in pairs)
-        total = sum(v * c for v, c in pairs)
-        cum = 0
-        s = 0
-        for v, c in pairs:
-            s += v * (c * cum + c * (c + 1) // 2)
-            cum += c
-        g = float((np.float64(2.0) * np.float64(s))
-                  / (np.float64(n) * np.float64(total))
-                  - np.float64(n + 1) / np.float64(n)) \
-            if total > 0 else 0.0
-        rows["source"].append(src)
-        rows["n"].append(n)
-        rows["total"].append(total)
-        rows["rank_sum"].append(s)
-        rows["gini"].append(g)
-    return pa.table({
-        "source": pa.array(rows["source"], pa.string()),
-        "n": pa.array(rows["n"], pa.int64()),
-        "total": pa.array(rows["total"], pa.int64()),
-        "rank_sum": pa.array(rows["rank_sum"], pa.int64()),
-        "gini": pa.array(rows["gini"], pa.float64()),
-    })
-
-
-def doc_source_trimmed_mean(sf_dir: str):
-    """Per-source trimmed mean of document lengths (robust central
-    tendency): values outside the [P10, P90] value thresholds drop,
-    the rest average exactly.  Thresholds come from the exact grouped
-    value histogram (quantile_disc rule) and the trimmed sum/count
-    fold through one more bucketed pass — both passes domain-bounded,
-    no per-group sort.  Oracle: quantile_disc bounds + filtered
-    aggregate; one final division."""
-    from docling_graph_ray.stages.bucketing import bucketed_aggregate
-    from docling_graph_ray.stages.text_analysis import (
-        grouped_value_quantiles,
-    )
-
-    docs = _docs(sf_dir, ["source", "n_chars"]).materialize()
-
-    q = grouped_value_quantiles(docs, "source", "n_chars", [0.1, 0.9])
-    lo, hi = {}, {}
-    for s_, qq, v in zip(q.column("source").to_pylist(),
-                         q.column("q").to_pylist(),
-                         q.column("value").to_pylist()):
-        (lo if qq == 0.1 else hi)[s_] = v
-
-    import ray as _ray
-
-    bounds_ref = _ray.put((lo, hi))
-
-    def partial(b: pa.Table) -> pa.Table:
-        lo_m, hi_m = _ray.get(bounds_ref)
-        src = b.column("source").to_pylist()
-        x = b.column("n_chars").cast(pa.int64()) \
-            .to_numpy(zero_copy_only=False)
-        los = np.array([lo_m.get(s_, 0) for s_ in src], np.int64)
-        his = np.array([hi_m.get(s_, 0) for s_ in src], np.int64)
-        keep = (x >= los) & (x <= his)
-        t = pa.table({
-            "source": pa.array([s_ for s_, k in zip(src, keep) if k],
-                               pa.string()),
-            "s": pa.array(x[keep], pa.int64()),
-            "n": pa.array(np.ones(int(keep.sum()), np.int64)),
-        })
-        g = t.group_by("source").aggregate([("s", "sum"), ("n", "sum")])
-        return g.rename_columns(["source", "s", "n"])
-
-    agg = bucketed_aggregate(
-        docs.map_batches(partial, batch_format="pyarrow"),
-        ["source"], [("s", "sum"), ("n", "sum")],
-        rename=["source", "s", "n"], combine=True)
-
-    def finish(b: pa.Table) -> pa.Table:
-        s_ = b.column("s").to_numpy(zero_copy_only=False) \
-            .astype(np.float64)
-        n = b.column("n").to_numpy(zero_copy_only=False) \
-            .astype(np.float64)
-        return pa.table({
-            "source": b.column("source").cast(pa.string()),
-            "n_kept": b.column("n").cast(pa.int64()),
-            "sum_kept": b.column("s").cast(pa.int64()),
-            "trimmed_mean": pa.array(s_ / n, pa.float64()),
-        })
-
-    return agg.map_batches(finish, batch_format="pyarrow")
-
-
-def emb_label_scatter(sf_dir: str):
-    """Within-class scatter per label (the clustering-quality
-    companion to emb_label_centroids): trace of the per-label
-    covariance over the floor(x·2^20)-quantized components.  Exact
-    int64 sums of q and q² per (label, dim) fold once; the variance
-    trace Σ_dims (s2/n − (s1/n)²) is a fixed float64 expression —
-    summed in dim order both sides, so it hashes bit-identically.
-    Output: one row per label (n, trace)."""
-    from docling_graph_ray.stages.bucketing import bucketed_aggregate
-
-    embs = _embs(sf_dir, ["embedding", "label"])
-
-    def partial(b: pa.Table) -> pa.Table:
-        lab = b.column("label").cast(pa.int64()) \
-            .to_numpy(zero_copy_only=False)
-        lists = b.column("embedding")
-        flat = pc.list_flatten(lists).cast(pa.float64()) \
-            .to_numpy(zero_copy_only=False)
-        lens = np.asarray(pc.list_value_length(lists)
-                          .to_numpy(zero_copy_only=False), np.int64)
-        q = np.floor(flat * np.float64(1048576.0)).astype(np.int64)
-        labs = np.repeat(lab, lens)
-        dims = np.concatenate([np.arange(n) for n in lens]) \
-            if len(lens) else np.array([], np.int64)
-        t = pa.table({
-            "label": pa.array(labs, pa.int64()),
-            "dim": pa.array(dims, pa.int64()),
-            "s1": pa.array(q, pa.int64()),
-            "s2": pa.array(q * q, pa.int64()),
-            "n": pa.array((dims == 0).astype(np.int64), pa.int64()),
-        })
-        g = t.group_by(["label", "dim"]).aggregate(
-            [("s1", "sum"), ("s2", "sum"), ("n", "sum")])
-        return g.rename_columns(["label", "dim", "s1", "s2", "n"])
-
-    agg = bucketed_aggregate(
-        embs.map_batches(partial, batch_format="pyarrow"),
-        ["label", "dim"], [("s1", "sum"), ("s2", "sum"), ("n", "sum")],
-        rename=["label", "dim", "s1", "s2", "n"],
-        combine=True).take_all()
-
-    # labels × dims rows — a driver-side dimension fold.  The trace
-    # numerator Σ_dims (s2·n − s1²) stays an EXACT python int (the SQL
-    # twin's HUGEINT sum), so summation order cannot matter; ONE
-    # correctly-rounded int→double conversion + one division finish it
-    from collections import defaultdict
-
-    per_label: dict[int, list[tuple[int, int, int]]] = defaultdict(list)
-    n_by_label: dict[int, int] = defaultdict(int)
-    for r in agg:
-        per_label[r["label"]].append(
-            (int(r["s1"]), int(r["s2"]), 0))
-        n_by_label[r["label"]] += int(r["n"])
-
-    rows = {"label": [], "n": [], "trace": []}
-    for lab in sorted(per_label):
-        n_int = n_by_label[lab]
-        num = sum(s2 * n_int - s1 * s1
-                  for s1, s2, _ in per_label[lab])
-        tr = np.float64(num) / (np.float64(n_int)
-                                * np.float64(n_int))
-        rows["label"].append(lab)
-        rows["n"].append(n_int)
-        rows["trace"].append(float(tr))
-    return pa.table({
-        "label": pa.array(rows["label"], pa.int64()),
-        "n": pa.array(rows["n"], pa.int64()),
-        "trace": pa.array(rows["trace"], pa.float64()),
-    })
-
-
-def doc_source_ttr(sf_dir: str):
-    """Per-source type–token ratio (lexical diversity): distinct
-    token types over total tokens.  Types fold through one bucketed
-    distinct on (source, token) — the shuffle carries vocabulary-
-    bounded narrow rows, never text; totals ride the same partials.
-    TTR is one IEEE division over exact counts.  Oracle: COUNT
-    DISTINCT / COUNT over the same whitespace tokenization."""
-    from docling_graph_ray.stages.bucketing import bucketed_aggregate
-
-    docs = _docs(sf_dir, ["source", "text"])
-
-    def partial(b: pa.Table) -> pa.Table:
-        toks = pc.split_pattern_regex(
-            pc.utf8_trim_whitespace(pc.fill_null(b.column("text"),
-                                                 "")), r"\s+")
-        flat = pc.list_flatten(toks).combine_chunks()
-        lens = np.asarray(pc.list_value_length(toks).fill_null(0)
-                          .to_numpy(zero_copy_only=False), np.int64)
-        src = np.repeat(np.asarray(b.column("source").to_pylist(),
-                                   dtype=object), lens)
-        keep = flat.to_numpy(zero_copy_only=False) != ""
-        t = pa.table({"source": pa.array(src[keep], pa.string()),
-                      "token": flat.filter(pa.array(keep))})
-        g = t.group_by(["source", "token"]).aggregate(
-            [([], "count_all")])
-        return g.rename_columns(["source", "token", "n"])
-
-    per_type = bucketed_aggregate(
-        docs.map_batches(partial, batch_format="pyarrow"),
-        ["source", "token"], [("n", "sum")],
-        rename=["source", "token", "n"], combine=True)
-
-    def fold(b: pa.Table) -> pa.Table:
-        t = pa.table({
-            "source": b.column("source"),
-            "n_types": pa.array(np.ones(b.num_rows, np.int64)),
-            "n_tokens": b.column("n").cast(pa.int64()),
-        })
-        g = t.group_by("source").aggregate(
-            [("n_types", "sum"), ("n_tokens", "sum")])
-        return g.rename_columns(["source", "n_types", "n_tokens"])
-
-    agg = bucketed_aggregate(
-        per_type.map_batches(fold, batch_format="pyarrow"),
-        ["source"], [("n_types", "sum"), ("n_tokens", "sum")],
-        rename=["source", "n_types", "n_tokens"], combine=True)
-
-    def finish(b: pa.Table) -> pa.Table:
-        ty = b.column("n_types").to_numpy(zero_copy_only=False) \
-            .astype(np.float64)
-        to = b.column("n_tokens").to_numpy(zero_copy_only=False) \
-            .astype(np.float64)
-        return pa.table({
-            "source": b.column("source").cast(pa.string()),
-            "n_types": b.column("n_types").cast(pa.int64()),
-            "n_tokens": b.column("n_tokens").cast(pa.int64()),
-            "ttr": pa.array(ty / to, pa.float64()),
-        })
-
-    return agg.map_batches(finish, batch_format="pyarrow")
 
 
 def doc_temperature_mix(sf_dir: str, alpha: float = 0.5):
@@ -2576,58 +1725,6 @@ def doc_curation_pipeline(sf_dir: str, alpha: float = 0.5):
     return curate_documents(
         _docs(sf_dir, ["doc_id", "text", "lang"]), alpha=alpha
     )
-
-
-# Fixed PCA-model location shared with the static oracle SQL (the
-# runner executes the Ray query — which writes it — before the twin).
-PCA_MODEL_OUT = "/tmp/graft_oracle_pca_model.parquet"
-
-
-def emb_pca(sf_dir: str, q: int = 8):
-    """Distributed PCA over the embeddings table: moment partials (one
-    d+d^2 row per block) -> driver-side d x d eigensolve -> broadcast
-    projection pass.  Rows (vec_id, comp, p) — long format so the
-    compared values are three scalar columns.  Oracle-checked (r5,
-    the emb_kmeans pattern): the fitted model (components + mean,
-    float64 — exactly what the projection pass broadcasts) is written
-    to ``PCA_MODEL_OUT``; the DuckDB twin recomputes EVERY projection
-    as sum((x - mean) * w) over unnested dims.  The iterative
-    eigensolve stays numpy; the claimed projections — the part
-    consumers act on — are fully SQL-verified.  Both sides round to 6
-    digits (float64 sum-order drift is ~1e-15; verified bit-equal over
-    the sf0.01 table before promotion)."""
-    import pyarrow.parquet as pq
-
-    from docling_graph_ray.stages.similarity import _as_matrix, pca_fit
-
-    embs = _embs(sf_dir, ["vec_id", "embedding"])
-    comps, _evar, mean = pca_fit(embs, emb_col="embedding", q=q)
-    pq.write_table(
-        pa.table({
-            "kind": pa.array(["comp"] * q + ["mean"], pa.string()),
-            "comp": pa.array(list(range(q)) + [-1], pa.int64()),
-            "vec": pa.array([c.tolist() for c in comps] + [mean.tolist()],
-                            pa.list_(pa.float64())),
-        }),
-        PCA_MODEL_OUT,
-    )
-
-    ref = ray.put((np.asarray(comps, np.float64),
-                   np.asarray(mean, np.float64)))
-
-    def project_long(batch: pa.Table) -> pa.Table:
-        cm, mu = ray.get(ref)
-        m = _as_matrix(batch.column("embedding"), dtype=np.float64)
-        nq = cm.shape[0]
-        proj = np.round((m - mu) @ cm.T, 6)
-        ids = batch.column("vec_id").cast(pa.int64()).to_numpy()
-        return pa.table({
-            "vec_id": pa.array(np.repeat(ids, nq), pa.int64()),
-            "comp": pa.array(np.tile(np.arange(nq), len(ids)), pa.int64()),
-            "p": pa.array(proj.ravel(), pa.float64()),
-        })
-
-    return embs.map_batches(project_long, batch_format="pyarrow")
 
 
 def doc_intradoc_dedup(sf_dir: str, window: int = 2):
@@ -3013,69 +2110,6 @@ def doc_ngram_novelty(sf_dir: str):
         _docs(sf_dir, ["doc_id", "text"]), n=3, min_docs=2)
 
 
-def doc_langid_confusion(sf_dir: str):
-    """Language-ID confusion matrix: the heuristic detector's
-    prediction (``ta.langid_batch``) crossed with the corpus label —
-    the evaluation rollup a curation pipeline watches to catch langid
-    drift.  Pure integer counts (one tiny (label × pred) groupby after
-    a streaming predict pass), so the oracle compares exactly.
-    Oracle-checked (r5): the SQL twin reuses the ``doc_langid``
-    stopword-regex recompute joined to the label column."""
-    def predict(b: pa.Table) -> pa.Table:
-        pred = ta.langid_batch(b)  # row-aligned
-        return pa.table({
-            "lang": b.column("lang"),
-            "pred_lang": pred.column("pred_lang"),
-        })
-
-    return (
-        _docs(sf_dir, ["doc_id", "text", "lang"])
-        .map_batches(predict, batch_format="pyarrow")
-        .groupby(["lang", "pred_lang"])
-        .count()
-        .map_batches(
-            lambda b: b.rename_columns(["lang", "pred_lang", "n"]),
-            batch_format="pyarrow",
-        )
-    )
-
-
-# Fixed codebook location shared with the static oracle SQL (the runner
-# executes the Ray query — which writes it — before its DuckDB twin).
-OUTLIER_CENTROIDS_OUT = "/tmp/graft_oracle_outlier_centroids.parquet"
-
-
-def emb_outliers(sf_dir: str, k: int = 5, n_clusters: int = 8,
-                 iters: int = 5):
-    """Per-cluster semantic outliers (embedding QC): fit k-means, then
-    surface the 5 vectors least similar to their own centroid in each
-    cluster.  Oracle-checked (r5, the emitted-codebook pattern of
-    ``emb_kmeans``): DuckDB recomputes every assignment (argmax cosine,
-    cluster-asc tiebreak) and the per-cluster bottom-k ranking by
-    (round(sim, 6) ASC, vec_id ASC); the float similarity itself stays
-    out of the compared output, exactly like ``emb_kmeans``."""
-    import pyarrow.parquet as pq
-
-    from docling_graph_ray.stages.similarity import (
-        _normalize,
-        cluster_outliers,
-        kmeans_fit,
-    )
-
-    embs = _embs(sf_dir, ["vec_id", "embedding"])
-    cent = kmeans_fit(embs, k=n_clusters, iters=iters)
-    norm = _normalize(np.asarray(cent, dtype=np.float64))
-    pq.write_table(
-        pa.table({
-            "cluster": pa.array(range(len(norm)), pa.int64()),
-            "centroid": pa.array([[float(x) for x in c] for c in norm],
-                                 pa.list_(pa.float64())),
-        }),
-        OUTLIER_CENTROIDS_OUT,
-    )
-    return cluster_outliers(embs, cent, k=k)
-
-
 def doc_dup_cluster_sizes(sf_dir: str):
     """Duplicate-cluster size histogram — the corpus-health statistic
     a dedup pass is judged by: how many exact-content clusters have
@@ -3221,44 +2255,6 @@ def doc_prefix_dedup(sf_dir: str):
         })
 
     return agg.map_batches(decode, batch_format="pyarrow")
-
-
-def doc_source_quantiles(sf_dir: str):
-    """Exact per-source document-length quantiles (p0/25/50/75/90/99/100
-    of n_chars per source domain) — the per-slice length profile a
-    curation run is tuned against.  Same bounded value-histogram shape
-    as doc_length_quantiles, keyed by (source, n_chars); the shuffle
-    moves the tiny histogram, never rows.  Rule matches DuckDB
-    quantile_disc grouped by source."""
-    from docling_graph_ray.stages.text_analysis import grouped_value_quantiles
-
-    return grouped_value_quantiles(
-        _docs(sf_dir, ["source", "n_chars"]), "source", "n_chars",
-        [0.0, 0.25, 0.5, 0.75, 0.9, 0.99, 1.0],
-    )
-
-
-def doc_cms_counts(sf_dir: str, k: int = 20):
-    """Count-min-sketch token frequencies evaluated against exact
-    counts for the top-k vocabulary head — the sketch-accuracy report
-    a streaming frequency pass ships with.  The sketch itself is ONE
-    corpus pass folding (4 × 512) counter partials (mergeable,
-    payload independent of vocabulary); the exact side reuses the
-    doc_top_tokens combiner shape and exists only to ground the
-    estimates.  Deterministic crc32 salts, so the DuckDB twin replays
-    the whole sketch bit-exactly through the CRC CTE; integer
-    columns, exact compare."""
-    from docling_graph_ray.stages.sketch import cms_estimate, cms_sketch
-
-    counters = cms_sketch(_docs(sf_dir, ["text"]))
-    top = doc_top_tokens(sf_dir, k=k).take_all()
-    tokens = [r["token"] for r in top]
-    est = cms_estimate(counters, tokens)
-    return pa.table({
-        "token": pa.array(tokens, pa.string()),
-        "n_exact": pa.array([r["n"] for r in top], pa.int64()),
-        "cms_est": pa.array(est, pa.int64()),
-    })
 
 
 # ---------------------------------------------------------------------------

@@ -36,7 +36,7 @@ Ray-Data-first, the k-means/BPE iterative shape:
    one streaming pass, no shuffle anywhere in the operator.
 
 Determinism / oracle notes (the emitted-model pattern of
-``emb_pca`` / ``emb_lsh_topk``): training sums float64 block partials
+``emb_kmeans`` / ``emb_near_dedup``): training sums float64 block partials
 whose combination order Ray does not fix, so the low bits of the
 trained weights are run-dependent — which is why the oracle contract
 emits the weights themselves (dense table + bias row) and recomputes

@@ -873,7 +873,7 @@ def embedding_near_dedup(
     ``dtype``/``planes``: float32 is the scale default; an
     oracle-facing caller passes float64 and its own plane matrix so the
     DuckDB twin can recompute bucket bits and cosines exactly (the
-    emitted-model pattern, same as ``lsh_bucket_topk``)."""
+    emitted-model pattern)."""
     if planes is None:
         rng = np.random.Generator(np.random.PCG64(seed))
         planes = rng.standard_normal((dim, n_planes)).astype(dtype)

@@ -550,76 +550,3 @@ def micro_summary(counts):
         return t.rename_columns(["section", "rung", "tp", "fp", "fn"])
 
     return summed.map_batches(rename, batch_format="pyarrow")
-
-
-def edge_fanout(edges, *, label_col: str = "label", src_col: str = "src"):
-    """Per edge label: total edges, distinct sources, and the busiest
-    source's edge count (16_extraction_evaluation.py:368-389's
-    top_source_share, kept integer as top_source_edges for
-    hash-stability; share = top_source_edges / total).
-
-    Scale shape (the cardinality_bound recipe — VERDICT r4 next-step
-    #2): label COUNT is template-bounded but label SIZE is not, so no
-    whole-label group may ever land one worker.  Per-block ``(label,
-    src)`` partial counts collapse a 1e9-edge hot label to one row per
-    distinct source per block BEFORE the only shuffle; the pair-level
-    C-path sum then feeds per-block per-label partials merged by a
-    second tiny C-path aggregate — every stage is bounded by distinct
-    pairs in a block, never by a label's edge count."""
-    from ray.data.aggregate import Max, Sum
-
-    out_schema = pa.schema([
-        ("label", pa.string()), ("total", pa.int64()),
-        ("sources", pa.int64()), ("top_source_edges", pa.int64()),
-    ])
-
-    def pair_partial(batch: pa.Table) -> pa.Table:
-        g = batch.group_by([label_col, src_col]).aggregate([([], "count_all")])
-        return pa.table({
-            "label": g.column(label_col).cast(pa.string()),
-            "_src": g.column(src_col),
-            "n": g.column("count_all").cast(pa.int64()),
-        })
-
-    pair_totals = (
-        edges.select_columns([label_col, src_col])
-        .map_batches(pair_partial, batch_format="pyarrow")
-        .groupby(["label", "_src"]).aggregate(Sum("n", alias_name="n"))
-    )
-
-    def label_partial(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0 or "label" not in batch.schema.names:
-            return pa.schema([
-                ("label", pa.string()), ("total_p", pa.int64()),
-                ("sources_p", pa.int64()), ("top_p", pa.int64()),
-            ]).empty_table()
-        g = batch.group_by("label").aggregate(
-            [("n", "sum"), ([], "count_all"), ("n", "max")])
-        return pa.table({
-            "label": g.column("label"),
-            "total_p": g.column("n_sum").cast(pa.int64()),
-            "sources_p": g.column("count_all").cast(pa.int64()),
-            "top_p": g.column("n_max").cast(pa.int64()),
-        })
-
-    merged = (
-        pair_totals.map_batches(label_partial, batch_format="pyarrow")
-        .groupby("label").aggregate(
-            Sum("total_p", alias_name="total"),
-            Sum("sources_p", alias_name="sources"),
-            Max("top_p", alias_name="top_source_edges"),
-        )
-    )
-
-    def finish(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0 or "label" not in batch.schema.names:
-            return out_schema.empty_table()
-        return pa.table({
-            "label": batch.column("label"),
-            "total": batch.column("total").cast(pa.int64()),
-            "sources": batch.column("sources").cast(pa.int64()),
-            "top_source_edges":
-                batch.column("top_source_edges").cast(pa.int64()),
-        })
-
-    return merged.map_batches(finish, batch_format="pyarrow")

@@ -37,7 +37,6 @@ want that anyway so labels shuffle as fixed-width ints, not text).
 
 from __future__ import annotations
 
-import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
@@ -339,665 +338,3 @@ def pagerank(edges, *, src_col: str = "src", dst_col: str = "dst",
         }).cast(rank_schema)
 
     return ranks.map_batches(final_round, batch_format="pyarrow")
-
-
-# ---------------------------------------------------------------------------
-# exact triangle census (degree-oriented node-iterator)
-
-
-def _oriented_graph(edges, src_col: str, dst_col: str,
-                    num_partitions: int):
-    """Shared prelude for the triangle family: canonical undirected
-    edge list (self-loops dropped, distinct), exact degrees, and the
-    DEGREE-ORIENTED arc list (Suri & Vassilvitskii 2011 — every edge
-    points from its (degree, id)-lower endpoint to the higher, so each
-    wedge is generated exactly once at its lowest-rank vertex and wedge
-    work is O(m^1.5) regardless of hub degree).  Returns
-    ``(canon_edges, degrees, oriented, n_nodes, n_edges)`` — the first
-    two materialized (they are consumed twice), ``oriented`` lazy."""
-    from docling_graph_ray.stages.bucketing import bucketed_aggregate
-    from docling_graph_ray.stages.joins import lookup_join_auto
-
-    def canon(b: pa.Table) -> pa.Table:
-        s = b.column(src_col).cast(pa.int64())
-        d = b.column(dst_col).cast(pa.int64())
-        # the close stage packs a pair into one int64 (hi*2^32 + lo):
-        # ids must sit in [0, 2^31) or the packing overflows silently
-        for arr in (s, d):
-            mn, mx = pc.min_max(arr).values()
-            if mn.is_valid and (mn.as_py() < 0 or mx.as_py() >= (1 << 31)):
-                raise ValueError(
-                    "triangle census requires vertex ids in [0, 2^31); "
-                    f"saw range [{mn.as_py()}, {mx.as_py()}] — re-key ids "
-                    "(e.g. dense-rank) before calling")
-        u = pc.min_element_wise(s, d)
-        v = pc.max_element_wise(s, d)
-        t = pa.table({"u": u, "v": v}).filter(pc.not_equal(u, v))
-        return t.group_by(["u", "v"]).aggregate([])  # batch-local dedup
-
-    canon_edges = bucketed_aggregate(
-        edges.map_batches(canon, batch_format="pyarrow"),
-        ["u", "v"], [("", "count_all")],
-        rename=["u", "v", "_n"], combine=True,
-        num_partitions=num_partitions,
-    ).map_batches(lambda t: t.select(["u", "v"]),
-                  batch_format="pyarrow").materialize()
-    n_edges = canon_edges.count()
-
-    def vert_partial(b: pa.Table) -> pa.Table:
-        t = pa.table({"vertex": pa.concat_arrays([
-            b.column("u").combine_chunks(),
-            b.column("v").combine_chunks()])})
-        g = t.group_by("vertex").aggregate([([], "count_all")])
-        return pa.table({"vertex": g.column("vertex"),
-                         "deg": g.column("count_all").cast(pa.int64())})
-
-    degrees = bucketed_aggregate(
-        canon_edges.map_batches(vert_partial, batch_format="pyarrow"),
-        ["vertex"], [("deg", "sum")], rename=["vertex", "deg"],
-        combine=True, num_partitions=num_partitions,
-    ).materialize()
-    n_nodes = degrees.count()
-
-    with_deg = lookup_join_auto(
-        lookup_join_auto(
-            canon_edges, degrees, on="u", key_col="vertex",
-            value_cols=["deg"], probe_rows=n_nodes,
-            num_partitions=num_partitions,
-        ).map_batches(lambda t: t.rename_columns(["u", "v", "deg_u"]),
-                      batch_format="pyarrow"),
-        degrees, on="v", key_col="vertex", value_cols=["deg"],
-        probe_rows=n_nodes, num_partitions=num_partitions,
-    ).map_batches(lambda t: t.rename_columns(["u", "v", "deg_u", "deg_v"]),
-                  batch_format="pyarrow")
-
-    def orient(b: pa.Table) -> pa.Table:
-        u = b.column("u").to_numpy(zero_copy_only=False)
-        v = b.column("v").to_numpy(zero_copy_only=False)
-        du = b.column("deg_u").to_numpy(zero_copy_only=False)
-        dv = b.column("deg_v").to_numpy(zero_copy_only=False)
-        u_first = (du < dv) | ((du == dv) & (u < v))
-        a = np.where(u_first, u, v)
-        bb = np.where(u_first, v, u)
-        return pa.table({
-            "a": pa.array(a, pa.int64()), "b": pa.array(bb, pa.int64()),
-            "rank_b": pa.array(np.where(u_first, dv, du), pa.int64()),
-        })
-
-    oriented = with_deg.map_batches(orient, batch_format="pyarrow")
-    return canon_edges, degrees, oriented, n_nodes, n_edges
-
-
-def _wedges(oriented, num_partitions: int, *, carry_center: bool):
-    """Wedge generation: per-source pair enumeration inside P
-    ``map_groups`` calls (vectorized triu indices per out-degree
-    class).  With ``carry_center`` each wedge row keeps its generating
-    vertex so closed triangles can credit all three corners."""
-    from docling_graph_ray.stages.bucketing import add_part, run_starts
-
-    cols = {"wu": pa.int64(), "wv": pa.int64()}
-    if carry_center:
-        cols["wc"] = pa.int64()
-    empty = pa.schema(list(cols.items())).empty_table()
-
-    def wedges_partition(g: pa.Table) -> pa.Table:
-        if g.num_rows == 0 or "a" not in g.schema.names:
-            return empty
-        if "_part" in g.schema.names:
-            g = g.drop_columns(["_part"])
-        # sort by (a, rank_b, b): pairs come out rank-ordered per source
-        idx = pc.sort_indices(g, sort_keys=[
-            ("a", "ascending"), ("rank_b", "ascending"), ("b", "ascending")])
-        g = g.take(idx).combine_chunks()
-        nbr = g.column("b").to_numpy(zero_copy_only=False)
-        ctr = g.column("a").to_numpy(zero_copy_only=False)
-        starts, lens = run_starts(g, ["a"])
-        outs = []
-        for d in np.unique(lens[lens >= 2]):
-            runs_d = starts[lens == d]
-            iu, ju = np.triu_indices(int(d), 1)
-            bi = nbr[(runs_d[:, None] + iu[None, :]).ravel()]
-            ci = nbr[(runs_d[:, None] + ju[None, :]).ravel()]
-            cc = np.repeat(ctr[runs_d], len(iu))
-            outs.append((np.minimum(bi, ci), np.maximum(bi, ci), cc))
-        if not outs:
-            return empty
-        data = {"wu": pa.array(np.concatenate([o[0] for o in outs]),
-                               pa.int64()),
-                "wv": pa.array(np.concatenate([o[1] for o in outs]),
-                               pa.int64())}
-        if carry_center:
-            data["wc"] = pa.array(np.concatenate([o[2] for o in outs]),
-                                  pa.int64())
-        return pa.table(data)
-
-    return (
-        oriented.map_batches(add_part(["a"], num_partitions),
-                             batch_format="pyarrow")
-        .groupby("_part")
-        .map_groups(wedges_partition, batch_format="pyarrow")
-    )
-
-
-def _closed_wedges(canon_edges, wedges, num_partitions: int, close_fn,
-                   carry_center: bool):
-    """Close stage: co-bucket wedges and canonical edges on the min
-    endpoint, then run ``close_fn(matched_wedge_table)`` per bucket on
-    the wedges whose (wu, wv) pair IS an edge — a sorted searchsorted
-    membership test per bucket (exact, no hashing of pairs)."""
-    from docling_graph_ray.stages.bucketing import add_part
-
-    def tag_edges(t: pa.Table) -> pa.Table:
-        data = {"wu": t.column("u"), "wv": t.column("v")}
-        if carry_center:
-            data["wc"] = pa.array(np.full(t.num_rows, -1, np.int64))
-        data["is_edge"] = pa.array(np.ones(t.num_rows, bool))
-        return pa.table(data)
-
-    tagged_e = canon_edges.map_batches(tag_edges, batch_format="pyarrow")
-    tagged_w = wedges.map_batches(
-        lambda t: t.append_column(
-            "is_edge", pa.array(np.zeros(t.num_rows, bool))),
-        batch_format="pyarrow")
-
-    def close_partition(g: pa.Table) -> pa.Table:
-        if g.num_rows == 0 or "wu" not in g.schema.names:
-            return close_fn(None)
-        if "_part" in g.schema.names:
-            g = g.drop_columns(["_part"])
-        mask = g.column("is_edge").to_numpy(zero_copy_only=False)
-        wu = g.column("wu").to_numpy(zero_copy_only=False)
-        wv = g.column("wv").to_numpy(zero_copy_only=False)
-        ek = np.sort(wu[mask] * (1 << 32) + wv[mask]) if mask.any() else \
-            np.array([], np.int64)
-        qk = wu[~mask] * (1 << 32) + wv[~mask]
-        if not len(qk) or not len(ek):
-            return close_fn(g.slice(0, 0))
-        pos = np.minimum(np.searchsorted(ek, qk), len(ek) - 1)
-        hit = ek[pos] == qk
-        wedge_rows = np.flatnonzero(~mask)[hit]
-        return close_fn(g.take(pa.array(wedge_rows)))
-
-    return (
-        tagged_e.union(tagged_w)
-        .map_batches(add_part(["wu"], num_partitions),
-                     batch_format="pyarrow")
-        .groupby("_part")
-        .map_groups(close_partition, batch_format="pyarrow")
-    )
-
-
-def triangle_count(edges, *, src_col: str = "src", dst_col: str = "dst",
-                   num_partitions: int = 64):
-    """Exact triangle count of an undirected graph — the classic
-    MapReduce node-iterator with degree orientation (see
-    ``_oriented_graph``).  All five stages are bucketed; no
-    whole-graph state lands anywhere.  Returns a 1-row table
-    ``(n_nodes, n_edges, n_triangles)``."""
-    canon_edges, _, oriented, n_nodes, n_edges = _oriented_graph(
-        edges, src_col, dst_col, num_partitions)
-    wedges = _wedges(oriented, num_partitions, carry_center=False)
-
-    def count_closed(matched) -> pa.Table:
-        n = 0 if matched is None else matched.num_rows
-        return pa.table({"n": pa.array([n], pa.int64())})
-
-    counts = _closed_wedges(canon_edges, wedges, num_partitions,
-                            count_closed, carry_center=False)
-    n_tri = sum(r["n"] for r in counts.take_all())
-    return pa.table({
-        "n_nodes": pa.array([n_nodes], pa.int64()),
-        "n_edges": pa.array([n_edges], pa.int64()),
-        "n_triangles": pa.array([n_tri], pa.int64()),
-    })
-
-
-def local_clustering(edges, *, src_col: str = "src",
-                     dst_col: str = "dst", num_partitions: int = 64):
-    """Per-vertex triangle participation and local clustering
-    coefficient (Watts & Strogatz 1998): for each vertex with degree
-    ≥ 2, ``coeff = 2·tri(v) / (deg(v)·(deg(v)−1))``.  Wedges carry
-    their generating center so every closed triangle credits all three
-    corners; corner credits fold through one bucketed count and join
-    back to the exact degree table.  The single float division is one
-    IEEE-754 op on exact integers, so the coefficient is bit-identical
-    to any engine computing the same expression (the DuckDB oracle
-    does).  Returns a dataset of ``(vertex, deg, n_tri, coeff)`` for
-    all deg ≥ 2 vertices (deg-1 vertices have no defined coefficient
-    and can close no triangle)."""
-    from docling_graph_ray.stages.bucketing import bucketed_aggregate
-    from docling_graph_ray.stages.joins import lookup_join_auto
-
-    canon_edges, degrees, oriented, n_nodes, _ = _oriented_graph(
-        edges, src_col, dst_col, num_partitions)
-    wedges = _wedges(oriented, num_partitions, carry_center=True)
-
-    corner_schema = pa.schema([("vertex", pa.int64()),
-                               ("n_tri", pa.int64())])
-
-    def corner_credits(matched) -> pa.Table:
-        if matched is None or matched.num_rows == 0:
-            return corner_schema.empty_table()
-        corners = np.concatenate([
-            matched.column("wu").to_numpy(zero_copy_only=False),
-            matched.column("wv").to_numpy(zero_copy_only=False),
-            matched.column("wc").to_numpy(zero_copy_only=False)])
-        vals, cnts = np.unique(corners, return_counts=True)
-        return pa.table({"vertex": pa.array(vals, pa.int64()),
-                         "n_tri": pa.array(cnts, pa.int64())})
-
-    credits = _closed_wedges(canon_edges, wedges, num_partitions,
-                             corner_credits, carry_center=True)
-    tri_per_vertex = bucketed_aggregate(
-        credits, ["vertex"], [("n_tri", "sum")],
-        rename=["vertex", "n_tri"], combine=True,
-        num_partitions=num_partitions,
-    )
-
-    # lookup_join is left-outer: deg≥2 vertices in no triangle keep a
-    # null n_tri, folded to 0 below
-    deg2 = degrees.map_batches(
-        lambda t: t.filter(pc.greater_equal(t.column("deg"), 2)),
-        batch_format="pyarrow")
-    joined = lookup_join_auto(
-        deg2, tri_per_vertex, on="vertex", key_col="vertex",
-        value_cols=["n_tri"], probe_rows=n_nodes,
-        num_partitions=num_partitions,
-    )
-
-    def finish(b: pa.Table) -> pa.Table:
-        deg = b.column("deg").to_numpy(zero_copy_only=False)
-        tri = pc.fill_null(b.column("n_tri"), 0).cast(
-            pa.int64()).to_numpy(zero_copy_only=False)
-        coeff = (2.0 * tri) / (deg * (deg - 1)).astype(np.float64)
-        return pa.table({
-            "vertex": b.column("vertex").cast(pa.int64()),
-            "deg": pa.array(deg, pa.int64()),
-            "n_tri": pa.array(tri, pa.int64()),
-            "coeff": pa.array(coeff, pa.float64()),
-        })
-
-    return joined.map_batches(finish, batch_format="pyarrow")
-
-
-# ---------------------------------------------------------------------------
-# k-core decomposition (iterative peeling)
-
-
-def k_core(edges, *, k: int, src_col: str = "src", dst_col: str = "dst",
-           num_partitions: int = 64, max_rounds: int = 60,
-           label_blocks: int = 8):
-    """The k-core of an undirected graph: the (unique) maximal subgraph
-    in which every vertex has degree ≥ k, computed by the classic
-    peeling fixpoint — drop all vertices of degree < k, recount, repeat
-    (Matula & Beck 1983; distributed form as in Montresor et al. 2013).
-
-    Each round is three bucketed dataset ops (degree count → survivor
-    filter → two semi-joins restricting edges to surviving endpoints)
-    behind a ``round_barrier`` — the same iterate-materialize shape as
-    ``connected_components``; nothing graph-sized lands on the driver
-    (the convergence check is one edge ``count()`` per round, and
-    peeling is monotone so the count is strictly decreasing until
-    fixpoint).  Rounds are bounded by the peel depth (degeneracy
-    ordering length), not the diameter.
-
-    Returns ``(vertex, deg)`` for every k-core member, ``deg`` the
-    within-core degree (≥ k by the fixpoint)."""
-    import ray
-
-    from docling_graph_ray.stages.bucketing import bucketed_aggregate
-    from docling_graph_ray.stages.joins import semi_join_auto
-
-    def canon(b: pa.Table) -> pa.Table:
-        s = b.column(src_col).cast(pa.int64())
-        d = b.column(dst_col).cast(pa.int64())
-        u = pc.min_element_wise(s, d)
-        v = pc.max_element_wise(s, d)
-        t = pa.table({"u": u, "v": v}).filter(pc.not_equal(u, v))
-        return t.group_by(["u", "v"]).aggregate([])
-
-    def vert_partial(b: pa.Table) -> pa.Table:
-        if b.num_rows == 0 or "u" not in b.schema.names:
-            return pa.table({"vertex": pa.array([], pa.int64()),
-                             "deg": pa.array([], pa.int64())})
-        t = pa.table({"vertex": pa.concat_arrays([
-            b.column("u").combine_chunks(),
-            b.column("v").combine_chunks()])})
-        g = t.group_by("vertex").aggregate([([], "count_all")])
-        return pa.table({"vertex": g.column("vertex"),
-                         "deg": g.column("count_all").cast(pa.int64())})
-
-    def degree_table(edge_ds):
-        return bucketed_aggregate(
-            edge_ds.map_batches(vert_partial, batch_format="pyarrow"),
-            ["vertex"], [("deg", "sum")], rename=["vertex", "deg"],
-            combine=True, num_partitions=num_partitions,
-        ).materialize()
-
-    active = bucketed_aggregate(
-        edges.map_batches(canon, batch_format="pyarrow"),
-        ["u", "v"], [("", "count_all")],
-        rename=["u", "v", "_n"], combine=True,
-        num_partitions=num_partitions,
-    ).map_batches(lambda t: t.select(["u", "v"]),
-                  batch_format="pyarrow").materialize()
-    n_edges = active.count()
-
-    empty_deg = pa.table({"vertex": pa.array([], pa.int64()),
-                          "deg": pa.array([], pa.int64())})
-    if n_edges == 0:
-        return ray.data.from_arrow(empty_deg)
-
-    converged = False
-    for _ in range(max_rounds):
-        degrees = degree_table(active)
-        good = degrees.map_batches(
-            lambda t: (t.filter(pc.greater_equal(t.column("deg"), k))
-                       if t.num_rows and "deg" in t.schema.names
-                       else empty_deg),
-            batch_format="pyarrow").materialize()
-        n_good = good.count()
-        if n_good == 0:
-            return ray.data.from_arrow(empty_deg)
-        e = semi_join_auto(active, good, on="u", key_col="vertex",
-                           probe_rows=n_good,
-                           num_partitions=num_partitions)
-        e = semi_join_auto(e, good, on="v", key_col="vertex",
-                           probe_rows=n_good,
-                           num_partitions=num_partitions)
-        e = round_barrier(e, label_blocks)
-        cnt = e.count()
-        if cnt == 0:            # peeled to nothing (k above the
-            return ray.data.from_arrow(empty_deg)  # graph's degeneracy)
-        if cnt == n_edges:      # no edge lost → every survivor has
-            active = e          # in-core degree ≥ k: fixpoint
-            converged = True
-            break
-        active, n_edges = e, cnt
-    if not converged:
-        # a partially peeled edge set is NOT a k-core — never return a
-        # plausible-looking wrong membership (deep-peel graphs like
-        # long paths need rounds ≈ their peel depth)
-        raise RuntimeError(
-            f"k_core did not reach the peel fixpoint in {max_rounds} "
-            "rounds; raise max_rounds (rounds scale with peel depth)")
-    return degree_table(active)
-
-
-# ---------------------------------------------------------------------------
-# degree assortativity (Newman 2002)
-
-
-def degree_assortativity(edges, *, src_col: str = "src",
-                         dst_col: str = "dst",
-                         num_partitions: int = 64):
-    """Degree assortativity coefficient r (Newman 2002): the Pearson
-    correlation of the degrees at either end of an edge, over both
-    orientations of every canonical edge.
-
-    All sums are EXACT int64 (order-free, so partial-per-block +
-    driver-side fold of the tiny per-block rows is deterministic);
-    the final r is a fixed float64 expression over those integers —
-    every op correctly rounded, so the result hashes bit-identically
-    to a SQL engine evaluating the same expression tree.  Int64 is
-    exact while Σdeg² < 2^63 (fine to ~1e12 edges of degree ~1e5;
-    beyond that widen to float partials and accept last-ulp drift).
-
-    Returns 1 row: ``(m2, s_deg, s_deg2, s_prod, r)`` where m2 = 2·|E|
-    and the sums run over orientations; r is NULL for degree-regular
-    graphs (zero variance)."""
-    from docling_graph_ray.stages.joins import lookup_join_auto
-
-    canon_edges, degrees, _, n_nodes, n_edges = _oriented_graph(
-        edges, src_col, dst_col, num_partitions)
-
-    with_deg = lookup_join_auto(
-        lookup_join_auto(
-            canon_edges, degrees, on="u", key_col="vertex",
-            value_cols=["deg"], probe_rows=n_nodes,
-            num_partitions=num_partitions,
-        ).map_batches(lambda t: t.rename_columns(["u", "v", "deg_u"]),
-                      batch_format="pyarrow"),
-        degrees, on="v", key_col="vertex", value_cols=["deg"],
-        probe_rows=n_nodes, num_partitions=num_partitions,
-    ).map_batches(lambda t: t.rename_columns(["u", "v", "deg_u", "deg_v"]),
-                  batch_format="pyarrow")
-
-    def partial(b: pa.Table) -> pa.Table:
-        du = b.column("deg_u").to_numpy(zero_copy_only=False)
-        dv = b.column("deg_v").to_numpy(zero_copy_only=False)
-        return pa.table({
-            "n": pa.array([b.num_rows], pa.int64()),
-            "sx": pa.array([int((du + dv).sum())], pa.int64()),
-            "sxx": pa.array([int((du * du + dv * dv).sum())], pa.int64()),
-            "sxy": pa.array([int((du * dv).sum())], pa.int64()),
-        })
-
-    parts = with_deg.map_batches(partial, batch_format="pyarrow").take_all()
-    m2 = 2 * sum(p["n"] for p in parts)
-    sx = sum(p["sx"] for p in parts)
-    sxx = sum(p["sxx"] for p in parts)
-    sxy = 2 * sum(p["sxy"] for p in parts)
-
-    fm2, fsx = np.float64(m2), np.float64(sx)
-    num = fm2 * np.float64(sxy) - fsx * fsx
-    den = fm2 * np.float64(sxx) - fsx * fsx
-    r = None if den == 0.0 else float(num / den)
-    return pa.table({
-        "m2": pa.array([m2], pa.int64()),
-        "s_deg": pa.array([sx], pa.int64()),
-        "s_deg2": pa.array([sxx], pa.int64()),
-        "s_prod": pa.array([sxy], pa.int64()),
-        "r": pa.array([r], pa.float64()),
-    })
-
-
-# ---------------------------------------------------------------------------
-# HITS (hubs and authorities)
-
-
-def hits(edges, *, iters: int = 3, src_col: str = "src",
-         dst_col: str = "dst", num_partitions: int = 64,
-         label_blocks: int = 8, ndigits: int = 8):
-    """HITS (Kleinberg 1999), fixed ``iters`` sum-normalized power
-    iterations over a directed edge dataset.
-
-    Per iteration: authority(v) ← Σ_{u→v} hub(u) (one lookup join on
-    the src side + one bucketed sum keyed by dst), normalized by the
-    global sum (one tiny aggregate); then hub(u) ← Σ_{u→v} auth(v)
-    symmetrically.  The same round-barrier discipline as
-    :func:`pagerank`; scores round to ``ndigits`` at the END only
-    (documented float-sum-order tolerance — the DuckDB oracle unrolls
-    the same iterations and the final rounding absorbs ≤1e-12 drift).
-
-    Returns ``(node, kind, score)`` rows, kind ∈ {hub, authority} —
-    hubs are nodes with out-edges, authorities nodes with in-edges."""
-    import ray
-
-    from docling_graph_ray.stages.bucketing import bucketed_aggregate
-    from docling_graph_ray.stages.joins import lookup_join
-
-    pair_schema = pa.schema([("a", pa.int64()), ("b", pa.int64())])
-
-    def pairs(b: pa.Table) -> pa.Table:
-        if b.num_rows == 0 or src_col not in b.schema.names:
-            return pair_schema.empty_table()
-        t = pa.table({"a": b.column(src_col).cast(pa.int64()),
-                      "b": b.column(dst_col).cast(pa.int64())})
-        return t.group_by(["a", "b"]).aggregate([])
-
-    out_empty = pa.schema([("node", pa.int64()), ("kind", pa.string()),
-                           ("score", pa.float64())]).empty_table()
-    raw = edges.map_batches(pairs, batch_format="pyarrow").materialize()
-    # a fully-empty dataset reports schema()=None, which the bucketed
-    # helpers can't consume — answer the degenerate case here
-    if raw.count() == 0:
-        return ray.data.from_arrow(out_empty)
-    epairs = bucketed_aggregate(
-        raw,
-        ["a", "b"], [("", "count_all")], rename=["a", "b", "_n"],
-        combine=True, num_partitions=num_partitions,
-    ).map_batches(lambda t: t.select(["a", "b"]),
-                  batch_format="pyarrow").materialize()
-
-    score_schema = pa.schema([("node", pa.int64()),
-                              ("score", pa.float64())])
-
-    def side_nodes(col):
-        def fn(b: pa.Table) -> pa.Table:
-            if b.num_rows == 0 or col not in b.schema.names:
-                return score_schema.empty_table()
-            g = b.group_by(col).aggregate([])
-            return pa.table({
-                "node": g.column(col),
-                "score": pa.array(np.ones(g.num_rows), pa.float64()),
-            })
-        return fn
-
-    def distinct_scores(ds):
-        return bucketed_aggregate(
-            ds, ["node"], [("score", "min")], rename=["node", "score"],
-            combine=True, num_partitions=num_partitions)
-
-    hubs = round_barrier(distinct_scores(
-        epairs.map_batches(side_nodes("a"), batch_format="pyarrow")),
-        label_blocks)
-
-    def gather(edge_key: str, node_key: str, scores):
-        """Σ scores(edge_key) grouped by node_key, over the edges."""
-        attached = lookup_join(
-            epairs, scores, on=edge_key, key_col="node",
-            value_cols=["score"], num_partitions=num_partitions)
-
-        def partial(b: pa.Table) -> pa.Table:
-            if b.num_rows == 0 or "score" not in b.schema.names:
-                return score_schema.empty_table()
-            t = pa.table({
-                "node": b.column(node_key).cast(pa.int64()),
-                "score": pc.fill_null(b.column("score"),
-                                      0.0).cast(pa.float64()),
-            })
-            g = t.group_by("node").aggregate([("score", "sum")])
-            return g.rename_columns(["node", "score"])
-
-        return bucketed_aggregate(
-            attached.map_batches(partial, batch_format="pyarrow"),
-            ["node"], [("score", "sum")], rename=["node", "score"],
-            combine=True, num_partitions=num_partitions)
-
-    def normalize(ds):
-        ds = round_barrier(ds, label_blocks)
-        total = float(ds.sum("score") or 0.0)
-        if total == 0.0:
-            return ds
-        return round_barrier(ds.map_batches(
-            lambda t: pa.table({
-                "node": t.column("node"),
-                "score": pc.divide(t.column("score"),
-                                   pa.scalar(total, pa.float64())),
-            }), batch_format="pyarrow"), label_blocks)
-
-    auths = None
-    for _ in range(iters):
-        auths = normalize(gather("a", "b", hubs))
-        hubs = normalize(gather("b", "a", auths))
-
-    def tag(kind):
-        def fn(t: pa.Table) -> pa.Table:
-            return pa.table({
-                "node": t.column("node").cast(pa.int64()),
-                "kind": pa.array([kind] * t.num_rows, pa.string()),
-                "score": pc.round(t.column("score"), ndigits=ndigits),
-            })
-        return fn
-
-    return hubs.map_batches(tag("hub"), batch_format="pyarrow").union(
-        auths.map_batches(tag("authority"), batch_format="pyarrow"))
-
-
-# ---------------------------------------------------------------------------
-# single-source shortest paths (distributed Bellman-Ford)
-
-
-def sssp(edges, *, source: int, src_col: str = "src",
-         dst_col: str = "dst", weight_col: str | None = None,
-         undirected: bool = True, max_rounds: int = 30,
-         num_partitions: int = 64, label_blocks: int = 8):
-    """Single-source shortest paths by distributed Bellman-Ford
-    relaxation (the Pregel/MapReduce classic): per round every edge
-    offers ``dist(u) + w`` to its target, a bucketed min-fold contracts
-    the offers, and the round barrier is the same repartition +
-    materialize + stats-cut as :func:`connected_components`.
-
-    Distances only DECREASE and nodes only get ADDED, so the pair
-    ``(count, sum)`` of the distance table is strictly monotone until
-    fixpoint — two tiny aggregates per round are the whole convergence
-    check.  Rounds are bounded by the hop diameter (not the graph
-    size); integer weights keep every arithmetic exact.
-
-    Returns ``(node, dist)`` for every node reachable from
-    ``source``."""
-    import ray  # noqa: F401
-
-    w_default = 1
-
-    def pairs(b: pa.Table) -> pa.Table:
-        if b.num_rows == 0 or src_col not in b.schema.names:
-            return pa.schema([("a", pa.int64()), ("b", pa.int64()),
-                              ("w", pa.int64())]).empty_table()
-        s = b.column(src_col).cast(pa.int64())
-        d = b.column(dst_col).cast(pa.int64())
-        if weight_col is not None:
-            w = b.column(weight_col).cast(pa.int64())
-        else:
-            w = pa.array(np.full(b.num_rows, w_default, np.int64))
-        t = pa.table({"a": s, "b": d, "w": w})
-        if undirected:
-            t = pa.concat_tables([
-                t, pa.table({"a": d, "b": s, "w": w})])
-        return t
-
-    epairs = edges.map_batches(pairs,
-                               batch_format="pyarrow").materialize()
-
-    from docling_graph_ray.stages.joins import lookup_join
-
-    dist = round_barrier(ray.data.from_arrow(pa.table({
-        "node": pa.array([source], pa.int64()),
-        "label": pa.array([0], pa.int64()),
-    })), label_blocks)
-    prev = (1, 0)
-
-    for _ in range(max_rounds):
-        attached = lookup_join(epairs, dist, on="a", key_col="node",
-                               value_cols=["label"],
-                               num_partitions=num_partitions)
-
-        def offers(b: pa.Table) -> pa.Table:
-            if b.num_rows == 0 or "label" not in b.schema.names:
-                return _LBL_SCHEMA.empty_table()
-            t = b.filter(pc.is_valid(b.column("label")))
-            return pa.table({
-                "node": t.column("b").cast(pa.int64()),
-                "label": pc.add(t.column("label").cast(pa.int64()),
-                                t.column("w").cast(pa.int64())),
-            }).cast(_LBL_SCHEMA)
-
-        dist = round_barrier(_min_fold(dist.union(
-            attached.map_batches(offers, batch_format="pyarrow"))),
-            label_blocks)
-        cur = (int(dist.count()), int(dist.sum("label") or 0))
-        if cur == prev:
-            break
-        prev = cur
-    else:
-        # exhausted without the (count, sum) fixpoint: distances may
-        # be missing or too large — refuse to return them silently
-        raise RuntimeError(
-            f"sssp did not converge in {max_rounds} rounds; raise "
-            "max_rounds (rounds scale with the shortest-path hop "
-            "diameter)")
-
-    return dist.map_batches(
-        lambda t: t.rename_columns(["node", "dist"]),
-        batch_format="pyarrow")

@@ -5,12 +5,12 @@ family: harvest ``href`` targets from each page, resolve them against
 the page's own host (relative links stay on-host; absolute links cross
 hosts), and fold the pairs into a weighted ``(src_host, dst_host,
 n_links)`` edge list — the input WebGraph-style host graph that
-PageRank / HITS / k-core then consume.
+PageRank then consumes.
 
 Scale shape: decode once (the flagship's ``decode_html`` — gzip sniff
 + charset fallback), write the decoded page text as the harvest's
 input artifact (partitioned parquet — it doubles as the oracle's
-evidence, the emitted-artifact pattern the kmeans/LSH oracles use),
+evidence, the emitted-artifact pattern the kmeans oracle uses),
 then one regex pass per page batch and a bucketed count aggregate.
 Nothing page-sized survives the harvest; edges are two short strings
 and a count.

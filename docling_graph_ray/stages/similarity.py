@@ -1,15 +1,15 @@
-"""Approximate-nearest-neighbor similarity search over an embedding column.
+"""Similarity search and clustering over an embedding column.
 
-Two paths (task brief "Similarity search"):
-
-- ``brute_force_topk``: the exact baseline — the query matrix is put in
+- ``brute_force_topk``: exact top-k — the query matrix is put in
   the object store ONCE (``ray.put``) and every ``map_batches`` task reads
   it zero-copy (broadcast, never re-shipped per batch); each batch does
   one numpy matmul and emits only its per-batch top-k partials, so the
   driver-side final reduce sees ``O(num_blocks × k)`` rows, not the corpus.
-- ``lsh_bucket_topk``: the scale path — random-hyperplane bucketing
-  prunes the candidate set before the same matmul; only rows whose bucket
-  matches a query bucket are scored.
+- ``lsh_planes``: the deterministic hyperplane matrix that
+  ``emb_near_dedup`` emits for its oracle and hands to the embedding
+  near-dup bucketing (stages/dedup.py).
+- ``kmeans_fit`` / ``kmeans_assign``: the streaming k-means codebook
+  behind ``emb_kmeans`` and SemDeDup.
 
 Results are cosine similarities rounded to 6 decimals (stable across
 numpy/DuckDB for value-hash comparison).
@@ -94,88 +94,6 @@ def lsh_planes(dim: int, n_planes: int = 8, seed: int = 42,
     return rng.standard_normal((dim, n_planes)).astype(dtype)
 
 
-def lsh_bucket_topk(
-    ds,
-    queries: np.ndarray,
-    *,
-    k: int = 10,
-    id_col: str = "vec_id",
-    emb_col: str = "embedding",
-    query_ids: list[int] | None = None,
-    n_planes: int = 8,
-    seed: int = 42,
-    dtype=np.float32,
-    planes: np.ndarray | None = None,
-):
-    """Approximate top-k: score only rows whose hyperplane bucket matches a
-    query bucket (with all 1-bit-flip neighbor buckets for recall).
-
-    ``dtype=np.float32`` is the scale default; ``np.float64`` (with the
-    same ``planes`` handed to the SQL twin) gives oracle-matched
-    precision — bucket bits are sign(dot) and the sign of an f64 dot
-    agrees between numpy and a SQL SUM to ~1e-16."""
-    import ray
-
-    qn = _normalize(np.asarray(queries, dtype=dtype))
-    dim = qn.shape[1]
-    if planes is None:
-        planes = lsh_planes(dim, n_planes, seed, dtype)
-    else:
-        planes = np.asarray(planes, dtype=dtype)
-        n_planes = planes.shape[1]
-    qids = query_ids if query_ids is not None else list(range(qn.shape[0]))
-
-    def bucket_of(m: np.ndarray) -> np.ndarray:
-        bits = (m @ planes) >= 0
-        return (bits * (1 << np.arange(n_planes))).sum(axis=1).astype(np.int64)
-
-    q_buckets = set(int(b) for b in bucket_of(qn))
-    # 1-bit-flip neighborhood for recall
-    expanded = set(q_buckets)
-    for b in q_buckets:
-        for j in range(n_planes):
-            expanded.add(b ^ (1 << j))
-    q_ref = ray.put(qn)
-    allowed = np.array(sorted(expanded), dtype=np.int64)
-
-    def partial_topk(batch: pa.Table) -> pa.Table:
-        q = ray.get(q_ref)
-        ids = np.asarray(batch.column(id_col).to_pylist())
-        embs = _normalize(_as_matrix(batch.column(emb_col), dtype))
-        buckets = bucket_of(embs)
-        mask = np.isin(buckets, allowed)
-        ids, embs = ids[mask], embs[mask]
-        out_q, out_v, out_c = [], [], []
-        if len(ids):
-            sims = embs @ q.T
-            kk = min(k, len(ids))
-            for j in range(q.shape[0]):
-                top = np.argpartition(-sims[:, j], kk - 1)[:kk]
-                for t in top:
-                    out_q.append(qids[j])
-                    out_v.append(int(ids[t]))
-                    out_c.append(round(float(sims[t, j]), 6))
-        return pa.table(
-            {
-                "query_id": pa.array(out_q, pa.int64()),
-                id_col: pa.array(out_v, pa.int64()),
-                "cos": pa.array(out_c, pa.float64()),
-            }
-        )
-
-    partials = ds.map_batches(partial_topk, batch_format="pyarrow")
-
-    def final_topk(group: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        idx = pc.sort_indices(
-            group, sort_keys=[("cos", "descending"), (id_col, "ascending")]
-        )
-        return group.take(idx[:k])
-
-    return partials.groupby("query_id").map_groups(final_topk, batch_format="pyarrow")
-
-
 def train_ivf_centroids(
     ds, *, n_centroids: int = 16, emb_col: str = "embedding",
     sample_rows: int = 4096, iters: int = 10, seed: int = 42,
@@ -207,93 +125,6 @@ def train_ivf_centroids(
                 cent[c] = members.mean(axis=0)
         cent = _normalize(cent)
     return cent
-
-
-def ivf_topk(
-    ds,
-    queries: np.ndarray,
-    *,
-    k: int = 10,
-    id_col: str = "vec_id",
-    emb_col: str = "embedding",
-    query_ids: list[int] | None = None,
-    n_centroids: int = 16,
-    n_probe: int = 4,
-    seed: int = 42,
-    dtype=np.float32,
-    centroids: np.ndarray | None = None,
-):
-    """IVF-style approximate top-k: a small codebook (trained once,
-    broadcast) partitions vectors into inverted lists by nearest
-    centroid; each query probes only its ``n_probe`` closest lists, so a
-    batch scores only the rows whose list is probed by ANY query.
-
-    The scale path beyond LSH bucketing: recall is tunable via
-    ``n_probe``/``n_centroids`` and the candidate fraction scored is
-    ~``n_probe / n_centroids`` (vs all-bucket expansion in LSH).
-
-    ``centroids`` injects a pre-trained codebook (skips training);
-    ``dtype=np.float64`` gives oracle-matched assignment/probe/cosine
-    precision against a SQL twin reading the same codebook."""
-    import ray
-
-    cent = (np.asarray(centroids, dtype=dtype) if centroids is not None
-            else train_ivf_centroids(
-                ds, n_centroids=n_centroids, emb_col=emb_col, seed=seed
-            ).astype(dtype))
-    qn = _normalize(np.asarray(queries, dtype=dtype))
-    qids = query_ids if query_ids is not None else list(range(qn.shape[0]))
-    # lists probed by each query; union = lists any task must score
-    probe = np.argsort(-(qn @ cent.T), axis=1)[:, :n_probe]
-    probed_union = np.unique(probe)
-    q_ref = ray.put(qn)
-    cent_ref = ray.put(cent)
-    probe_ref = ray.put(probe)
-
-    def partial_topk(batch: pa.Table) -> pa.Table:
-        q = ray.get(q_ref)
-        c = ray.get(cent_ref)
-        probes = ray.get(probe_ref)
-        ids = np.asarray(batch.column(id_col).to_pylist())
-        embs = _normalize(_as_matrix(batch.column(emb_col), dtype))
-        lists = (embs @ c.T).argmax(axis=1)
-        mask = np.isin(lists, probed_union)
-        ids, embs, lists = ids[mask], embs[mask], lists[mask]
-        out_q, out_v, out_c = [], [], []
-        if len(ids):
-            sims = embs @ q.T
-            for j in range(q.shape[0]):
-                # a query scores only rows in ITS probed lists
-                jmask = np.isin(lists, probes[j])
-                if not jmask.any():
-                    continue
-                js = sims[jmask, j]
-                jids = ids[jmask]
-                kk = min(k, len(jids))
-                top = np.argpartition(-js, kk - 1)[:kk]
-                for t in top:
-                    out_q.append(qids[j])
-                    out_v.append(int(jids[t]))
-                    out_c.append(round(float(js[t]), 6))
-        return pa.table(
-            {
-                "query_id": pa.array(out_q, pa.int64()),
-                id_col: pa.array(out_v, pa.int64()),
-                "cos": pa.array(out_c, pa.float64()),
-            }
-        )
-
-    partials = ds.map_batches(partial_topk, batch_format="pyarrow")
-
-    def final_topk(group: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        idx = pc.sort_indices(
-            group, sort_keys=[("cos", "descending"), (id_col, "ascending")]
-        )
-        return group.take(idx[:k])
-
-    return partials.groupby("query_id").map_groups(final_topk, batch_format="pyarrow")
 
 
 # ---------------------------------------------------------------------------
@@ -375,407 +206,3 @@ def kmeans_assign(ds, centroids: np.ndarray, *, id_col: str = "vec_id",
         })
 
     return ds.map_batches(fn, batch_format="pyarrow")
-
-
-def pca_fit(ds, *, emb_col: str = "embedding", q: int = 8):
-    """Distributed PCA fit: one streaming pass of moment partials.
-
-    Each batch reduces to ``(n, sum_x, sum_xxT)`` — a single row of
-    d + d*d floats regardless of batch size — so the reduce payload is
-    O(blocks x d^2), never the corpus; the d x d covariance eigenproblem
-    then solves driver-side (d = 64 here; the pattern holds to d ~ few
-    thousand).  Signs are fixed per component (largest-|coeff| positive).
-    Deterministic for a fixed block partitioning; across different
-    parallelism levels f64 partial-sum ordering can perturb components
-    at the ~1e-12 level (projections are rounded downstream), the usual
-    contract for distributed float reductions.
-
-    Returns ``(components (q, d), explained_variance (q,), mean (d,))``.
-    """
-    import ray
-
-    # pilot shift: one tiny read.  Moments accumulate around the first
-    # vector, so E[xx^T] - mean mean^T never subtracts two large nearly
-    # equal matrices when the embedding cloud has a big common offset
-    # (the classic one-pass-covariance catastrophic cancellation).
-    pilot_rows = ds.limit(1).take_all()
-    if not pilot_rows:
-        raise ValueError("pca_fit: empty dataset")
-    pilot = np.asarray(pilot_rows[0][emb_col], dtype=np.float64)
-    d = len(pilot)
-    pilot_ref = ray.put(pilot)
-
-    def partial(batch: pa.Table) -> pa.Table:
-        m = _as_matrix(batch.column(emb_col), dtype=np.float64)
-        if m.size == 0:
-            # zero-row blocks must emit list-typed columns of width d,
-            # or the block schemas refuse to unify
-            m = np.zeros((0, d))
-        m = m - ray.get(pilot_ref)
-        return pa.table({
-            "n": pa.array([len(m)], pa.int64()),
-            "sum_x": pa.array([m.sum(axis=0).tolist()],
-                              pa.list_(pa.float64())),
-            "sum_xxt": pa.array([(m.T @ m).ravel().tolist()],
-                                pa.list_(pa.float64())),
-        })
-
-    parts = ds.map_batches(partial, batch_format="pyarrow").to_pandas()
-    n = int(parts["n"].sum())
-    # driver fold over one tiny row per input block, in block order
-    sum_x = np.zeros(d)
-    sum_xxt = np.zeros((d, d))
-    for _, row in parts.iterrows():
-        sum_x += np.asarray(row["sum_x"])
-        sum_xxt += np.asarray(row["sum_xxt"]).reshape(d, d)
-    mean_s = sum_x / n  # mean of the SHIFTED cloud (small by design)
-    cov = sum_xxt / n - np.outer(mean_s, mean_s)
-    mean = pilot + mean_s
-    evals, evecs = np.linalg.eigh(cov)  # ascending
-    order = np.argsort(evals)[::-1][:q]
-    comps = evecs[:, order].T
-    # sign convention: largest-|coefficient| entry positive
-    flip = np.sign(comps[np.arange(q), np.abs(comps).argmax(axis=1)])
-    comps = comps * flip[:, None]
-    return comps, evals[order], mean
-
-
-def pca_project(ds, components: np.ndarray, mean: np.ndarray, *,
-                id_col: str = "vec_id", emb_col: str = "embedding"):
-    """Project every vector onto the fitted components (broadcast-once
-    model, one streaming pass): rows ``(id_col, proj list<double>)``."""
-    import ray
-
-    ref = ray.put((np.asarray(components, np.float64),
-                   np.asarray(mean, np.float64)))
-
-    def fn(batch: pa.Table) -> pa.Table:
-        comps, mu = ray.get(ref)
-        m = _as_matrix(batch.column(emb_col), dtype=np.float64)
-        proj = (m - mu) @ comps.T
-        return pa.table({
-            id_col: batch.column(id_col).cast(pa.int64()),
-            "proj": pa.array(np.round(proj, 9).tolist()),
-        })
-
-    return ds.map_batches(fn, batch_format="pyarrow")
-
-
-def cluster_outliers(ds, centroids: np.ndarray, *, k: int = 5,
-                     id_col: str = "vec_id", emb_col: str = "embedding"):
-    """Per-cluster semantic outliers: the ``k`` vectors LEAST similar
-    to their own assigned centroid — the embedding-QC pass that
-    surfaces mislabeled/garbage vectors a mean-distance histogram
-    hides (the inverse of SemDeDup's within-cluster prune).
-
-    Scale shape: one broadcast-codebook assignment pass (see
-    ``kmeans_assign``), then a per-block partial bottom-k per cluster
-    (≤ k × n_clusters narrow rows leave each block) and a tiny
-    per-cluster merge — the full assignment table never shuffles.
-    Ordering is total on both sides of the oracle: (rounded sim ASC,
-    id ASC)."""
-    assigned = kmeans_assign(ds, centroids, id_col=id_col, emb_col=emb_col)
-
-    def _bottom_k(cl, sim, vid):
-        order = np.lexsort((vid, sim, cl))  # cluster, then sim, then id
-        cls = cl[order]
-        change = np.r_[True, cls[1:] != cls[:-1]] if len(cls) else \
-            np.empty(0, bool)
-        starts = np.flatnonzero(change)
-        run_id = np.cumsum(change) - 1
-        pos = np.arange(len(cls)) - starts[run_id] if len(cls) else \
-            np.empty(0, np.int64)
-        return order[pos < k], pos[pos < k]
-
-    def partial(b: pa.Table) -> pa.Table:
-        b = b.combine_chunks()
-        cl = b.column("cluster").to_numpy(zero_copy_only=False)
-        sim = b.column("sim").to_numpy(zero_copy_only=False)
-        vid = b.column(id_col).to_numpy(zero_copy_only=False)
-        keep, _ = _bottom_k(cl, sim, vid)
-        return pa.table({
-            id_col: pa.array(vid[keep], pa.int64()),
-            "cluster": pa.array(cl[keep], pa.int64()),
-            "sim": pa.array(sim[keep], pa.float64()),
-        })
-
-    def finalize(g: pa.Table) -> pa.Table:
-        g = g.combine_chunks()
-        cl = g.column("cluster").to_numpy(zero_copy_only=False)
-        sim = g.column("sim").to_numpy(zero_copy_only=False)
-        vid = g.column(id_col).to_numpy(zero_copy_only=False)
-        keep, pos = _bottom_k(cl, sim, vid)
-        return pa.table({
-            "cluster": pa.array(cl[keep], pa.int64()),
-            id_col: pa.array(vid[keep], pa.int64()),
-            "outlier_rank": pa.array(pos + 1, pa.int64()),
-        })
-
-    return (
-        assigned.map_batches(partial, batch_format="pyarrow")
-        .groupby("cluster")
-        .map_groups(finalize, batch_format="pyarrow")
-    )
-
-
-# ---------------------------------------------------------------------------
-# product quantization (PQ) — the memory-compression ANN scale path
-
-
-def pq_train_codebooks(ds, *, m: int = 8, n_codes: int = 16,
-                       emb_col: str = "embedding", id_col: str = "vec_id",
-                       iters: int = 5) -> np.ndarray:
-    """Train per-subspace PQ codebooks ``(m, n_codes, sub_dim)`` float64.
-
-    The 100 TB rationale: PQ stores each vector as ``m`` uint8 codes
-    (64-dim f32 -> 8 bytes, a 32x compression), so a corpus-scale
-    embedding store fits the object store and ADC scans run off a tiny
-    LUT (Jégou et al. 2011).  Training is Lloyd's per subspace, ALL
-    subspaces folded in ONE streaming pass per iteration — the reduce
-    payload is ``m × n_codes × (sub_dim + 1)`` floats per batch, never
-    the corpus.  Init is deterministic: the subvectors of the
-    ``n_codes`` lowest-``id_col`` rows (a per-block partial min-k, so
-    block order cannot leak into the seed).  Assignment is squared-L2
-    argmin with first-min (code-ascending) ties; empty codes keep their
-    previous centroid (the standard Lloyd fallback)."""
-    import ray
-
-    # --- deterministic init: n_codes lowest ids, per-block partial min-k
-    def low_k(batch: pa.Table) -> pa.Table:
-        idx = pc.sort_indices(batch, sort_keys=[(id_col, "ascending")])
-        return batch.select([id_col, emb_col]).take(idx[:n_codes])
-
-    seed_parts = [
-        b for b in ds.map_batches(low_k, batch_format="pyarrow")
-        .iter_batches(batch_format="pyarrow") if b.num_rows
-    ]
-    seed = pa.concat_tables(seed_parts)
-    seed = seed.take(pc.sort_indices(
-        seed, sort_keys=[(id_col, "ascending")])[:n_codes])
-    dim = len(seed.column(emb_col)[0])
-    if dim % m:
-        raise ValueError(f"dim {dim} not divisible by m={m}")
-    sub = dim // m
-    init = _as_matrix(seed.column(emb_col), np.float64)
-    if init.shape[0] < n_codes:
-        raise ValueError(
-            f"need >= {n_codes} rows to seed PQ codebooks, got {init.shape[0]}")
-    cb = init.reshape(n_codes, m, sub).transpose(1, 0, 2).copy()  # (m,K,sub)
-
-    for _ in range(iters):
-        ref = ray.put(cb)
-
-        def partial(batch: pa.Table) -> pa.Table:
-            c = ray.get(ref)  # (m, K, sub)
-            v = _as_matrix(batch.column(emb_col), np.float64)
-            vs = v.reshape(len(v), m, sub)
-            subs, codes_out, sums_out, ns = [], [], [], []
-            for s in range(m):
-                d = ((vs[:, s, None, :] - c[s][None, :, :]) ** 2).sum(-1)
-                a = d.argmin(axis=1)  # first min = code-asc ties
-                sums = np.zeros((n_codes, sub), dtype=np.float64)
-                np.add.at(sums, a, vs[:, s, :])
-                cnt = np.bincount(a, minlength=n_codes).astype(np.int64)
-                subs.extend([s] * n_codes)
-                codes_out.extend(range(n_codes))
-                sums_out.extend(list(sums))
-                ns.extend(cnt.tolist())
-            return pa.table({
-                "sub": pa.array(subs, pa.int64()),
-                "code": pa.array(codes_out, pa.int64()),
-                "vsum": pa.array(sums_out, pa.list_(pa.float64())),
-                "n": pa.array(ns, pa.int64()),
-            })
-
-        sums = np.zeros((m, n_codes, sub), dtype=np.float64)
-        counts = np.zeros((m, n_codes), dtype=np.int64)
-        for b in ds.map_batches(partial, batch_format="pyarrow").iter_batches(
-                batch_format="pyarrow"):
-            if not b.num_rows:
-                continue
-            ss = b.column("sub").to_numpy(zero_copy_only=False)
-            cc = b.column("code").to_numpy(zero_copy_only=False)
-            vs = np.asarray(b.column("vsum").to_pylist(), dtype=np.float64)
-            nn = b.column("n").to_numpy(zero_copy_only=False)
-            np.add.at(sums, (ss, cc), vs)
-            np.add.at(counts, (ss, cc), nn)
-        nonzero = counts > 0
-        cb = np.where(nonzero[..., None],
-                      sums / np.maximum(counts, 1)[..., None], cb)
-    return cb
-
-
-def pq_adc_topk(ds, queries: np.ndarray, codebooks: np.ndarray, *,
-                k: int = 10, id_col: str = "vec_id",
-                emb_col: str = "embedding",
-                query_ids: list[int] | None = None):
-    """Asymmetric-distance (ADC) inner-product top-k over PQ codes.
-
-    One streaming pass: each batch encodes its vectors (squared-L2
-    argmin per subspace against the broadcast codebooks) and scores
-    every query via the per-query LUT ``lut[m, code] = <q_m, c_mcode>``
-    — the approximate IP is a sum of ``m`` table lookups, no
-    full-dimension dot per candidate.  Partial per-block top-k rows are
-    ranked by ``(round(ip, 6) DESC, id ASC)`` — the SAME key the final
-    merge and the DuckDB twin use, so the block boundary cannot flip a
-    rounded tie.  Returns ``(query_id, vec_id, adc)`` with k rows per
-    query; ``adc`` is the rounded approximate inner product."""
-    import ray
-
-    q = np.asarray(queries, dtype=np.float64)
-    m, n_codes, sub = codebooks.shape
-    qids = query_ids if query_ids is not None else list(range(q.shape[0]))
-    # lut[j, s, c] = <q_j restricted to subspace s, codebook[s, c]>
-    qs = q.reshape(q.shape[0], m, sub)
-    lut = np.einsum("jms,mcs->jmc", qs, codebooks)
-    ref = ray.put((codebooks, lut))
-
-    def partial_topk(batch: pa.Table) -> pa.Table:
-        c, lt = ray.get(ref)
-        ids = np.asarray(batch.column(id_col).to_pylist(), dtype=np.int64)
-        v = _as_matrix(batch.column(emb_col), np.float64)
-        vs = v.reshape(len(v), m, sub)
-        codes = np.empty((len(v), m), dtype=np.int64)
-        for s in range(m):
-            d = ((vs[:, s, None, :] - c[s][None, :, :]) ** 2).sum(-1)
-            codes[:, s] = d.argmin(axis=1)
-        # adc[j, i] = sum_s lut[j, s, codes[i, s]]
-        adc = lt[:, np.arange(m)[None, :], codes].sum(axis=2)  # (nq, n)
-        out_q, out_v, out_a = [], [], []
-        kk = min(k, len(ids))
-        for j in range(q.shape[0]):
-            r = np.round(adc[j], 6)
-            order = np.lexsort((ids, -r))[:kk]  # round desc, id asc
-            out_q.extend([qids[j]] * kk)
-            out_v.extend(ids[order].tolist())
-            out_a.extend(r[order].tolist())
-        return pa.table({
-            "query_id": pa.array(out_q, pa.int64()),
-            id_col: pa.array(out_v, pa.int64()),
-            "adc": pa.array(out_a, pa.float64()),
-        })
-
-    partials = ds.map_batches(partial_topk, batch_format="pyarrow")
-
-    def final_topk(group: pa.Table) -> pa.Table:
-        idx = pc.sort_indices(
-            group, sort_keys=[("adc", "descending"), (id_col, "ascending")]
-        )
-        return group.take(idx[:k])
-
-    return partials.groupby("query_id").map_groups(
-        final_topk, batch_format="pyarrow")
-
-
-# ---------------------------------------------------------------------------
-# IVF-PQ: coarse inverted lists + residual product quantization
-
-
-def ivfpq_train(ds, *, n_lists: int = 16, m: int = 8, n_codes: int = 16,
-                emb_col: str = "embedding", id_col: str = "vec_id",
-                iters: int = 5) -> tuple[np.ndarray, np.ndarray]:
-    """Train the FAISS-style IVF-PQ index model: an L2 coarse quantizer
-    (``n_lists`` full-dimension centroids) plus per-subspace PQ
-    codebooks over the RESIDUALS ``v - c_list(v)``.
-
-    Both stages reuse :func:`pq_train_codebooks`'s streaming Lloyd's —
-    the coarse quantizer is literally PQ with ``m=1`` (one subspace =
-    the whole vector), so the deterministic lowest-id seeding, the
-    one-pass-per-iteration fold and the empty-code fallback are shared
-    code, not re-implementations.  Returns ``(coarse, codebooks)`` with
-    shapes ``(n_lists, dim)`` / ``(m, n_codes, dim//m)`` float64."""
-    import ray
-
-    coarse = pq_train_codebooks(
-        ds, m=1, n_codes=n_lists, emb_col=emb_col, id_col=id_col,
-        iters=iters)[0]  # (n_lists, dim)
-    ref = ray.put(coarse)
-
-    def to_residual(batch: pa.Table) -> pa.Table:
-        c = ray.get(ref)
-        v = _as_matrix(batch.column(emb_col), np.float64)
-        d = ((v[:, None, :] - c[None, :, :]) ** 2).sum(-1)
-        lst = d.argmin(axis=1)
-        r = v - c[lst]
-        return pa.table({
-            id_col: batch.column(id_col),
-            emb_col: pa.array([row.tolist() for row in r],
-                              pa.list_(pa.float64())),
-        })
-
-    residuals = ds.map_batches(to_residual, batch_format="pyarrow")
-    codebooks = pq_train_codebooks(
-        residuals, m=m, n_codes=n_codes, emb_col=emb_col, id_col=id_col,
-        iters=iters)
-    return coarse, codebooks
-
-
-def ivfpq_topk(ds, queries: np.ndarray, coarse: np.ndarray,
-               codebooks: np.ndarray, *, k: int = 10, n_probe: int = 4,
-               id_col: str = "vec_id", emb_col: str = "embedding",
-               query_ids: list[int] | None = None):
-    """IVF-PQ approximate inner-product top-k in ONE streaming pass.
-
-    Each batch assigns its vectors to a coarse list (squared-L2 argmin,
-    code-asc ties), keeps only rows whose list is in a query's
-    ``n_probe`` probe set (smallest query-to-centroid L2, list-asc
-    ties), encodes the residual per subspace and scores
-    ``adc = <q, c_list> + Σ_m lut[m, code_m]`` — the exact
-    ``<q, c + r̂>`` decomposition, so the coarse term is a lookup too.
-    Partial AND final top-k rank by ``(round(ip,6) DESC, id ASC)``, the
-    same key the DuckDB twin uses."""
-    import ray
-
-    q = np.asarray(queries, dtype=np.float64)
-    m, n_codes, sub = codebooks.shape
-    n_lists = coarse.shape[0]
-    qids = query_ids if query_ids is not None else list(range(q.shape[0]))
-    # probe sets: n_probe nearest coarse centroids per query (L2)
-    qd = ((q[:, None, :] - coarse[None, :, :]) ** 2).sum(-1)  # (nq, L)
-    probe = np.argsort(qd, axis=1, kind="stable")[:, :n_probe]  # list-asc ties
-    qc_ip = q @ coarse.T  # (nq, L) — the <q, c_list> term
-    qs = q.reshape(q.shape[0], m, sub)
-    lut = np.einsum("jms,mcs->jmc", qs, codebooks)  # (nq, m, n_codes)
-    ref = ray.put((coarse, codebooks, probe, qc_ip, lut))
-
-    def partial_topk(batch: pa.Table) -> pa.Table:
-        c, cb, pr, qc, lt = ray.get(ref)
-        ids = np.asarray(batch.column(id_col).to_pylist(), dtype=np.int64)
-        v = _as_matrix(batch.column(emb_col), np.float64)
-        d = ((v[:, None, :] - c[None, :, :]) ** 2).sum(-1)
-        lst = d.argmin(axis=1)  # (n,)
-        r = (v - c[lst]).reshape(len(v), m, sub)
-        codes = np.empty((len(v), m), dtype=np.int64)
-        for s in range(m):
-            dd = ((r[:, s, None, :] - cb[s][None, :, :]) ** 2).sum(-1)
-            codes[:, s] = dd.argmin(axis=1)
-        out_q, out_v, out_a = [], [], []
-        for j in range(q.shape[0]):
-            mask = np.isin(lst, pr[j])
-            if not mask.any():
-                continue
-            sel = np.flatnonzero(mask)
-            adc = qc[j, lst[sel]] + lt[
-                j, np.arange(m)[None, :], codes[sel]].sum(axis=1)
-            rr = np.round(adc, 6)
-            kk = min(k, len(sel))
-            order = np.lexsort((ids[sel], -rr))[:kk]
-            out_q.extend([qids[j]] * kk)
-            out_v.extend(ids[sel][order].tolist())
-            out_a.extend(rr[order].tolist())
-        return pa.table({
-            "query_id": pa.array(out_q, pa.int64()),
-            id_col: pa.array(out_v, pa.int64()),
-            "adc": pa.array(out_a, pa.float64()),
-        })
-
-    partials = ds.map_batches(partial_topk, batch_format="pyarrow")
-
-    def final_topk(group: pa.Table) -> pa.Table:
-        idx = pc.sort_indices(
-            group, sort_keys=[("adc", "descending"), (id_col, "ascending")]
-        )
-        return group.take(idx[:k])
-
-    return partials.groupby("query_id").map_groups(
-        final_topk, batch_format="pyarrow")

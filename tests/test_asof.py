@@ -74,76 +74,3 @@ def test_asof_column_collision_raises(ray_session):
         asof_join(left, right, left_key="k", right_key="rk",
                   left_time="t", right_time="rt",
                   left_cols=["event_id", "t"], right_cols=["t"])
-
-
-# ---------------------------------------------------------------------------
-# windowed funnel
-
-
-def test_events_funnel_greedy_window_semantics(ray_session, tmp_path):
-    import datetime as dt
-
-    import pyarrow.parquet as pq
-
-    from docling_graph_ray.pipelines.relational import events_funnel
-
-    t0 = dt.datetime(2024, 1, 1)
-
-    def ev(eid, user, typ, minutes=0, days=0):
-        return {"event_id": eid, "user_id": user, "event_type": typ,
-                "ts": t0 + dt.timedelta(days=days, minutes=minutes),
-                "value": 1.0, "props": "{}"}
-
-    rows = [
-        # user 1: full conversion in order
-        ev(0, 1, "view"), ev(1, 1, "click", 5), ev(2, 1, "purchase", 9),
-        # user 2: click BEFORE the first view never counts
-        ev(3, 2, "click"), ev(4, 2, "view", 5),
-        # user 3: purchase precedes the matched click -> depth 2
-        ev(5, 3, "view"), ev(6, 3, "purchase", 2), ev(7, 3, "click", 4),
-        # user 4: click past the 30-day window -> depth 1
-        ev(8, 4, "view"), ev(9, 4, "click", 0, days=31),
-        # user 5: click at the SAME ts as view (strictness) -> depth 1
-        ev(10, 5, "view"), ev(11, 5, "click"),
-        # user 6: never views
-        ev(12, 6, "click"), ev(13, 6, "purchase", 1),
-    ]
-    pq.write_table(pa.Table.from_pylist(rows),
-                   str(tmp_path / "events.parquet"))
-    out = (events_funnel(str(tmp_path)).to_pandas()
-           .set_index("step").sort_index())
-    assert out.loc[1, "n_users"] == 5   # users 1-5 all view
-    assert out.loc[2, "n_users"] == 2   # users 1 and 3 click after view
-    assert out.loc[3, "n_users"] == 1   # only user 1 completes
-    assert list(out["event_type"]) == ["view", "click", "purchase"]
-
-
-def test_events_retention_cohort_offsets(ray_session, tmp_path):
-    import datetime as dt
-
-    import pyarrow.parquet as pq
-
-    from docling_graph_ray.pipelines.relational import events_retention
-
-    def ev(eid, user, day, hour=0):
-        return {"event_id": eid, "user_id": user, "event_type": "view",
-                "ts": dt.datetime(2024, 1, day, hour), "value": 1.0,
-                "props": "{}"}
-
-    rows = [
-        # user 1: first day 1, active days 1, 2, 5 (two events on day 1
-        # must dedup to one activity)
-        ev(0, 1, 1), ev(1, 1, 1, 6), ev(2, 1, 2), ev(3, 1, 5),
-        # user 2: first day 2, active days 2, 5
-        ev(4, 2, 2), ev(5, 2, 5),
-    ]
-    pq.write_table(pa.Table.from_pylist(rows),
-                   str(tmp_path / "events.parquet"))
-    out = events_retention(str(tmp_path)).to_pandas()
-    d1 = (dt.date(2024, 1, 1) - dt.date(1970, 1, 1)).days
-    got = {(r.cohort_day, r.day_offset): r.n_users
-           for r in out.itertuples()}
-    assert got == {
-        (d1, 0): 1, (d1, 1): 1, (d1, 4): 1,      # user 1's cohort
-        (d1 + 1, 0): 1, (d1 + 1, 3): 1,          # user 2's cohort
-    }

@@ -75,6 +75,11 @@ def test_inspect_json_to_html(tmp_path):
     html = (tmp_path / "graph.html").read_text()
     assert "P_1" in html and "WORKS_AT" in html
     assert html.startswith("<!DOCTYPE html>")
+    # a graph JSON without the .json suffix keeps its whole stem
+    bare = tmp_path / "export_graph"
+    _graph_json(bare)
+    assert main(["inspect", str(bare)]) == 0
+    assert "P_1" in (tmp_path / "export_graph.html").read_text()
 
 
 def test_inspect_csv_dir_to_html(tmp_path, ray_session):

@@ -49,3 +49,16 @@ def test_oracle_count_floor():
     qs, sqls = m.queries(), m.oracle_sql()
     assert len(sqls) >= 75, len(sqls)
     assert len(qs) >= 84, len(qs)
+
+
+def test_every_query_has_oracle_or_rows_only_reason():
+    """Each queries() entry carries a DuckDB twin or a written reason in
+    ROWS_ONLY, never both and never neither."""
+    m = _entry()
+    qs, sqls, rows_only = m.queries(), m.oracle_sql(), m.ROWS_ONLY
+    assert set(qs) == set(sqls) | set(rows_only), (
+        sorted(set(qs) - set(sqls) - set(rows_only)),
+        sorted((set(sqls) | set(rows_only)) - set(qs)))
+    assert not set(sqls) & set(rows_only), sorted(set(sqls) & set(rows_only))
+    empty = [k for k, why in rows_only.items() if not why.strip()]
+    assert not empty, empty

@@ -1,6 +1,6 @@
 """Extraction-quality evaluation: strict/relaxed/aligned node matching,
-edge P/R/F1 via fold maps, micro summation, completeness, verbatim,
-edge fan-out — hand-computed expectations (reference semantics:
+edge P/R/F1 via fold maps, micro summation, completeness, verbatim —
+hand-computed expectations (reference semantics:
 docs/examples/scripts/16_extraction_evaluation.py)."""
 
 import pyarrow as pa
@@ -10,7 +10,6 @@ import ray
 import ray.data
 
 from docling_graph_ray.stages.evaluate import (
-    edge_fanout,
     evaluate_graphs,
     identity_token,
     micro_summary,
@@ -174,38 +173,3 @@ def test_pair_similarity_scoring():
     assert pair_similarity({"a": "word"}, {"a": "word more"}) == 0.5
     assert pair_similarity({"a": long}, {"a": long + " tail"}) == 1.0
     assert pair_similarity({"a": ["x", "y"]}, {"a": ["y", "z"]}) == 0.5
-
-
-def test_edge_fanout(ray_session):
-    edges = _ds([
-        {"label": "L", "src": "a"}, {"label": "L", "src": "a"},
-        {"label": "L", "src": "b"}, {"label": "M", "src": "c"},
-    ])
-    out = edge_fanout(edges).to_pandas().set_index("label").sort_index()
-    assert (int(out.loc["L", "total"]), int(out.loc["L", "sources"]),
-            int(out.loc["L", "top_source_edges"])) == (3, 2, 2)
-    assert int(out.loc["M", "top_source_edges"]) == 1
-
-
-def test_edge_fanout_hot_label_across_blocks(ray_session):
-    """A hot label whose (label, src) pairs span many blocks must still
-    get exact global stats: pair counts merge across blocks before the
-    distinct-source count and the per-source max (r5 partial-aggregate
-    rewrite — no whole-label group)."""
-    import numpy as np
-    import ray.data
-
-    rng = np.random.default_rng(3)
-    srcs = rng.integers(0, 50, 5000)
-    t = pa.table({
-        "label": pa.array(["HOT"] * 5000 + ["COLD"], pa.string()),
-        "src": pa.array([f"s{i}" for i in srcs] + ["z"], pa.string()),
-    })
-    out = (edge_fanout(ray.data.from_arrow(t).repartition(23))
-           .to_pandas().set_index("label"))
-    import collections
-    counts = collections.Counter(f"s{i}" for i in srcs)
-    assert int(out.loc["HOT", "total"]) == 5000
-    assert int(out.loc["HOT", "sources"]) == len(counts)
-    assert int(out.loc["HOT", "top_source_edges"]) == max(counts.values())
-    assert int(out.loc["COLD", "total"]) == 1

@@ -75,352 +75,3 @@ def test_pagerank_matches_dense_reference(ray_session):
     for n in want:
         assert abs(got[n] - want[n]) < 1e-9, (n, got[n], want[n])
     assert abs(sum(got.values()) - 1.0) < 1e-9
-
-
-# ---------------------------------------------------------------------------
-# triangle_count: degree-oriented exact census vs a dense brute force
-
-
-def _tri_brute(src, dst, n):
-    import numpy as np
-
-    A = np.zeros((n, n), bool)
-    for a, b in zip(src, dst):
-        if a != b:
-            A[a, b] = A[b, a] = True
-    tri = int(np.trace(np.linalg.matrix_power(A.astype(np.int64), 3)) // 6)
-    return int(A.any(axis=0).sum()), int(A.sum() // 2), tri
-
-
-def test_triangle_count_matches_brute_force(ray_session):
-    import numpy as np
-
-    from docling_graph_ray.stages.graphalgo import triangle_count
-
-    rng = np.random.default_rng(7)
-    n, m = 60, 400
-    src = rng.integers(0, n, m)
-    dst = rng.integers(0, n, m)
-    ds = ray.data.from_arrow(pa.table({
-        "src": pa.array(src, pa.int64()),
-        "dst": pa.array(dst, pa.int64())}))
-    got = triangle_count(ds, num_partitions=8).to_pydict()
-    n_nodes, n_edges, tri = _tri_brute(src, dst, n)
-    assert got["n_nodes"][0] == n_nodes
-    assert got["n_edges"][0] == n_edges
-    assert got["n_triangles"][0] == tri
-
-
-def test_triangle_count_hub_star_has_no_triangles(ray_session):
-    # a star (hub 0 → 1..200): degree orientation must generate ZERO
-    # wedges at the hub (every neighbor outranks nothing), so the
-    # census is cheap and exact
-    from docling_graph_ray.stages.graphalgo import triangle_count
-
-    ds = ray.data.from_arrow(pa.table({
-        "src": pa.array([0] * 200, pa.int64()),
-        "dst": pa.array(list(range(1, 201)), pa.int64())}))
-    got = triangle_count(ds, num_partitions=4).to_pydict()
-    assert got["n_triangles"][0] == 0
-    assert got["n_edges"][0] == 200
-    assert got["n_nodes"][0] == 201
-
-
-def test_triangle_count_rejects_ids_outside_packing_range(ray_session):
-    import pytest
-
-    from docling_graph_ray.stages.graphalgo import triangle_count
-
-    ds = ray.data.from_arrow(pa.table({
-        "src": pa.array([1 << 31], pa.int64()),
-        "dst": pa.array([3], pa.int64())}))
-    with pytest.raises(Exception, match="2\\^31|vertex ids"):
-        triangle_count(ds, num_partitions=2)
-
-
-def test_local_clustering_matches_brute_force(ray_session):
-    import numpy as np
-
-    from docling_graph_ray.stages.graphalgo import local_clustering
-
-    rng = np.random.default_rng(11)
-    n, m = 50, 300
-    src = rng.integers(0, n, m)
-    dst = rng.integers(0, n, m)
-    ds = ray.data.from_arrow(pa.table({
-        "src": pa.array(src, pa.int64()),
-        "dst": pa.array(dst, pa.int64())}))
-    got = local_clustering(ds, num_partitions=8).to_pandas() \
-        .set_index("vertex")
-
-    A = np.zeros((n, n), bool)
-    for a, b in zip(src, dst):
-        if a != b:
-            A[a, b] = A[b, a] = True
-    Ai = A.astype(np.int64)
-    tri_v = np.diag(Ai @ Ai @ Ai) // 2
-    deg_v = Ai.sum(axis=1)
-    for v in range(n):
-        if deg_v[v] >= 2:
-            row = got.loc[v]
-            assert row["deg"] == deg_v[v]
-            assert row["n_tri"] == tri_v[v]
-            # bit-identical: 2.0*tri exact, int denominator exact, one
-            # IEEE division
-            assert row["coeff"] == (2.0 * tri_v[v]) / float(
-                deg_v[v] * (deg_v[v] - 1))
-        else:
-            assert v not in got.index
-
-
-def test_local_clustering_triangle_plus_pendant(ray_session):
-    # K3 with a pendant on vertex 0: coeffs 1/3 (deg-3 vertex 0),
-    # 1.0, 1.0; the pendant (deg 1) is excluded
-    from docling_graph_ray.stages.graphalgo import local_clustering
-
-    ds = ray.data.from_arrow(pa.table({
-        "src": pa.array([0, 1, 2, 0], pa.int64()),
-        "dst": pa.array([1, 2, 0, 9], pa.int64())}))
-    got = {r["vertex"]: r for r in
-           local_clustering(ds, num_partitions=4).take_all()}
-    assert set(got) == {0, 1, 2}
-    assert got[0]["deg"] == 3 and got[0]["n_tri"] == 1
-    assert got[0]["coeff"] == 2.0 / 6.0
-    assert got[1]["coeff"] == 1.0 and got[2]["coeff"] == 1.0
-
-
-# ---------------------------------------------------------------------------
-# k-core: iterative peeling vs brute force
-
-
-def _kcore_brute(src, dst, k, nmax):
-    import numpy as np
-
-    m = src != dst
-    a = np.minimum(src[m], dst[m])
-    b = np.maximum(src[m], dst[m])
-    pairs = sorted(set(zip(a.tolist(), b.tolist())))
-    uu = np.array([p[0] for p in pairs], np.int64)
-    vv = np.array([p[1] for p in pairs], np.int64)
-    while True:
-        deg = np.bincount(uu, minlength=nmax) + \
-            np.bincount(vv, minlength=nmax)
-        alive = deg >= k
-        keep = alive[uu] & alive[vv] if len(uu) else \
-            np.array([], bool)
-        if keep.all():
-            break
-        uu, vv = uu[keep], vv[keep]
-    deg = np.bincount(uu, minlength=nmax) + np.bincount(vv, minlength=nmax)
-    return {v: int(deg[v]) for v in range(nmax) if deg[v] >= k}
-
-
-def test_k_core_peels_tendrils_multiround(ray_session):
-    # K6 clique + a 5-link chain off vertex 0: k=2 must peel the chain
-    # one link per round (multi-round fixpoint), keeping exactly the
-    # clique
-    from docling_graph_ray.stages.graphalgo import k_core
-
-    edges = [(i, j) for i in range(6) for j in range(i + 1, 6)]
-    edges += [(0, 6), (6, 7), (7, 8), (8, 9), (9, 10)]
-    ds = ray.data.from_arrow(pa.table({
-        "src": pa.array([a for a, _ in edges], pa.int64()),
-        "dst": pa.array([b for _, b in edges], pa.int64())}))
-    got = {r["vertex"]: r["deg"]
-           for r in k_core(ds, k=2, num_partitions=4).take_all()}
-    assert got == {i: 5 for i in range(6)}
-
-
-def test_k_core_matches_brute_force(ray_session):
-    import numpy as np
-
-    from docling_graph_ray.stages.graphalgo import k_core
-
-    rng = np.random.default_rng(9)
-    n, m = 80, 300
-    src = rng.integers(0, n, m)
-    dst = rng.integers(0, n, m)
-    ds = ray.data.from_arrow(pa.table({
-        "src": pa.array(src, pa.int64()),
-        "dst": pa.array(dst, pa.int64())}))
-    for k in (2, 4, 6):
-        got = {r["vertex"]: r["deg"]
-               for r in k_core(ds, k=k, num_partitions=8).take_all()}
-        assert got == _kcore_brute(src, dst, k, n), k
-
-
-def test_k_core_empty_when_overpeeled(ray_session):
-    from docling_graph_ray.stages.graphalgo import k_core
-
-    ds = ray.data.from_arrow(pa.table({
-        "src": pa.array([1, 2], pa.int64()),
-        "dst": pa.array([2, 3], pa.int64())}))
-    assert k_core(ds, k=5, num_partitions=2).count() == 0
-
-
-def test_degree_assortativity_matches_corrcoef(ray_session):
-    import numpy as np
-
-    from docling_graph_ray.stages.graphalgo import degree_assortativity
-
-    rng = np.random.default_rng(13)
-    n, m = 70, 350
-    src = rng.integers(0, n, m)
-    dst = rng.integers(0, n, m)
-    ds = ray.data.from_arrow(pa.table({
-        "src": pa.array(src, pa.int64()),
-        "dst": pa.array(dst, pa.int64())})).repartition(5)
-    got = degree_assortativity(ds, num_partitions=8).to_pydict()
-
-    mm = src != dst
-    a = np.minimum(src[mm], dst[mm])
-    b = np.maximum(src[mm], dst[mm])
-    pairs = sorted(set(zip(a.tolist(), b.tolist())))
-    uu = np.array([p[0] for p in pairs])
-    vv = np.array([p[1] for p in pairs])
-    deg = np.bincount(uu, minlength=n) + np.bincount(vv, minlength=n)
-    x = np.r_[deg[uu], deg[vv]].astype(float)
-    y = np.r_[deg[vv], deg[uu]].astype(float)
-    assert abs(got["r"][0] - np.corrcoef(x, y)[0, 1]) < 1e-9
-    assert got["m2"][0] == 2 * len(pairs)
-
-
-def test_degree_assortativity_regular_graph_is_null(ray_session):
-    # a 4-cycle is degree-regular: zero variance, r undefined -> NULL
-    from docling_graph_ray.stages.graphalgo import degree_assortativity
-
-    ds = ray.data.from_arrow(pa.table({
-        "src": pa.array([0, 1, 2, 3], pa.int64()),
-        "dst": pa.array([1, 2, 3, 0], pa.int64())}))
-    got = degree_assortativity(ds, num_partitions=2).to_pydict()
-    assert got["r"][0] is None
-
-
-def test_k_core_cascade_to_empty_midround(ray_session):
-    # path 1-2-3 with k=2: vertex 2 survives the degree filter but
-    # both its edges die (each has a degree-1 endpoint), so the edge
-    # set empties MID-round — the peeled-to-nothing path, not the
-    # no-survivors path
-    from docling_graph_ray.stages.graphalgo import k_core
-
-    ds = ray.data.from_arrow(pa.table({
-        "src": pa.array([1, 2], pa.int64()),
-        "dst": pa.array([2, 3], pa.int64())}))
-    assert k_core(ds, k=2, num_partitions=2).count() == 0
-
-
-def test_hits_matches_dense_reference(ray_session):
-    import numpy as np
-
-    from docling_graph_ray.stages.graphalgo import hits
-
-    rng = np.random.default_rng(31)
-    edges = sorted({(int(rng.integers(0, 30)),
-                     int(100 + rng.integers(0, 20)))
-                    for _ in range(200)})
-    ds = ray.data.from_arrow(pa.table({
-        "src": pa.array([a for a, _ in edges], pa.int64()),
-        "dst": pa.array([b for _, b in edges], pa.int64())}))
-    got = {(r["kind"], r["node"]): r["score"]
-           for r in hits(ds, iters=3).take_all()}
-
-    hub_nodes = sorted({a for a, _ in edges})
-    auth_nodes = sorted({b for _, b in edges})
-    hi = {n: i for i, n in enumerate(hub_nodes)}
-    ai = {n: i for i, n in enumerate(auth_nodes)}
-    A = np.zeros((len(hub_nodes), len(auth_nodes)))
-    for a, b in edges:
-        A[hi[a], ai[b]] = 1.0
-    h = np.ones(len(hub_nodes))
-    for _ in range(3):
-        aa = A.T @ h
-        aa = aa / aa.sum()
-        h = A @ aa
-        h = h / h.sum()
-    for n in hub_nodes:
-        assert abs(got[("hub", n)] - round(h[hi[n]], 8)) <= 2e-8
-    for n in auth_nodes:
-        assert abs(got[("authority", n)]
-                   - round(aa[ai[n]], 8)) <= 2e-8
-    # sum-normalized: each side sums to 1 (within rounding)
-    assert abs(sum(v for (k, _), v in got.items()
-                   if k == "hub") - 1.0) < 1e-6
-
-
-def test_hits_empty_edges(ray_session):
-    from docling_graph_ray.stages.graphalgo import hits
-
-    ds = ray.data.from_arrow(pa.table({
-        "src": pa.array([], pa.int64()),
-        "dst": pa.array([], pa.int64())}))
-    assert hits(ds, iters=2).count() == 0
-
-
-def test_sssp_weighted_matches_bellman_ford(ray_session):
-    import numpy as np
-
-    from docling_graph_ray.stages.graphalgo import sssp
-
-    rng = np.random.default_rng(41)
-    n, m = 40, 120
-    src = rng.integers(0, n, m)
-    dst = rng.integers(0, n, m)
-    w = rng.integers(1, 10, m)
-    ds = ray.data.from_arrow(pa.table({
-        "src": pa.array(src, pa.int64()),
-        "dst": pa.array(dst, pa.int64()),
-        "w": pa.array(w, pa.int64())}))
-    got = {r["node"]: r["dist"] for r in
-           sssp(ds, source=0, weight_col="w").take_all()}
-
-    INF = 10**15
-    d = np.full(n, INF, np.int64)
-    d[0] = 0
-    for _ in range(n):
-        nd = d.copy()
-        for a, b, ww in zip(src, dst, w):
-            nd[b] = min(nd[b], d[a] + ww)
-            nd[a] = min(nd[a], d[b] + ww)
-        if (nd == d).all():
-            break
-        d = nd
-    assert got == {i: int(d[i]) for i in range(n) if d[i] < INF}
-
-
-def test_sssp_hop_distance_and_unreachable(ray_session):
-    from docling_graph_ray.stages.graphalgo import sssp
-
-    # chain 0-1-2-3 plus a disconnected 5-6: unreachable nodes absent
-    ds = ray.data.from_arrow(pa.table({
-        "src": pa.array([0, 1, 2, 5], pa.int64()),
-        "dst": pa.array([1, 2, 3, 6], pa.int64())}))
-    got = {r["node"]: r["dist"] for r in sssp(ds, source=0).take_all()}
-    assert got == {0: 0, 1: 1, 2: 2, 3: 3}
-
-
-def test_k_core_raises_on_round_exhaustion(ray_session):
-    # deep-peel graph (long path): exhausting max_rounds must RAISE,
-    # never return a plausible-looking non-core
-    import pytest
-
-    from docling_graph_ray.stages.graphalgo import k_core
-
-    edges = [(i, i + 1) for i in range(30)]
-    ds = ray.data.from_arrow(pa.table({
-        "src": pa.array([a for a, _ in edges], pa.int64()),
-        "dst": pa.array([b for _, b in edges], pa.int64())}))
-    with pytest.raises(RuntimeError, match="fixpoint"):
-        k_core(ds, k=2, num_partitions=2, max_rounds=3)
-
-
-def test_sssp_raises_on_round_exhaustion(ray_session):
-    import pytest
-
-    from docling_graph_ray.stages.graphalgo import sssp
-
-    edges = [(i, i + 1) for i in range(20)]
-    ds = ray.data.from_arrow(pa.table({
-        "src": pa.array([a for a, _ in edges], pa.int64()),
-        "dst": pa.array([b for _, b in edges], pa.int64())}))
-    with pytest.raises(RuntimeError, match="converge"):
-        sssp(ds, source=0, max_rounds=3)

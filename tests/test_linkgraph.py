@@ -2,8 +2,6 @@
 
 import pyarrow as pa
 
-import ray
-
 from docling_graph_ray.stages.linkgraph import (
     harvest_batch,
     host_link_graph,
@@ -56,29 +54,3 @@ def test_t1_profile_bytes_unchanged_by_linked_refactor():
     assert b"partner" not in r["html"]
     r2 = make_row(5, 42, "linked")
     assert b"partner" in r2["html"]
-
-
-# ---------------------------------------------------------------------------
-# robots-style path-prefix disallow (stages/robots.py)
-
-
-def test_robots_longest_prefix_and_host_priority(ray_session):
-    from docling_graph_ray.stages.robots import robots_annotate
-
-    rules = [("*", "/forum/"), ("*", "/shop/"),
-             ("site1.example", "/forum/archive")]
-    urls = [
-        "https://site1.example/forum/archive/old",   # specific rule
-        "https://site2.example/forum/archive/old",   # global /forum/
-        "https://site1.example/shop/x",              # global /shop/
-        "https://site1.example/blog/y",              # allowed
-        "https://site1.example",                     # bare host -> "/"
-    ]
-    ds = ray.data.from_arrow(pa.table({"url": pa.array(urls)}))
-    got = {r["url"]: r for r in
-           robots_annotate(ds, rules).take_all()}
-    assert got[urls[0]]["blocked_by"] == "site1.example:/forum/archive"
-    assert got[urls[1]]["blocked_by"] == "*:/forum/"
-    assert got[urls[2]]["blocked_by"] == "*:/shop/"
-    assert got[urls[3]]["blocked_by"] is None and got[urls[3]]["allowed"]
-    assert got[urls[4]]["path"] == "/" and got[urls[4]]["allowed"]

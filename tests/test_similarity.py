@@ -5,7 +5,7 @@ import pyarrow as pa
 
 import ray.data
 
-from docling_graph_ray.stages.similarity import brute_force_topk, lsh_bucket_topk
+from docling_graph_ray.stages.similarity import brute_force_topk
 
 N, D, K = 200, 32, 5
 
@@ -41,46 +41,6 @@ def test_brute_force_matches_numpy(ray_session):
     assert got[0] == 7  # self is nearest
 
 
-def test_lsh_topk_contains_self_and_subsets_brute(ray_session):
-    embs, t = _data()
-    q = embs[11].astype(np.float64)
-    exact = set(_numpy_topk(embs, q, K))
-    out = lsh_bucket_topk(
-        ray.data.from_arrow(t), q[None, :], k=K, query_ids=[0], n_planes=6
-    ).take_all()
-    got = {r["vec_id"] for r in out}
-    assert 11 in got
-    # approximate: at least the query itself plus some overlap with exact
-    assert len(got & exact) >= 2
-
-
-def test_ivf_topk_recall_and_determinism(ray_session):
-    """IVF with generous probing recovers most of the exact top-k and is
-    deterministic run-to-run."""
-    from docling_graph_ray.stages.similarity import ivf_topk
-
-    embs, t = _data()
-    queries = embs[[3, 50, 101]].astype(np.float64)
-    qids = [0, 1, 2]
-    approx = ivf_topk(ray.data.from_arrow(t), queries, k=K, query_ids=qids,
-                      n_centroids=8, n_probe=6).to_pandas()
-    num = den = 0
-    for j, qid in enumerate(qids):
-        exact = set(_numpy_topk(embs, queries[j], K))
-        got = set(approx[approx["query_id"] == qid]["vec_id"])
-        num += len(exact & got)
-        den += K
-    assert num / den >= 0.6
-    # self must be found (it lives in the query's own nearest list)
-    assert 3 in set(approx[approx["query_id"] == 0]["vec_id"])
-
-    again = ivf_topk(ray.data.from_arrow(t), queries, k=K, query_ids=qids,
-                     n_centroids=8, n_probe=6).to_pandas()
-    key = ["query_id", "vec_id"]
-    assert approx.sort_values(key).reset_index(drop=True).equals(
-        again.sort_values(key).reset_index(drop=True))
-
-
 def test_kmeans_fit_assign(ray_session):
     import numpy as np
     import pyarrow as pa
@@ -108,240 +68,3 @@ def test_kmeans_fit_assign(ray_session):
     # determinism: same input, same codebook
     cent2 = kmeans_fit(ds, k=2, iters=5)
     assert np.allclose(cent, cent2)
-
-
-def test_pca_matches_dense_numpy(ray_session):
-    import numpy as np
-    import pyarrow as pa
-
-    import ray.data
-    from docling_graph_ray.stages.similarity import pca_fit, pca_project
-
-    rng = np.random.default_rng(7)
-    # anisotropic cloud so the spectrum is well separated
-    base = rng.normal(size=(400, 8)) * np.array([10, 6, 3, 1, 0.5, 0.2, 0.1, 0.05])
-    rot = np.linalg.qr(rng.normal(size=(8, 8)))[0]
-    X = base @ rot
-    t = pa.table({
-        "vec_id": pa.array(np.arange(400), pa.int64()),
-        "embedding": pa.array(X.tolist()),
-    })
-    ds = ray.data.from_arrow(t).repartition(8)
-    comps, evar, mean = pca_fit(ds, emb_col="embedding", q=4)
-
-    # dense reference
-    mu = X.mean(axis=0)
-    cov = (X - mu).T @ (X - mu) / len(X)
-    evals, evecs = np.linalg.eigh(cov)
-    order = np.argsort(evals)[::-1][:4]
-    ref = evecs[:, order].T
-    ref = ref * np.sign(ref[np.arange(4), np.abs(ref).argmax(axis=1)])[:, None]
-
-    assert np.allclose(mean, mu, atol=1e-9)
-    assert np.allclose(evar, evals[order], atol=1e-9)
-    assert np.allclose(comps, ref, atol=1e-8)
-
-    # projection: matches dense, invariant to block count
-    proj = (
-        pca_project(ds, comps, mean)
-        .to_pandas().sort_values("vec_id")["proj"]
-    )
-    P = np.stack(proj.to_numpy())
-    assert np.allclose(P, np.round((X - mu) @ ref.T, 9), atol=1e-8)
-    # explained variance ordering
-    assert (np.diff(evar) <= 1e-12).all()
-
-
-def test_pca_survives_empty_blocks_and_large_offset(ray_session):
-    import numpy as np
-    import pyarrow as pa
-    import pytest
-
-    import ray.data
-    from docling_graph_ray.stages.similarity import pca_fit
-
-    rng = np.random.default_rng(3)
-    # tiny variance on a huge common offset: the one-pass formula
-    # cancels catastrophically, the pilot-shifted moments must not
-    X = rng.normal(scale=1e-3, size=(100, 6)) + 1e3
-    t = pa.table({
-        "vec_id": pa.array(np.arange(100), pa.int64()),
-        "embedding": pa.array(X.tolist()),
-    })
-    # repartition far beyond the row count forces zero-row blocks
-    ds = ray.data.from_arrow(t).repartition(64)
-    comps, evar, mean = pca_fit(ds, emb_col="embedding", q=3)
-    assert np.allclose(mean, X.mean(axis=0), atol=1e-9)
-    assert (evar > 0).all() and (evar < 1e-4).all()
-    mu = X.mean(axis=0)
-    ref_evals = np.linalg.eigvalsh((X - mu).T @ (X - mu) / len(X))[::-1][:3]
-    assert np.allclose(evar, ref_evals, rtol=1e-6)
-
-    empty = ray.data.from_arrow(t.slice(0, 0))
-    with pytest.raises(ValueError, match="empty"):
-        pca_fit(empty, emb_col="embedding", q=2)
-
-
-def test_cluster_outliers_matches_bruteforce(ray_session):
-    """Planted far-from-centroid vectors must rank first, and the
-    distributed partial-bottom-k must equal a sequential recompute."""
-    import pyarrow as pa
-
-    from docling_graph_ray.stages.similarity import (
-        _normalize,
-        cluster_outliers,
-        kmeans_assign,
-        kmeans_fit,
-    )
-
-    rng = np.random.default_rng(11)
-    # two tight clusters + planted stragglers halfway between
-    a = rng.normal(0, 0.05, (40, 8)) + np.r_[np.ones(4), np.zeros(4)]
-    b = rng.normal(0, 0.05, (40, 8)) + np.r_[np.zeros(4), np.ones(4)]
-    stragglers = rng.normal(0, 0.05, (4, 8)) + 0.5
-    X = np.vstack([a, b, stragglers])
-    ds = ray.data.from_arrow(pa.table({
-        "vec_id": pa.array(range(len(X)), pa.int64()),
-        "embedding": pa.array([r.tolist() for r in X],
-                              pa.list_(pa.float64())),
-    }))
-    cent = kmeans_fit(ds, k=2, iters=5)
-    out = cluster_outliers(ds, cent, k=5).take_all()
-    assert len(out) == 10  # 5 per cluster
-    # sequential recompute from the same assignment pass
-    rows = kmeans_assign(ds, cent).take_all()
-    ref = {}
-    for c in (0, 1):
-        grp = sorted(((r["sim"], r["vec_id"]) for r in rows
-                      if r["cluster"] == c))
-        ref[c] = [(v, i + 1) for i, (_, v) in enumerate(grp[:5])]
-    got = {c: sorted(((r["vec_id"], r["outlier_rank"])
-                      for r in out if r["cluster"] == c),
-                     key=lambda t: t[1]) for c in (0, 1)}
-    assert got == ref
-    # every planted straggler appears among the outliers
-    flagged = {r["vec_id"] for r in out}
-    assert set(range(80, 84)) <= flagged
-
-
-# ---------------------------------------------------------------------------
-# product quantization
-
-
-def test_pq_codebooks_and_adc_match_numpy(ray_session):
-    from docling_graph_ray.stages.similarity import (
-        pq_adc_topk,
-        pq_train_codebooks,
-    )
-
-    rng = np.random.Generator(np.random.PCG64(7))
-    n, d, m, k_codes = 240, 32, 4, 16
-    X = rng.standard_normal((n, d)).astype(np.float32)
-    ds = ray.data.from_arrow(pa.table({
-        "vec_id": pa.array(range(n), pa.int64()),
-        "embedding": pa.array([r.tolist() for r in X], pa.list_(pa.float32())),
-    }))
-    cb = pq_train_codebooks(ds, m=m, n_codes=k_codes, iters=3)
-    assert cb.shape == (m, k_codes, d // m)
-    # determinism: same input -> identical codebooks
-    cb2 = pq_train_codebooks(ds, m=m, n_codes=k_codes, iters=3)
-    assert np.array_equal(cb, cb2)
-
-    q = np.asarray(X[:2], dtype=np.float64)
-    out = pq_adc_topk(ds, q, cb, k=5, query_ids=[0, 1]).take_all()
-    assert len(out) == 10
-
-    # sequential ADC recompute
-    Xf = np.asarray(X, dtype=np.float64).reshape(n, m, d // m)
-    codes = np.empty((n, m), dtype=np.int64)
-    for s in range(m):
-        dist = ((Xf[:, s, None, :] - cb[s][None, :, :]) ** 2).sum(-1)
-        codes[:, s] = dist.argmin(axis=1)
-    qs = q.reshape(2, m, d // m)
-    lut = np.einsum("jms,mcs->jmc", qs, cb)
-    adc = lut[:, np.arange(m)[None, :], codes].sum(axis=2)
-    for j in (0, 1):
-        r = np.round(adc[j], 6)
-        order = np.lexsort((np.arange(n), -r))[:5]
-        got = sorted(((row["vec_id"], row["adc"]) for row in out
-                      if row["query_id"] == j),
-                     key=lambda t: (-t[1], t[0]))
-        want = [(int(i), float(r[i])) for i in order]
-        assert got == want
-
-
-def test_pq_topk_approximates_exact(ray_session):
-    """On clusterable data the PQ top-k must recall most of the exact
-    inner-product top-k (the operator's reason to exist)."""
-    from docling_graph_ray.stages.similarity import (
-        pq_adc_topk,
-        pq_train_codebooks,
-    )
-
-    rng = np.random.Generator(np.random.PCG64(11))
-    # 4 tight clusters => subspace structure PQ can capture
-    centers = rng.standard_normal((4, 32)) * 3
-    X = np.concatenate([
-        centers[i] + 0.05 * rng.standard_normal((60, 32)) for i in range(4)
-    ]).astype(np.float32)
-    n = len(X)
-    ds = ray.data.from_arrow(pa.table({
-        "vec_id": pa.array(range(n), pa.int64()),
-        "embedding": pa.array([r.tolist() for r in X], pa.list_(pa.float32())),
-    }))
-    cb = pq_train_codebooks(ds, m=4, n_codes=16, iters=5)
-    q = np.asarray(X[:1], dtype=np.float64)
-    got = {r["vec_id"] for r in
-           pq_adc_topk(ds, q, cb, k=10, query_ids=[0]).take_all()}
-    # within the query's tight cluster the IPs are near-ties that
-    # quantization deliberately collapses, so rank WITHIN the cluster is
-    # not preserved — the guarantee is cluster-level: every returned
-    # neighbor comes from the query's own cluster (ids 0..59), whose ADC
-    # dominates the cross-cluster ones
-    assert len(got) == 10 and got <= set(range(60))
-
-
-def test_ivfpq_matches_sequential_recompute(ray_session):
-    from docling_graph_ray.stages.similarity import ivfpq_topk, ivfpq_train
-
-    rng = np.random.Generator(np.random.PCG64(13))
-    n, d, m, L = 300, 32, 4, 8
-    X = rng.standard_normal((n, d)).astype(np.float32)
-    ds = ray.data.from_arrow(pa.table({
-        "vec_id": pa.array(range(n), pa.int64()),
-        "embedding": pa.array([r.tolist() for r in X], pa.list_(pa.float32())),
-    }))
-    coarse, cb = ivfpq_train(ds, n_lists=L, m=m, n_codes=16, iters=3)
-    assert coarse.shape == (L, d) and cb.shape == (m, 16, d // m)
-
-    q = np.asarray(X[:2], dtype=np.float64)
-    n_probe = 3
-    out = ivfpq_topk(ds, q, coarse, cb, k=5, n_probe=n_probe,
-                     query_ids=[0, 1]).take_all()
-
-    # sequential recompute
-    Xf = np.asarray(X, dtype=np.float64)
-    dist = ((Xf[:, None, :] - coarse[None, :, :]) ** 2).sum(-1)
-    lst = dist.argmin(axis=1)
-    r = (Xf - coarse[lst]).reshape(n, m, d // m)
-    codes = np.empty((n, m), dtype=np.int64)
-    for s in range(m):
-        dd = ((r[:, s, None, :] - cb[s][None, :, :]) ** 2).sum(-1)
-        codes[:, s] = dd.argmin(axis=1)
-    qd = ((q[:, None, :] - coarse[None, :, :]) ** 2).sum(-1)
-    probe = np.argsort(qd, axis=1, kind="stable")[:, :n_probe]
-    qc = q @ coarse.T
-    lut = np.einsum("jms,mcs->jmc", q.reshape(2, m, d // m), cb)
-    for j in (0, 1):
-        sel = np.flatnonzero(np.isin(lst, probe[j]))
-        adc = qc[j, lst[sel]] + lut[
-            j, np.arange(m)[None, :], codes[sel]].sum(axis=1)
-        rr = np.round(adc, 6)
-        order = np.lexsort((sel, -rr))[:5]
-        want = [(int(sel[i]), float(rr[i])) for i in order]
-        got = sorted(((row["vec_id"], row["adc"]) for row in out
-                      if row["query_id"] == j),
-                     key=lambda t: (-t[1], t[0]))
-        assert got == want
-        # every returned neighbor lives in a probed list
-        assert all(lst[v] in probe[j] for v, _ in got)

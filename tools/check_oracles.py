@@ -1,6 +1,8 @@
 """Local replica of the driver's correctness gate: run every ``queries()``
 entry and its ``oracle_sql()`` twin at a given sf, compare row count,
-sorted-column schema and order-insensitive value hash.  Usage:
+sorted-column schema and order-insensitive value hash.  Each OK/FAIL line
+ends with the Ray side's 16-hex value hash, so the outputs of two
+revisions can be diffed to show which query results changed.  Usage:
 
     python tools/check_oracles.py [sf_dir] [query ...]
 """
@@ -71,16 +73,17 @@ def main() -> int:
         odf = con.sql(sqls[name]).df()
         ok_rows = len(rdf) == len(odf)
         ok_schema = sorted(rdf.columns) == sorted(odf.columns)
-        ok_hash = ok_schema and value_hash(rdf) == value_hash(odf)
+        rhash = value_hash(rdf)
+        ok_hash = ok_schema and rhash == value_hash(odf)
         status = "OK   " if (ok_rows and ok_schema and ok_hash) else "FAIL "
         print(
             f"{status} {name}: rows {len(rdf)}/{len(odf)} "
-            f"schema={'Y' if ok_schema else 'N'} hash={'Y' if ok_hash else 'N'}"
+            f"schema={'Y' if ok_schema else 'N'} hash={'Y' if ok_hash else 'N'} "
+            f"value={rhash}"
         )
         if status.startswith("FAIL"):
             failures.append(name)
             if ok_schema and not ok_hash:
-                merged = rdf[sorted(rdf.columns)].round(6) if True else rdf
                 print("  ray head:\n", rdf.sort_values(sorted(rdf.columns)[0]).head(3))
                 print("  sql head:\n", odf.sort_values(sorted(odf.columns)[0]).head(3))
             elif not ok_schema:
