@@ -16,13 +16,9 @@ import json
 import re
 
 from docling_graph_ray.stages.geometry import normalize_bbox
+from docling_graph_ray.stages.html_extract import normalize_ws
 
-_WS_RE = re.compile(r"\s+")
 _XML_TAG_RE = re.compile(r"<[^>]*>")
-
-
-def _norm(s: str) -> str:
-    return _WS_RE.sub(" ", s).strip()
 
 
 def _prov_bbox(p0: dict, page_heights: dict[int, float]) -> list[int] | None:
@@ -96,7 +92,7 @@ def extract_doc_json(raw: bytes) -> dict:
         if not isinstance(item, dict):
             dropped += 1
             continue
-        text = _norm(str(item.get("text") or ""))
+        text = normalize_ws(str(item.get("text") or ""))
         if not text:
             dropped += 1
             continue
@@ -145,7 +141,7 @@ def extract_doclang(raw: bytes) -> dict:
     last_tag = "doclang"
     cursor = 0
     for m in _XML_TAG_RE.finditer(xml):
-        seg = _unescape_dclg(_norm(xml[cursor:m.start()]))
+        seg = _unescape_dclg(normalize_ws(xml[cursor:m.start()]))
         if seg:
             if parts:
                 pos += 2
@@ -164,7 +160,7 @@ def extract_doclang(raw: bytes) -> dict:
         if name and not tag.startswith("</"):
             last_tag = name.group(1).lower()
         cursor = m.end()
-    tail = _unescape_dclg(_norm(xml[cursor:]))
+    tail = _unescape_dclg(normalize_ws(xml[cursor:]))
     if tail:
         if parts:
             pos += 2

@@ -137,12 +137,18 @@ _PATH_TAGS = frozenset("body article section main table ul ol nav aside header f
 _HEADINGS = frozenset(("h1", "h2", "h3", "h4", "h5", "h6"))
 _VOID_TAGS = frozenset("br hr img meta link input area base col embed source track wbr".split())
 
-_WS_RE = re.compile(r"\s+")
-# anything that would make _WS_RE.sub(" ", text) non-identity: a run of 2+
-# whitespace chars, or any whitespace that is not a plain space.  search()
-# stops at the first hit, so clean text pays one C scan instead of a
-# full sub() rebuild (the single hottest line in the extract profile).
-_WS_ODD_RE = re.compile(r"\s\s|[^\S ]")
+
+def normalize_ws(text: str) -> str:
+    """Collapse every whitespace run to one space and strip the ends.
+
+    Equal to ``re.sub(r"\\s+", " ", text).strip()`` for every code point
+    (``re``'s ``\\s`` is ``str.isspace()``, the set ``split`` and ``strip``
+    use; tested exhaustively).  Clean text -- no double space and no
+    non-printable character, and U+0020 is the only printable whitespace
+    -- needs only ``strip``; both branches run at C speed."""
+    if "  " not in text and text.isprintable():
+        return text.strip()
+    return " ".join(text.split())
 
 
 class _Block:
@@ -336,10 +342,7 @@ def parse_blocks(html_text: str, engine: str = "fast") -> list[dict]:
     out = []
     for b in p.blocks:
         joined = "".join(b.parts)
-        if _WS_ODD_RE.search(joined):
-            text = _WS_RE.sub(" ", joined).strip()
-        else:
-            text = joined.strip()
+        text = normalize_ws(joined)
         if not text:
             continue
         out.append(

@@ -667,8 +667,12 @@ def bpe_train(ds, *, text_col: str = "text", merges: int = 20):
     for rank in range(merges):
         from docling_graph_ray.stages.bucketing import bucketed_aggregate
 
+        # materialized so bucketed_aggregate's schema() reads block
+        # metadata: on a lazy dataset it runs a limit(1) job whose task
+        # cancellation has aborted the driver inside Ray 2.49
+        # (reference_count.cc:581 check failure)
         agg = bucketed_aggregate(
-            words.map_batches(pair_partial, batch_format="pyarrow"),
+            words.map_batches(pair_partial, batch_format="pyarrow").materialize(),
             ["left", "right"], [("c", "sum")],
             rename=["left", "right", "c"], combine=True,
         ).to_pandas()  # distinct adjacent pairs: vocabulary-sized

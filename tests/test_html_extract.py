@@ -1,6 +1,8 @@
 """Unit tests for the HTML block extractor (SURVEY.md §5.2 item 1)."""
 
 import gzip
+import re
+import sys
 
 import pyarrow as pa
 
@@ -8,6 +10,7 @@ from docling_graph_ray.stages.html_extract import (
     decode_html,
     extract_batch,
     extract_html_doc,
+    normalize_ws,
     parse_blocks,
 )
 
@@ -176,6 +179,10 @@ def test_fast_scanner_equivalence():
             )
 
 
+def _ws_reference(s: str) -> str:
+    return re.sub(r"\s+", " ", s).strip()
+
+
 def test_fast_scanner_edge_cases():
     from docling_graph_ray.stages.html_extract import parse_blocks
 
@@ -194,8 +201,34 @@ def test_fast_scanner_edge_cases():
         "<STYLE>.a{color:red}</STYLE><p>after upper style</p>",
         "<style>.b{}</ STYLE><p>spaced close</p>",
         "<script>never closed<p>rest is raw</p>",
+        # whitespace: each case runs normalize_ws's clean (strip only) or
+        # collapsing (split/join) branch in both engines
+        "<p>  clean text, padded ends  </p>",
+        "<p>line one\nline two\r\n\n   indented</p>",
+        "<p>tab\tseparated\tcells</p>",
+        "<p>double  space</p>",
+        "<p>entity&nbsp;nbsp and raw\xa0nbsp</p>",
+        "<p>line\u2028separator</p>",
+        "<p>file\x1cseparator</p>",
+        "<p>zero\u200bwidth space</p>",   # not printable, not whitespace
     ]
     for html in cases:
-        assert parse_blocks(html, engine="fast") == parse_blocks(
-            html, engine="stdlib"
-        ), html
+        blocks = parse_blocks(html, engine="fast")
+        assert blocks == parse_blocks(html, engine="stdlib"), html
+        for b in blocks:
+            assert b["text"] == _ws_reference(b["text"]), html
+    assert [b["text"] for b in parse_blocks(
+        "<p>a\u2028b\x1c c\xa0 d\u200b\te</p>")] == ["a b c d\u200b e"]
+
+
+def test_normalize_ws_matches_regex_on_every_code_point():
+    """normalize_ws == the regex collapse for every code point, alone,
+    between letters, between spaces and doubled -- so both of its
+    branches agree with ``\\s`` on what whitespace is."""
+    bad = []
+    for cp in range(sys.maxunicode + 1):
+        c = chr(cp)
+        for s in (f"a{c}b", c, f" {c} ", f"{c}{c}x "):
+            if normalize_ws(s) != _ws_reference(s):
+                bad.append((hex(cp), s))
+    assert not bad, bad[:10]
