@@ -179,7 +179,9 @@ class ExtractActor(PdfParseActor):
         langs = batch.column("lang")
         parts = batch.column("part_id")
         lanes = batch.column("lane").to_pylist()
-        texts = batch.column("text").to_pylist()
+        # the crawler text is only the fallback of a failed row: read it
+        # per failed row, never as a whole column of Python strings
+        texts = batch.column("text")
 
         def new_acc():
             return {
@@ -229,7 +231,7 @@ class ExtractActor(PdfParseActor):
         acc = new_acc()
         consumed = 0
         html_views = iter_binary_views(batch.column("html"))
-        for i, (raw, fb, lane) in enumerate(zip(html_views, texts, lanes)):
+        for i, (raw, lane) in enumerate(zip(html_views, lanes)):
             acc["idx"].append(i)
             if lane == "pdf":
                 # the PDF codec's object scan does many bytes ops; one
@@ -271,10 +273,10 @@ class ExtractActor(PdfParseActor):
                 elif b"<doclang" in head[:256].lower():
                     r = extract_doclang(bytes(body))
                 else:
-                    r = extract_html_doc(body, fb)
+                    r = extract_html_doc(body, None)
                 if capped and r["parse_status"] == "ok":
                     r["parse_status"] = "salvaged"
-                if r["parse_status"] == "failed" and fb:
+                if r["parse_status"] == "failed" and (fb := texts[i].as_py()):
                     r = {"extracted_text": fb,
                          "spans": [{"span_id": 0, "start": 0, "end": len(fb),
                                     "kind": "fallback", "path": "text",

@@ -1,12 +1,12 @@
 """Deterministic HTML main-content extraction with char-offset spans.
 
-The flagship per-batch operator (SURVEY.md §7.1-7.2).  A single-pass
-regex-scanner block model (with stdlib ``html.parser`` as the verified
-reference engine): the page is decomposed into text blocks
-at block-level tag boundaries; each block carries text length, link-char
-count, inline-tag count and a boilerplate-scope flag; a
-boilerpipe/trafilatura-style classifier (text density + link density +
-neighbor smoothing) keeps content blocks and drops chrome.
+The flagship per-batch operator (SURVEY.md §7.1-7.2).  Each page is
+tokenized by one ``re.split`` (stdlib ``html.parser`` is the verified
+reference tokenizer, emitting the same token list) and one loop turns the
+tokens into text blocks at block-level tag boundaries; each block carries
+text length, link-char count, inline-tag count and a boilerplate-scope
+flag; a boilerpipe/trafilatura-style classifier (text density + link
+density + neighbor smoothing) keeps content blocks and drops chrome.
 
 Analogue of the reference's chunk/span machinery: blocks ≙ chunks with
 metadata (reference: docling_graph/core/extractors/document_processor.py:
@@ -135,7 +135,6 @@ _BOILER_TAGS = frozenset("nav aside footer header form".split())
 # containers recorded in the span path
 _PATH_TAGS = frozenset("body article section main table ul ol nav aside header footer".split())
 _HEADINGS = frozenset(("h1", "h2", "h3", "h4", "h5", "h6"))
-_VOID_TAGS = frozenset("br hr img meta link input area base col embed source track wbr".split())
 
 
 def normalize_ws(text: str) -> str:
@@ -151,212 +150,231 @@ def normalize_ws(text: str) -> str:
     return " ".join(text.split())
 
 
-class _Block:
-    __slots__ = ("parts", "link_chars", "n_tags", "tag_class", "boiler", "path")
+# ---------------------------------------------------------------------------
+# tokenizers: page -> flat token list [data, end_name, start_name, data, ...]
+#
+# Both engines emit the same flat list and feed the same block-building
+# loop (_build_blocks), so the block model exists once.  The fast engine is
+# one C-level re.split per page: HTMLParser spends most of its time in its
+# own per-token Python machinery (parse_starttag / goahead), and so did a
+# finditer scanner that made one match object and one method call per
+# token.  The stdlib engine records HTMLParser's callbacks into the same
+# list and is the verified reference (test_fast_scanner_equivalence).
 
-    def __init__(self, tag_class: str, boiler: bool, path: str) -> None:
-        self.parts: list[str] = []
-        self.link_chars = 0
-        self.n_tags = 0
-        self.tag_class = tag_class
-        self.boiler = boiler
-        self.path = path
+_NAME_CHAR = r"[a-zA-Z0-9:_.-]"
+# quote-aware attribute run: '>' inside a quoted value does not end the
+# tag.  Possessive is exact here: a quote only ever opens a quoted run and
+# [^>"'] never consumes '>', so backtracking could not find another match.
+_ATTRS = r"""(?:[^>"']++|"[^"]*+"|'[^']*+')*+"""
+# the same run cut into stdlib's attribute items, so that a final '/' is
+# told apart: '/>' self-closes unless the '/' ends an unquoted value
+# (<img src=x/> is a plain start tag, <img src="x"/> is start-end)
+_SELF_CLOSE_ATTRS = r"""(?:\s++|"[^"]*+"|'[^']*+'|[^\s>"'=/]++|/(?!>)|=\s*+[^\s>"']*+)*+"""
 
 
-class _BlockParser(HTMLParser):
-    """Streams the document into a flat list of text blocks."""
+def _rawtext(name: str) -> str:
+    """A raw-text element as ONE token: the open tag (name in any ASCII
+    case), then content up to the first close tag of the same name, matched
+    case-insensitively as stdlib's set_cdata_mode does, through its '>' --
+    or the rest of the page when unterminated (stdlib's
+    CDATA_CONTENT_ELEMENTS).  Captures nothing: skipping it leaves the
+    block state as it was."""
+    open_name = "".join(f"[{c}{c.upper()}]" for c in name)
+    return (
+        rf"<{open_name}(?!{_NAME_CHAR}){_ATTRS}>"
+        rf"[^<]*+(?:<(?!/\s*(?i:{name}))[^<]*+)*+"
+        rf"(?:</\s*(?i:{name})[^>]*+>?)?"
+    )
+
+
+def _token_re(self_close: bool) -> re.Pattern:
+    return re.compile(
+        r"<!--.*?(?:-->|\Z)"                                  # comments
+        r"|<!\[CDATA\[.*?(?:\]\]>|\Z)"                        # cdata
+        r"|<[!?][^>]*+>"                                      # doctype / PI
+        rf"|</\s*+([a-zA-Z]{_NAME_CHAR}*+)[^>]*+>"            # 1: end tag
+        # start-end tags are no-ops (stdlib's handle_startendtag) except
+        # <br/> and <hr/>, which flush exactly as their start tags do
+        + (rf"|<(?![bBhH][rR](?!{_NAME_CHAR}))[a-zA-Z]{_NAME_CHAR}*+"
+           rf"{_SELF_CLOSE_ATTRS}/>" if self_close else "")
+        + rf"|{_rawtext('script')}|{_rawtext('style')}"
+        rf"|<([a-zA-Z]{_NAME_CHAR}*+){_ATTRS}>",              # 2: start tag
+        re.DOTALL,
+    )
+
+
+_TOKEN_RE = _token_re(self_close=True)
+# a page without '/>' cannot match the start-end alternative, and trying
+# it on every start tag costs a third of the split
+_TOKEN_RE_NO_SELF_CLOSE = _token_re(self_close=False)
+
+
+def _split_tokens(html_text: str) -> list:
+    """The fast tokenizer: one ``re.split`` (from C: data slots, end names
+    and start names interleaved), character references resolved per data
+    slot, and a closing empty tag slot so the list is whole triples."""
+    token_re = _TOKEN_RE if "/>" in html_text else _TOKEN_RE_NO_SELF_CLOSE
+    toks = token_re.split(html_text)
+    if "&" in html_text:
+        for i in range(0, len(toks), 3):
+            data = toks[i]
+            if "&" in data:
+                toks[i] = unescape(data)
+    toks += (None, None)
+    return toks
+
+
+class _TokenRecorder(HTMLParser):
+    """The stdlib tokenizer: HTMLParser's callbacks recorded as the same
+    ``(data, end_name, start_name)`` triples (data arrives unescaped,
+    ``convert_charrefs=True``)."""
 
     def __init__(self) -> None:
         super().__init__(convert_charrefs=True)
-        self.blocks: list[_Block] = []
-        self._cur: _Block | None = None
-        self._skip_depth = 0
-        self._boiler_depth = 0
-        self._a_depth = 0
-        self._path_stack: list[str] = []
-        self._cur_tag = "body"
-
-    # -- block lifecycle ----------------------------------------------------
-    def _flush(self) -> None:
-        b = self._cur
-        if b is not None and b.parts:
-            self.blocks.append(b)
-        self._cur = None
-
-    def _block(self) -> _Block:
-        if self._cur is None:
-            self._cur = _Block(
-                self._cur_tag,
-                self._boiler_depth > 0,
-                "/".join(self._path_stack) or "body",
-            )
-        return self._cur
-
-    # -- parser callbacks ---------------------------------------------------
-    def handle_starttag(self, tag: str, attrs) -> None:
-        if tag in _SKIP_TAGS:
-            if tag not in _VOID_TAGS:
-                self._skip_depth += 1
-            return
-        if tag in _BLOCK_TAGS:
-            self._flush()
-            if tag not in ("br", "hr"):
-                self._cur_tag = tag
-            if tag in _BOILER_TAGS:
-                self._boiler_depth += 1
-            if tag in _PATH_TAGS:
-                self._path_stack.append(tag)
-        else:
-            if self._cur is not None:
-                self._cur.n_tags += 1
-            if tag == "a":
-                self._a_depth += 1
-
-    def handle_endtag(self, tag: str) -> None:
-        if tag in _SKIP_TAGS:
-            if tag not in _VOID_TAGS and self._skip_depth > 0:
-                self._skip_depth -= 1
-            return
-        if tag in _BLOCK_TAGS:
-            self._flush()
-            if tag in _BOILER_TAGS and self._boiler_depth > 0:
-                self._boiler_depth -= 1
-            if tag in _PATH_TAGS and self._path_stack and self._path_stack[-1] == tag:
-                self._path_stack.pop()
-            self._cur_tag = self._path_stack[-1] if self._path_stack else "body"
-        elif tag == "a" and self._a_depth > 0:
-            self._a_depth -= 1
-
-    def handle_startendtag(self, tag: str, attrs) -> None:
-        if tag in ("br", "hr"):
-            self._flush()
+        self.toks: list = []
 
     def handle_data(self, data: str) -> None:
-        if self._skip_depth > 0 or not data:
-            return
-        if data.isspace():  # blank-test without the strip() allocation
-            return
-        b = self._block()
-        b.parts.append(data)
-        if self._a_depth > 0:
-            b.link_chars += len(data)
+        self.toks += (data, None, None)
 
-    def close(self) -> None:
-        super().close()
-        self._flush()
+    def handle_starttag(self, tag: str, attrs) -> None:
+        self.toks += ("", None, tag)
+
+    def handle_endtag(self, tag: str) -> None:
+        self.toks += ("", tag, None)
+
+    def handle_startendtag(self, tag: str, attrs) -> None:
+        if tag in ("br", "hr"):  # the only start-end tags with an effect
+            self.toks += ("", None, tag)
 
 
 # ---------------------------------------------------------------------------
-# fast scanner: one compiled-regex pass instead of stdlib HTMLParser
-#
-# HTMLParser spends >80% of parse time in its own tokenizer machinery
-# (parse_starttag / goahead / updatepos — measured with cProfile on the
-# bench corpus); this scanner drives the SAME _BlockParser callbacks from
-# a single re.finditer pass, quote-aware for '>' inside attribute values,
-# with script/style content skipped via a direct str.find to the closing
-# tag.  Verified block-identical to HTMLParser across the full fixture
-# corpus (test_fast_scanner_equivalence).
+# block model: one fused loop over the token triples
 
-_SCAN_RE = re.compile(
-    r"<!--.*?(?:-->|\Z)"                                  # comments
-    r"|<!\[CDATA\[.*?(?:\]\]>|\Z)"                        # cdata
-    r"|<[!?][^>]*>"                                       # doctype / PI
-    r"|</\s*([a-zA-Z][a-zA-Z0-9:_.-]*)[^>]*>"             # end tag
-    r"|<([a-zA-Z][a-zA-Z0-9:_.-]*)"                       # start tag name
-    r"((?:[^>\"']|\"[^\"]*\"|'[^']*')*)"                  # attrs (quote-aware)
-    r"(/?)>",
-    re.DOTALL,
-)
-_AMP_RE = re.compile(r"&")
-
-# raw-text elements: content runs to the literal close tag, not parsed
-# (exactly stdlib html.parser's CDATA_CONTENT_ELEMENTS).  The close tag is
-# matched case-insensitively, mirroring stdlib's set_cdata_mode — a
-# '</SCRIPT>' in legacy HTML must terminate a '<script>' block.
-_RAWTEXT = ("script", "style")
-_RAWTEXT_CLOSE = {t: re.compile(r"</\s*" + t, re.IGNORECASE) for t in _RAWTEXT}
+_INLINE, _ANCHOR, _SKIP, _FLOW = range(4)
+# lower-case tag name -> (action, name); any other tag is inline
+_TAG_ACTION = {
+    **{t: (_SKIP, t) for t in _SKIP_TAGS},
+    **{t: (_FLOW, t) for t in _BLOCK_TAGS},
+    "a": (_ANCHOR, "a"),
+}
+_INLINE_ACTION = (_INLINE, "")
 
 
-def _scan_feed(p: _BlockParser, s: str) -> None:
-    """Drive _BlockParser's callbacks from one finditer pass."""
-    pos = 0
-    n = len(s)
-    find = _SCAN_RE.finditer
-    while pos < n:
-        last = pos
-        restart = None
-        for m in find(s, pos):
-            start = m.start()
-            if start > last:
-                data = s[last:start]
-                if "&" in data:
-                    data = unescape(data)
-                p.handle_data(data)
-            end_name, start_name, _attrs, selfclose = m.groups()
-            if start_name is not None:
-                tag = start_name.lower()
-                if selfclose:
-                    p.handle_startendtag(tag, [])
-                else:
-                    p.handle_starttag(tag, [])
-                    if tag in _RAWTEXT:
-                        # skip raw content to the matching close tag
-                        cm = _RAWTEXT_CLOSE[tag].search(s, m.end())
-                        close = cm.start() if cm else -1
-                        if close < 0:
-                            p.handle_endtag(tag)   # unterminated: drop rest
-                            last = n
-                            restart = n
-                            break
-                        gt = s.find(">", close)
-                        p.handle_endtag(tag)
-                        restart = (gt + 1) if gt >= 0 else n
-                        last = restart
-                        break
-            elif end_name is not None:
-                p.handle_endtag(end_name.lower())
-            last = m.end()
+def _learn(actions: dict, name: str) -> tuple[int, str]:
+    """Cache miss: look a tag name up as written, lower-cased once."""
+    act = actions[name] = _TAG_ACTION.get(name.lower(), _INLINE_ACTION)
+    return act
+
+
+def _emit(out, parts, link_chars, n_tags, tag_class, boiler, path) -> None:
+    """Close a block: append its dict unless its text is blank."""
+    joined = "".join(parts)
+    text = normalize_ws(joined)
+    if text:
+        out.append({
+            "text": text,
+            "len": len(text),
+            "link_chars": min(link_chars, len(joined)),
+            "n_tags": n_tags,
+            "tag_class": tag_class,
+            "boiler": boiler,
+            "path": path,
+        })
+
+
+def _build_blocks(toks: list) -> list[dict]:
+    """Token triples → normalized block dicts (whitespace-collapsed text).
+
+    The page is cut into text blocks at block-level tag boundaries; each
+    block records its text, link-char count, inline-tag count, the block
+    tag it opened under, whether it sits inside page chrome, and its
+    container path.  Content inside skip tags is invisible; whitespace-only
+    data adds nothing.  The open block's state lives in locals."""
+    out: list[dict] = []
+    parts: list[str] = []     # open block's text (empty: no open block)
+    add = parts.append
+    link_chars = n_tags = 0
+    tag_class, boiler, path = "body", False, "body"
+    skip_depth = boiler_depth = a_depth = 0
+    stack: list[str] = []     # open _PATH_TAGS containers
+    cur_tag = "body"          # class a block opened now would get
+    actions: dict = {}        # tag name as written -> _TAG_ACTION entry
+    it = iter(toks)
+    for data, end, start in zip(it, it, it):
+        if data and not skip_depth and not data.isspace():
+            if not parts:
+                tag_class = cur_tag
+                boiler = boiler_depth > 0
+                path = "/".join(stack) or "body"
+                link_chars = n_tags = 0
+            add(data)
+            if a_depth:
+                link_chars += len(data)
+        if start is not None:
+            kind, tag = actions.get(start) or _learn(actions, start)
+            if kind == _ANCHOR:
+                if parts:
+                    n_tags += 1
+                a_depth += 1
+                continue
+            if kind == _INLINE:
+                if parts:
+                    n_tags += 1
+                continue
+            if kind == _SKIP:
+                skip_depth += 1
+                continue
+        elif end is not None:
+            kind, tag = actions.get(end) or _learn(actions, end)
+            if kind == _ANCHOR:
+                if a_depth:
+                    a_depth -= 1
+                continue
+            if kind == _INLINE:
+                continue
+            if kind == _SKIP:
+                if skip_depth:
+                    skip_depth -= 1
+                continue
         else:
-            if last < n:
-                data = s[last:]
-                if "&" in data:
-                    data = unescape(data)
-                p.handle_data(data)
-            return
-        pos = restart if restart is not None else n
+            continue
+        # a block tag: close the open block ...
+        if parts:
+            _emit(out, parts, link_chars, n_tags, tag_class, boiler, path)
+            parts.clear()
+        # ... then track the containers it opens or closes
+        if start is not None:
+            if tag != "br" and tag != "hr":
+                cur_tag = tag
+            if tag in _BOILER_TAGS:
+                boiler_depth += 1
+            if tag in _PATH_TAGS:
+                stack.append(tag)
+        else:
+            if tag in _BOILER_TAGS and boiler_depth:
+                boiler_depth -= 1
+            if tag in _PATH_TAGS and stack and stack[-1] == tag:
+                stack.pop()
+            cur_tag = stack[-1] if stack else "body"
+    if parts:
+        _emit(out, parts, link_chars, n_tags, tag_class, boiler, path)
+    return out
 
 
 def parse_blocks(html_text: str, engine: str = "fast") -> list[dict]:
     """Parse → list of normalized block dicts (whitespace-collapsed text).
 
-    ``engine='fast'`` uses the single-pass regex scanner; ``'stdlib'``
-    uses html.parser — both drive the same block model and produce
-    identical blocks (equivalence-tested)."""
-    p = _BlockParser()
+    ``engine='fast'`` tokenizes with one ``re.split``; ``'stdlib'`` with
+    html.parser.  Both feed the same block loop and produce identical
+    blocks (equivalence-tested)."""
     if engine == "fast":
-        _scan_feed(p, html_text)
-        p._flush()
+        toks = _split_tokens(html_text)
     else:
+        p = _TokenRecorder()
         p.feed(html_text)
         p.close()
-    out = []
-    for b in p.blocks:
-        joined = "".join(b.parts)
-        text = normalize_ws(joined)
-        if not text:
-            continue
-        out.append(
-            {
-                "text": text,
-                "len": len(text),
-                "link_chars": min(b.link_chars, len(joined)),
-                "n_tags": b.n_tags,
-                "tag_class": b.tag_class,
-                "boiler": b.boiler,
-                "path": b.path,
-            }
-        )
-    return out
+        toks = p.toks
+    return _build_blocks(toks)
 
 
 # ---------------------------------------------------------------------------

@@ -103,6 +103,42 @@ def test_giant_parse_cap_downgrades_to_salvaged():
     assert rows["giant"]["extracted_text"]  # but is not empty
 
 
+def test_fallback_text_read_only_for_failed_rows():
+    """The actor reads the crawler ``text`` only for a row that failed to
+    parse; its rows equal the golden kernel's (``extract_batch``, which
+    hands every row's text to ``extract_html_doc``), fallback rows too."""
+    import datetime
+    import gzip
+
+    import pyarrow as pa_
+
+    from docling_graph_ray.pipelines.extract import ExtractActor
+    from docling_graph_ray.stages.html_extract import extract_batch
+
+    good = gzip.compress(b"<html><body><article><p>" + b"kept words " * 20
+                         + b"</p></article></body></html>")
+    corrupt = b"\x1f\x8b\x00\x00 not a gzip stream"
+    batch = pa_.table({
+        "url": ["corrupt-fb", "corrupt-nofb", "good", "corrupt-giant"],
+        "warc_ts": pa_.array([datetime.datetime(2024, 1, 1)] * 4,
+                             pa_.timestamp("us")),
+        "lang": ["en"] * 4,
+        "html": pa_.array([corrupt, corrupt, good, corrupt], pa_.binary()),
+        "text": ["crawler fallback text", "", "unused text", "giant fallback"],
+        "lane": ["html", "html", "html", "html_giant"],
+        "part_id": pa_.array([0] * 4, pa_.int32()),
+    })
+    out = pa_.concat_tables(list(ExtractActor()(batch))).drop_columns(["part_id"])
+    assert out.to_pylist() == extract_batch(batch).to_pylist()
+    rows = {r["url"]: r for r in out.to_pylist()}
+    assert rows["corrupt-fb"]["parse_status"] == "fallback_text"
+    assert rows["corrupt-fb"]["extracted_text"] == "crawler fallback text"
+    assert rows["corrupt-fb"]["spans"][0]["kind"] == "fallback"
+    assert rows["corrupt-nofb"]["parse_status"] == "failed"
+    assert rows["good"]["parse_status"] == "ok"
+    assert rows["corrupt-giant"]["extracted_text"] == "giant fallback"
+
+
 def test_shuffle_payload_codec_roundtrip():
     import pyarrow as pa
 

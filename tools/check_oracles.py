@@ -45,6 +45,12 @@ def main() -> int:
     sf_dir = sys.argv[1] if len(sys.argv) > 1 else "/root/testdata/sf0.001"
     only = set(sys.argv[2:])
 
+    # Ray's driver prints raylet warnings (e.g. "N PYTHON worker processes
+    # have been started", a different N per run) to sys.stdout from a
+    # background thread, whatever log_to_driver says; send everything but
+    # the result lines to stderr, so that two revisions' outputs diff clean
+    out, sys.stdout = sys.stdout, sys.stderr
+
     import ray
 
     if not ray.is_initialized():
@@ -64,11 +70,11 @@ def main() -> int:
         try:
             rdf = to_pandas(fn(sf_dir))
         except Exception as ex:  # noqa: BLE001
-            print(f"FAIL  {name}: ray error: {type(ex).__name__}: {ex}")
+            print(f"FAIL  {name}: ray error: {type(ex).__name__}: {ex}", file=out)
             failures.append(name)
             continue
         if name not in sqls:
-            print(f"rows  {name}: {len(rdf)} rows (no oracle)")
+            print(f"rows  {name}: {len(rdf)} rows (no oracle)", file=out)
             continue
         odf = con.sql(sqls[name]).df()
         ok_rows = len(rdf) == len(odf)
@@ -79,17 +85,18 @@ def main() -> int:
         print(
             f"{status} {name}: rows {len(rdf)}/{len(odf)} "
             f"schema={'Y' if ok_schema else 'N'} hash={'Y' if ok_hash else 'N'} "
-            f"value={rhash}"
+            f"value={rhash}",
+            file=out,
         )
         if status.startswith("FAIL"):
             failures.append(name)
             if ok_schema and not ok_hash:
-                print("  ray head:\n", rdf.sort_values(sorted(rdf.columns)[0]).head(3))
-                print("  sql head:\n", odf.sort_values(sorted(odf.columns)[0]).head(3))
+                print("  ray head:\n", rdf.sort_values(sorted(rdf.columns)[0]).head(3), file=out)
+                print("  sql head:\n", odf.sort_values(sorted(odf.columns)[0]).head(3), file=out)
             elif not ok_schema:
-                print("  ray cols:", sorted(rdf.columns))
-                print("  sql cols:", sorted(odf.columns))
-    print("failures:", failures or "none")
+                print("  ray cols:", sorted(rdf.columns), file=out)
+                print("  sql cols:", sorted(odf.columns), file=out)
+    print("failures:", failures or "none", file=out)
     return 1 if failures else 0
 
 
