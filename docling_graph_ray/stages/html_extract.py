@@ -163,13 +163,13 @@ def normalize_ws(text: str) -> str:
 
 _NAME_CHAR = r"[a-zA-Z0-9:_.-]"
 # quote-aware attribute run: '>' inside a quoted value does not end the
-# tag.  Possessive is exact here: a quote only ever opens a quoted run and
-# [^>"'] never consumes '>', so backtracking could not find another match.
-_ATTRS = r"""(?:[^>"']++|"[^"]*+"|'[^']*+')*+"""
-# the same run cut into stdlib's attribute items, so that a final '/' is
-# told apart: '/>' self-closes unless the '/' ends an unquoted value
-# (<img src=x/> is a plain start tag, <img src="x"/> is start-end)
-_SELF_CLOSE_ATTRS = r"""(?:\s++|"[^"]*+"|'[^']*+'|[^\s>"'=/]++|/(?!>)|=\s*+[^\s>"']*+)*+"""
+# tag.  It stops before a final '/>' unless that '/' ends an unquoted value,
+# as stdlib's attribute grammar does (<img src=x/> is a plain start tag,
+# <img src="x"/> is start-end).  Possessive throughout, as stdlib scans: a
+# quote only ever opens a quoted run, no item consumes '>', and a value
+# after '=' takes its spaces and its unquoted characters whole.
+_ATTRS = (r"""(?:[^>"'=/]++|=\s*+(?:"[^"]*+"|'[^']*+'|[^\s>"']*+)"""
+          r"""|"[^"]*+"|'[^']*+'|/(?!>))*+""")
 
 
 def _rawtext(name: str) -> str:
@@ -187,34 +187,26 @@ def _rawtext(name: str) -> str:
     )
 
 
-def _token_re(self_close: bool) -> re.Pattern:
-    return re.compile(
-        r"<!--.*?(?:-->|\Z)"                                  # comments
-        r"|<!\[CDATA\[.*?(?:\]\]>|\Z)"                        # cdata
-        r"|<[!?][^>]*+>"                                      # doctype / PI
-        rf"|</\s*+([a-zA-Z]{_NAME_CHAR}*+)[^>]*+>"            # 1: end tag
-        # start-end tags are no-ops (stdlib's handle_startendtag) except
-        # <br/> and <hr/>, which flush exactly as their start tags do
-        + (rf"|<(?![bBhH][rR](?!{_NAME_CHAR}))[a-zA-Z]{_NAME_CHAR}*+"
-           rf"{_SELF_CLOSE_ATTRS}/>" if self_close else "")
-        + rf"|{_rawtext('script')}|{_rawtext('style')}"
-        rf"|<([a-zA-Z]{_NAME_CHAR}*+){_ATTRS}>",              # 2: start tag
-        re.DOTALL,
-    )
-
-
-_TOKEN_RE = _token_re(self_close=True)
-# a page without '/>' cannot match the start-end alternative, and trying
-# it on every start tag costs a third of the split
-_TOKEN_RE_NO_SELF_CLOSE = _token_re(self_close=False)
+_TOKEN_RE = re.compile(
+    r"<!--.*?(?:-->|\Z)"                                  # comments
+    r"|<!\[CDATA\[.*?(?:\]\]>|\Z)"                        # cdata
+    r"|<[!?][^>]*+>"                                      # doctype / PI
+    rf"|</\s*+([a-zA-Z]{_NAME_CHAR}*+)[^>]*+>"            # 1: end tag
+    rf"|{_rawtext('script')}|{_rawtext('style')}"
+    # 2: start tag; <br/> and <hr/> are start tags too (they flush as
+    # <br> does), checked by a look-behind at the name just matched
+    rf"|<([a-zA-Z]{_NAME_CHAR}*+)(?:(?<=<[bBhH][rR]){_ATTRS}/?|{_ATTRS})>"
+    # any other start-end tag is a no-op (stdlib's handle_startendtag)
+    rf"|<[a-zA-Z]{_NAME_CHAR}*+{_ATTRS}/>",
+    re.DOTALL,
+)
 
 
 def _split_tokens(html_text: str) -> list:
     """The fast tokenizer: one ``re.split`` (from C: data slots, end names
     and start names interleaved), character references resolved per data
     slot, and a closing empty tag slot so the list is whole triples."""
-    token_re = _TOKEN_RE if "/>" in html_text else _TOKEN_RE_NO_SELF_CLOSE
-    toks = token_re.split(html_text)
+    toks = _TOKEN_RE.split(html_text)
     if "&" in html_text:
         for i in range(0, len(toks), 3):
             data = toks[i]
@@ -260,12 +252,6 @@ _TAG_ACTION = {
 _INLINE_ACTION = (_INLINE, "")
 
 
-def _learn(actions: dict, name: str) -> tuple[int, str]:
-    """Cache miss: look a tag name up as written, lower-cased once."""
-    act = actions[name] = _TAG_ACTION.get(name.lower(), _INLINE_ACTION)
-    return act
-
-
 def _emit(out, parts, link_chars, n_tags, tag_class, boiler, path) -> None:
     """Close a block: append its dict unless its text is blank."""
     joined = "".join(parts)
@@ -298,7 +284,6 @@ def _build_blocks(toks: list) -> list[dict]:
     skip_depth = boiler_depth = a_depth = 0
     stack: list[str] = []     # open _PATH_TAGS containers
     cur_tag = "body"          # class a block opened now would get
-    actions: dict = {}        # tag name as written -> _TAG_ACTION entry
     it = iter(toks)
     for data, end, start in zip(it, it, it):
         if data and not skip_depth and not data.isspace():
@@ -311,7 +296,7 @@ def _build_blocks(toks: list) -> list[dict]:
             if a_depth:
                 link_chars += len(data)
         if start is not None:
-            kind, tag = actions.get(start) or _learn(actions, start)
+            kind, tag = _TAG_ACTION.get(start.lower(), _INLINE_ACTION)
             if kind == _ANCHOR:
                 if parts:
                     n_tags += 1
@@ -325,7 +310,7 @@ def _build_blocks(toks: list) -> list[dict]:
                 skip_depth += 1
                 continue
         elif end is not None:
-            kind, tag = actions.get(end) or _learn(actions, end)
+            kind, tag = _TAG_ACTION.get(end.lower(), _INLINE_ACTION)
             if kind == _ANCHOR:
                 if a_depth:
                     a_depth -= 1

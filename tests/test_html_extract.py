@@ -434,3 +434,44 @@ def test_split_tokenizer_matches_frozen_scanner_fuzz():
         if parse_blocks(s) != _ref_parse_blocks(s):
             bad.append(s)
     assert not bad, (len(bad), bad[:5])
+
+
+# XHTML-style tag pieces: names (block, skip, inline, br/hr in any case,
+# raw-text), attributes with quoted and unquoted values, '/' in every
+# position, and the tag ends '>', '/>', ' />', '/ >'.  Left out: an
+# attribute name that starts with '=' and a quote inside an unquoted value,
+# where the fast tokenizer's attribute run differs from stdlib's
+# (<p =x/> and <p k=a"b/>).
+_SC_NAMES = "p div li br hr BR Hr nav article img input a b span script style title".split()
+_SC_ATTRS = [" k", " k=v", ' k="v w"', " k='v'", " k=/v/", ' k = "a/>b"',
+             " k=v/", "/", " /", " k= v", " disabled"]
+_SC_ENDS = [">", "/>", " />", "/ >", "/>"]
+_SC_TEXT = ["some words", "x", " ", "\n", "&amp;", "\xa0", "more text here"]
+
+
+def _sc_piece(rng: random.Random) -> str:
+    r = rng.random()
+    if r < 0.55:
+        return ("<" + rng.choice(_SC_NAMES)
+                + "".join(rng.choices(_SC_ATTRS, k=rng.randint(0, 3)))
+                + rng.choice(_SC_ENDS))
+    if r < 0.8:
+        return "</" + rng.choice(_SC_NAMES) + ">"
+    return rng.choice(_SC_TEXT)
+
+
+def test_self_closing_tags_match_stdlib_fuzz():
+    """On 20,000 seeded strings of XHTML-style tags, each containing '/>',
+    the fast engine gives the same blocks as the stdlib engine: start-end
+    tags are no-ops except <br/> and <hr/>, and a '/' that ends an
+    unquoted value does not self-close."""
+    rng = random.Random(20261019)
+    checked, bad = 0, []
+    while checked < 20_000:
+        s = "".join(_sc_piece(rng) for _ in range(rng.randint(1, 12)))
+        if "/>" not in s:
+            continue
+        checked += 1
+        if parse_blocks(s) != parse_blocks(s, engine="stdlib"):
+            bad.append(s)
+    assert not bad, (len(bad), bad[:5])
