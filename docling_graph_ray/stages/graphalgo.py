@@ -233,10 +233,11 @@ def pagerank(edges, *, src_col: str = "src", dst_col: str = "dst",
     if n_total == 0:
         return ray.data.from_arrow(rank_schema.empty_table())
 
+    pair_schema = pa.schema([("a", pa.int64()), ("b", pa.int64())])
+
     def pairs(b: pa.Table) -> pa.Table:
         if b.num_rows == 0 or src_col not in b.schema.names:
-            return pa.schema([("a", pa.int64()),
-                              ("b", pa.int64())]).empty_table()
+            return pair_schema.empty_table()
         return pa.table({"a": b.column(src_col).cast(pa.int64()),
                          "b": b.column(dst_col).cast(pa.int64())})
 
@@ -277,10 +278,16 @@ def pagerank(edges, *, src_col: str = "src", dst_col: str = "dst",
     base = (1.0 - damping) / n_total
     for round_idx in range(iters):
         round_t0 = time.monotonic()
+        # left schemas given, and the contributions materialized: a lazy
+        # Dataset.schema() runs a job and cancels its unfinished tasks, and
+        # that cancellation can abort the driver inside Ray (task_manager /
+        # reference_count CHECK failures)
         with_rank = lookup_join(
             lookup_join(epairs, ranks, on="a", key_col="node",
-                        value_cols=["rank"]),
+                        value_cols=["rank"], out_schema=pair_schema),
             degrees, on="a", key_col="node", value_cols=["deg"],
+            out_schema=pa.schema(list(pair_schema)
+                                 + [("rank", pa.float64())]),
         )
 
         contrib_schema = pa.schema([("node", pa.int64()),
@@ -300,7 +307,8 @@ def pagerank(edges, *, src_col: str = "src", dst_col: str = "dst",
         # round_barrier severs stats ancestry too — see lineage.py
         inflow = round_barrier(
             bucketed_aggregate(
-                with_rank.map_batches(contribs, batch_format="pyarrow"),
+                with_rank.map_batches(contribs,
+                                      batch_format="pyarrow").materialize(),
                 ["node"], [("m", "sum")],
                 rename=["node", "m"], combine=True,
             ),
