@@ -2,16 +2,18 @@
 
 Ray-Data-first shape (SURVEY.md §7) — a LINEAR chain, one source scan:
 
-    read/generate pages (url, warc_ts, html, text, lang)
+    read pages, one task per Parquet file   (url, warc_ts, html, text, lang)
       → classify: lane + part_id                      (cheap, vectorized)
-      → map_batches(ExtractActor, concurrency=(cpus, cpus))
-          - ONE warm-actor pool does all per-row extraction: HTML rows
-            (any size) decode → parse → score → text+spans, giant rows
-            handled by generator sub-batch yields; PDF/binary rows parsed
-            with the once-per-actor warm parser state (__init__)
-          - upstream task stages (read/gen + classify) FUSE into this
-            pool, so the pool size — derived from ray.cluster_resources()
-            at build time — IS the pipeline's parallelism
+      → map_batches(ExtractActor stage)               (plain task UDF)
+          - read, classify and extract are all task UDFs, so Ray FUSES
+            them into one operator,
+            ReadParquet->MapBatches(classify)->MapBatches(ExtractActor):
+            each task reads a file, classifies it and extracts it
+          - the parser (ExtractActor) is built inside that task once per
+            block and called on 32-row windows: HTML rows (any size)
+            decode → parse → score → text+spans, giant rows handled by
+            sub-batch yields; PDF/binary rows parsed with the parser's
+            warm state (__init__)
       → groupby(part_id).map_groups(PartitionFinalizer)   # the ONE shuffle
           - latest-wins url dedup (url-hash partitioning makes it global)
           - per-partition lineage + metrics
@@ -21,24 +23,30 @@ Design notes for 100 TB:
 - the chain is linear on purpose: a filter-branch union (one branch per
   lane) re-executes the whole upstream once PER BRANCH in Ray Data's plan
   (no common-subplan caching), i.e. it re-reads the 100 TB source three
-  times.  Handling both content kinds inside one actor stage keeps the
-  source scan single-pass; measurements also showed that routing the full
-  stream through a separate small "finisher" actor pool throttles the
-  task stages (the streaming executor reserves resources per operator),
-  so the single fused pool is both simpler and faster;
+  times.  Handling both content kinds inside one stage keeps the source
+  scan single-pass;
+- the extract stage is fused into the read rather than run as an actor
+  pool behind it: a pool paid actor start (a fresh worker imports
+  ray.data, ~0.5 s), shipped every block's raw html and crawler text
+  through the object store, where the read's small output budget let the
+  giant-bearing blocks out one at a time, and held its CPUs until the
+  stream ended, so the finalizer ran on the one CPU left.  The fused task
+  runs on warm task workers and only the compressed extracted text
+  leaves it;
 - the single wide op is the url-hash groupby, and the same key drives
   dedup, lineage, checkpoint layout and resume (SURVEY.md §7.4);
 - ``html`` is projected away inside the extract stage, so the shuffle
   moves extracted text only (§7.5);
 - ``num_partitions`` must scale with input size (each partition's group is
   held in one worker: target 100–500 MB of *output* per partition);
-- resume filters completed partitions out BEFORE the parse, so a resumed
-  run pays only for missing partitions.
+- resume filters completed partitions out of each window BEFORE the
+  parse, so a resumed run pays only for missing partitions.
 """
 
 from __future__ import annotations
 
 import zlib
+from collections.abc import Iterator
 
 import pyarrow as pa
 import pyarrow.compute as pc
@@ -106,12 +114,12 @@ def make_classifier(num_partitions: int, giant_bytes: int = DEFAULT_GIANT_BYTES)
 
 
 # ---------------------------------------------------------------------------
-# the extraction stage: ONE warm-actor pool for both content kinds
+# the extraction stage: one parser for both content kinds
 
 # EXTRACT_SCHEMA + the partition id that drives the downstream groupby
 _STAGE_SCHEMA = EXTRACT_SCHEMA.append(pa.field("part_id", pa.int32()))
 # codec variant: extracted_text rides as zlib large_binary (see
-# compress_shuffle_payload) — produced when the actor compresses at flush
+# compress_shuffle_payload) — produced when the parser compresses at flush
 _STAGE_SCHEMA_Z = pa.schema(
     [
         pa.field("extracted_text", pa.large_binary())
@@ -124,7 +132,6 @@ _STAGE_SCHEMA_Z = pa.schema(
 # yield an output sub-batch once this much input html has been consumed —
 # bounds task-output block latency/memory even when single rows are huge
 _SUB_BATCH_BYTES = 32 << 20
-_SUB_BATCH_ROWS = 512
 
 
 #: per-row parse budget for the ``html_giant`` lane: a single
@@ -137,12 +144,15 @@ GIANT_PARSE_CAP_BYTES = 8 << 20
 
 
 class ExtractActor(PdfParseActor):
-    """Generator ``map_batches`` actor: classified pages in, _STAGE_SCHEMA
+    """Generator batch parser: classified pages in, _STAGE_SCHEMA
     sub-batches out.
 
+    The flagship builds it inside the fused read task, once per input
+    block, and calls it on that block's 32-row windows (``_lanes``); the
+    name stays ``ExtractActor`` because the stage's operator takes it.
     Warm parser state (the PDF/layout stack stand-in) comes from
-    ``PdfParseActor.__init__`` — built once per actor, reused across
-    batches (reference analogue: DocumentProcessor's model stack,
+    ``PdfParseActor.__init__`` and is reused across the block's windows
+    (reference analogue: DocumentProcessor's model stack,
     docling_graph/core/extractors/document_processor.py:127-230).  HTML
     rows are stateless per-row work and run inline; giant rows are handled
     by sub-batch yields so a multi-MB row never holds a whole output block
@@ -153,22 +163,22 @@ class ExtractActor(PdfParseActor):
     def __init__(self, shuffle_codec: str | None = None,
                  ocr_backend: type | None = None) -> None:
         """``shuffle_codec="zlib"`` compresses ``extracted_text`` AT FLUSH,
-        inside the actor, so the uncompressed text never enters the object
-        store.  A separate compress ``map_batches`` stage downstream is NOT
-        equivalent at scale: once total uncompressed extract output exceeds
-        the object store, the executor's per-operator memory budgeting
-        wedges — the extract pool's output queue fills the store, the
-        compress stage that would drain it is denied submission by the same
-        exhausted budget, and the whole stream trickles (measured at 96k
-        bench rows / 32 cpus: 86-96 docs/s with every operator
-        backpressured and load ~1, vs ~860 docs/s at 48k where the
-        uncompressed output still fit)."""
+        inside the extract stage, so the uncompressed text never enters
+        the object store.  A separate compress ``map_batches`` stage
+        downstream is NOT equivalent at scale: once total uncompressed
+        extract output exceeds the object store, the executor's
+        per-operator memory budgeting wedges — the extract stage's output
+        queue fills the store, the compress stage that would drain it is
+        denied submission by the same exhausted budget, and the whole
+        stream trickles (measured at 96k bench rows / 32 cpus: 86-96
+        docs/s with every operator backpressured and load ~1, vs ~860
+        docs/s at 48k where the uncompressed output still fit)."""
         super().__init__()
         if shuffle_codec not in (None, "zlib"):
             raise ValueError(f"unknown shuffle_codec: {shuffle_codec!r}")
         self.shuffle_codec = shuffle_codec
         # ``ocr_backend`` is a CLASS (OcrBackend protocol) instantiated
-        # here so the OCR model loads once per actor alongside the warm
+        # here so the OCR model loads once per parser alongside the warm
         # parser stack — image_only rows route through it while the raw
         # bytes are still in hand (no second ship of the binary payload)
         self.ocr = ocr_backend() if ocr_backend is not None else None
@@ -290,7 +300,7 @@ class ExtractActor(PdfParseActor):
             acc["parse_status"].append(r["parse_status"])
             acc["bytes_in"].append(len(raw))
             consumed += len(raw)
-            if consumed >= _SUB_BATCH_BYTES or len(acc["idx"]) >= _SUB_BATCH_ROWS:
+            if consumed >= _SUB_BATCH_BYTES:
                 yield flush(acc)
                 acc, consumed = new_acc(), 0
         if acc["idx"]:
@@ -428,46 +438,17 @@ class PartitionFinalizer:
 # pipeline assembly
 
 
-def _auto_concurrency() -> tuple[int, int]:
-    """Size the extraction actor pool from the cluster, not a constant.
-
-    The upstream task stages (read + classify) fuse into this pool, so its
-    size IS the parallelism of the whole narrow pipeline.  A fixed cap
-    that is right for 8 CPUs starves 32 (SURVEY.md §7.5 p.6); derive it
-    from ``ray.cluster_resources()`` at build time.  min == max: a fixed
-    pool starts all actors immediately instead of paying autoscale ramp-up
-    on every execution.  cpus//8 (min 1) CPUs are left free so unfused
-    upstream task operators (the parquet read / decompression) and the
-    sort's map side are never starved by the pool — a full-cluster fixed
-    pool deadlocks the stream, and a 1-CPU allowance measurably throttles
-    the read at 16+ CPUs (measured: pool 14 of 16 beats 15 of 16 by
-    ~25% on the flagship bench)."""
-    import ray
-
-    try:
-        cpus = int(ray.cluster_resources().get("CPU", 8))
-    except Exception:
-        cpus = 8
-    # Clamp to cluster capacity minus the allowance: on a 1-2 CPU cluster
-    # max(2, ...) would request a pool that consumes (or exceeds) every
-    # CPU, leaving zero for the unfused read/sort operators — the exact
-    # full-cluster-fixed-pool stall described above.  Small clusters keep
-    # one free CPU and never request more actors than CPUs allow.
-    n = max(1, min(cpus - 1, cpus - max(1, cpus // 8)))
-    return (n, n)
-
-
 def _resolve_parser(parser_cls, shuffle_codec: str | None,
                     ocr_backend: type | None = None):
     """Duck-typed backend injection (the reference's
     ``PipelineConfig.llm_client`` protocol injection, config.py:161-165 +
-    protocols.py:239-283, re-expressed for the actor stage): a custom
+    protocols.py:239-283, re-expressed for the extract stage): a custom
     class slots in where ``ExtractActor`` goes, validated structurally
     WITHOUT instantiating on the driver (its ``__init__`` may load a
-    model stack).  ``ocr_backend`` (state.protocols.OcrBackend class) is
-    validated the same way and handed to the parser's constructor — each
-    actor instantiates it next to its warm parser state.  Returns
-    ``(cls, fn_constructor_kwargs)``."""
+    model stack) — it is constructed in the worker once per input block.
+    ``ocr_backend`` (state.protocols.OcrBackend class) is validated the
+    same way and handed to the parser's constructor, which instantiates
+    it next to its warm parser state.  Returns ``(cls, ctor_kwargs)``."""
     import inspect
 
     from docling_graph_ray.state.protocols import (
@@ -516,56 +497,74 @@ def _resolve_parser(parser_cls, shuffle_codec: str | None,
     return parser_cls, kwargs
 
 
-def _lanes(classified, pdf_concurrency, shuffle_codec: str | None = None,
-           parser_cls=None, ocr_backend: type | None = None):
-    """The extraction stage: one warm-actor pool, one pass, one parse per
-    row.  ``batch_size`` bounds per-call input (~64 rows × ~0.25 MB avg
-    html ≈ 8 MB on the heavy profile); small batches keep the task tail
-    short — one coarse straggler task can dominate the whole run."""
-    if pdf_concurrency is None:
-        pdf_concurrency = _auto_concurrency()
+#: rows per parser call — a window of giant rows yields its output before
+#: the next window is parsed, so one block never holds all its output
+_WINDOW_ROWS = 32
+
+
+def _lanes(classified, shuffle_codec: str | None = None, parser_cls=None,
+           ocr_backend: type | None = None, done: pa.Array | None = None):
+    """The extraction stage, one parse per row, as a plain task UDF: Ray
+    fuses it and the classify before it into the read, so one task reads,
+    classifies and extracts each input block, and raw html never enters
+    the object store.  No ``batch_size`` or ``concurrency`` is passed: in
+    Ray 2.49 either one blocks that fusion (a minimum bundle size below
+    the row-changing read; task pools of unequal size).
+
+    The parser is built in the worker once per block and called on
+    zero-copy ``_WINDOW_ROWS``-row slices of it; ``done`` (part ids
+    already committed, on resume) filters each window before its parse."""
     cls, ctor_kwargs = _resolve_parser(parser_cls, shuffle_codec, ocr_backend)
-    return classified.map_batches(
-        cls,
-        batch_format="pyarrow",
-        batch_size=32,
-        concurrency=pdf_concurrency,
-        fn_constructor_kwargs=ctor_kwargs,
-    )
+
+    def stage(block: pa.Table):
+        parser = cls(**ctor_kwargs)
+        for off in range(0, block.num_rows, _WINDOW_ROWS):
+            window = block.slice(off, _WINDOW_ROWS)
+            if done is not None:
+                window = window.filter(
+                    pc.invert(pc.is_in(window.column("part_id"), value_set=done))
+                )
+                if not window.num_rows:
+                    continue
+            out = parser(window)
+            if isinstance(out, Iterator):
+                yield from out
+            else:
+                yield out
+
+    # the operator is named after the UDF: MapBatches(ExtractActor)
+    stage.__name__ = cls.__name__
+    return classified.map_batches(stage, batch_format="pyarrow")
 
 
-def read_pages_parquet(path: str, *, target_block_bytes: int = 32 << 20):
-    """Read a pages Parquet directory with scale-aware block sizing.
+def read_pages_parquet(path: str):
+    """Read a pages Parquet directory as one read task per file.
 
-    Ray Data's default read planning targets ~200 blocks regardless of
-    input size, so a bench-scale input (tens of MB) fans into ~180 blocks
-    of a few dozen rows each and the downstream url-hash groupby becomes
-    an O(blocks²) tiny-object shuffle — measured 16.4 s vs 3.7 s for the
-    identical sf0.1 flagship run.  Sizing blocks as
-    ``max(cluster CPUs, bytes / 32 MB)`` keeps small inputs coalesced
-    (one block per CPU floor, so the actor pool still fills) while a
-    100 TB input still splits into ~3M natural 32 MB blocks — the
-    override never *caps* block count at scale, it only floors it.
+    One task per file lets the extract stage fuse into the read
+    (``_lanes``): a read planned with more blocks than files splits its
+    output (``SplitBlocks``), and a split read does not fuse.  It also
+    keeps small inputs coalesced: Ray's default planning targets ~200
+    blocks whatever the input size, so a bench-scale input fanned into
+    ~180 blocks of a few dozen rows and the url-hash groupby became an
+    O(blocks²) tiny-object shuffle (measured 16.4 s vs 3.7 s for the
+    identical sf0.1 flagship run).
 
     Falls back to Ray's default planning for non-local paths (no cheap
-    size probe) — at real scale the default is already right.
+    listing) and for a directory with no top-level ``.parquet`` file.
     """
-    import math
     import os
 
     import ray
 
     try:
-        total = sum(
-            e.stat().st_size
+        n_files = sum(
+            1
             for e in os.scandir(path)
             if e.is_file() and e.name.endswith(".parquet")
         )
     except OSError:
         return ray.data.read_parquet(path)
-    cpus = int(ray.cluster_resources().get("CPU", 8)) if ray.is_initialized() else 8
-    blocks = max(cpus, math.ceil(total / target_block_bytes))
-    return ray.data.read_parquet(path, override_num_blocks=blocks)
+    return ray.data.read_parquet(path, override_num_blocks=n_files or None)
 
 
 def extract_pages_dataset(
@@ -573,7 +572,6 @@ def extract_pages_dataset(
     *,
     num_partitions: int = 16,
     giant_bytes: int = DEFAULT_GIANT_BYTES,
-    pdf_concurrency=None,
     shuffle_codec: str | None = None,
     parser_cls=None,
     ocr_backend: type | None = None,
@@ -591,8 +589,7 @@ def extract_pages_dataset(
     classified = pages.map_batches(
         make_classifier(num_partitions, giant_bytes), batch_format="pyarrow"
     )
-    return _lanes(classified, pdf_concurrency, shuffle_codec, parser_cls,
-                  ocr_backend)
+    return _lanes(classified, shuffle_codec, parser_cls, ocr_backend)
 
 
 def run_extract_pipeline(
@@ -601,7 +598,6 @@ def run_extract_pipeline(
     out_dir: str | None = None,
     num_partitions: int = 16,
     giant_bytes: int = DEFAULT_GIANT_BYTES,
-    pdf_concurrency=None,
     resume: bool = True,
     shuffle_codec: str | None = "zlib",
     parser_cls=None,
@@ -613,26 +609,16 @@ def run_extract_pipeline(
     atomically inside the groupby; on a re-run with ``resume=True``,
     already-committed partitions are filtered out BEFORE the parse.
     ``shuffle_codec="zlib"`` (default) compresses the extracted-text
-    payload INSIDE the extract actor (see ``ExtractActor.__init__``), so
+    payload INSIDE the extract stage (see ``ExtractActor.__init__``), so
     the object store and the wide op only ever hold compressed text."""
     classified = pages.map_batches(
         make_classifier(num_partitions, giant_bytes), batch_format="pyarrow"
     )
-    if out_dir and resume:
-        done = completed_parts(out_dir)
-        if done:
-            done_arr = pa.array(sorted(done), pa.int32())
-
-            def _skip_done(batch: pa.Table) -> pa.Table:
-                mask = pc.invert(pc.is_in(batch.column("part_id"), value_set=done_arr))
-                return batch.filter(mask)
-
-            classified = classified.map_batches(_skip_done, batch_format="pyarrow")
-
+    done = completed_parts(out_dir) if out_dir and resume else None
     if shuffle_codec not in (None, "zlib"):
         raise ValueError(f"unknown shuffle_codec: {shuffle_codec!r}")
-    extracted = _lanes(classified, pdf_concurrency, shuffle_codec, parser_cls,
-                       ocr_backend)
+    extracted = _lanes(classified, shuffle_codec, parser_cls, ocr_backend,
+                       pa.array(sorted(done), pa.int32()) if done else None)
     finalizer = PartitionFinalizer(out_dir)
 
     def finalize_partition(group: pa.Table) -> pa.Table:

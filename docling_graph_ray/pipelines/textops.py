@@ -1917,7 +1917,7 @@ def pages_jsonl_flagship(sf_dir: str):
 
 def pages_curation(sf_dir: str):
     """Full web-to-training-set composite: synthetic crawl pages →
-    flagship HTML/PDF extraction (warm-actor pool) → language-ID →
+    flagship HTML/PDF extraction (fused into the read) → language-ID →
     corpus curation (Gopher gate → exact dedup → language temperature
     mix → split).  The end-to-end pipeline a user of this engine runs
     to turn a crawl into a training corpus; every stage streams, the

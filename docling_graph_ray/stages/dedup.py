@@ -33,6 +33,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from docling_graph_ray.stages.bucketing import bucketed_aggregate
+from docling_graph_ray.stages.text_analysis import explode_tokens
 
 _MERSENNE_PRIME = np.uint64((1 << 61) - 1)
 _MAX_HASH = np.uint64((1 << 32) - 1)
@@ -1104,8 +1105,6 @@ def intradoc_window_dedup_batch(*, text_col: str = "text",
                 "clean_text": pa.array([], pa.string()),
                 "n_dropped_windows": pa.array([], pa.int64()),
             })
-        from docling_graph_ray.stages.text_analysis import explode_tokens
-
         flat, doc_ix, counts = explode_tokens(text)
         starts = np.r_[0, np.cumsum(counts)[:-1]]
         pos = np.arange(len(flat)) - starts[doc_ix]

@@ -27,6 +27,9 @@ from typing import Any
 
 import pyarrow as pa
 
+from docling_graph_ray.functions.formatting import dumps_canonical
+from docling_graph_ray.functions.hashing import blake2b_hex
+
 FORMAT_MARKER = "docling-graph-ray/v1"
 
 
@@ -392,8 +395,6 @@ def export_documents_markdown(extracted, out_dir: str,
     os.makedirs(out_dir, exist_ok=True)
 
     def write_batch(batch: pa.Table) -> pa.Table:
-        from docling_graph_ray.functions.hashing import blake2b_hex
-
         urls = batch.column(url_col).to_pylist()
         texts = batch.column("extracted_text").to_pylist()
         spans = batch.column("spans").to_pylist()
@@ -478,8 +479,6 @@ def export_document(url: str, text: str, spans: list[dict], out_dir: str,
     ``{base}.md`` (human view), ``{base}.dclg`` (content+geometry
     interchange), optional per-page markdown under ``{base}_pages/``.
     Returns the artifact path map."""
-    from docling_graph_ray.functions.formatting import dumps_canonical
-
     os.makedirs(out_dir, exist_ok=True)
     spans = sorted(spans or [], key=lambda r: r["span_id"])
     paths: dict[str, Any] = {}
@@ -524,8 +523,6 @@ def export_documents(extracted, out_dir: str, *, url_col: str = "url",
     os.makedirs(out_dir, exist_ok=True)
 
     def write_batch(batch: pa.Table) -> pa.Table:
-        from docling_graph_ray.functions.hashing import blake2b_hex
-
         urls = batch.column(url_col).to_pylist()
         texts = batch.column("extracted_text").to_pylist()
         spans = batch.column("spans").to_pylist()

@@ -1,17 +1,16 @@
 """Cluster-derived actor-pool sizing for interior map_batches stages.
 
-The flagship extraction pool (`pipelines/extract.py:_auto_concurrency`)
-is FIXED (min == max) because the whole narrow pipeline fuses into it and
-autoscale ramp-up is paid on every run.  Interior stages (bigram scoring,
-BPE tokenize, media decode) are different: they sit downstream of a read
-and their input volume varies from a 64-row demo table to a corpus, so
-the pool AUTOSCALES — min 1 actor (a tiny input never pays a 32-actor
-spin-up, ~5-10 s at 32 CPUs) up to a cluster-derived max that no longer
-starves a 32-CPU cluster at a hardcoded 4 actors.
+The flagship extraction stage has no pool: it is a task fused into the
+Parquet read (`pipelines/extract.py:_lanes`).  Interior stages (bigram
+scoring, BPE tokenize, media decode) do use actor pools: they sit
+downstream of a read and their input volume varies from a 64-row demo
+table to a corpus, so the pool AUTOSCALES — min 1 actor (a tiny input
+never pays a 32-actor spin-up, ~5-10 s at 32 CPUs) up to a
+cluster-derived max that no longer starves a 32-CPU cluster at a
+hardcoded 4 actors.
 
-Same allowance rule as the flagship pool: leave cpus//8 (min 1) CPUs
-free so unfused upstream task operators (the parquet read) are never
-starved by a saturated pool."""
+The max leaves cpus//8 (min 1) CPUs free so unfused upstream task
+operators (the parquet read) are never starved by a saturated pool."""
 
 from __future__ import annotations
 

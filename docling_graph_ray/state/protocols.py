@@ -43,8 +43,9 @@ class DocumentParser(Protocol):
 class OcrBackend(Protocol):
     """An OCR recognizer for image-only (scanned) documents: raw
     document bytes in, recovered plain text out (None/"" = nothing
-    recovered).  The class is instantiated INSIDE each extraction actor
-    (warm model state, once per actor); ``recognize`` runs per
+    recovered).  The class is instantiated INSIDE the extraction parser,
+    in the worker (warm model state, once per parser: once per input
+    block in the flagship); ``recognize`` runs per
     image-only row — the reference's RapidOCR lane
     (docling_graph/core/extractors/document_processor.py:199-230) as a
     pluggable protocol.  This container has no OCR model; a real

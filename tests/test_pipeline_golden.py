@@ -181,7 +181,7 @@ def test_in_actor_codec_emits_compressed_blocks(ray_session):
                           ("zlib", pa.types.is_large_binary)):
         ds = extract_pages_dataset(
             pages_dataset(64, profile="t1"), num_partitions=4,
-            pdf_concurrency=(1, 1), shuffle_codec=codec,
+            shuffle_codec=codec,
         )
         assert expect(ds.schema().base_schema.field("extracted_text").type)
 
