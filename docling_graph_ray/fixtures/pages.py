@@ -221,9 +221,6 @@ def _build_html(
     return f'<!DOCTYPE html><html lang="{lang}">{head}{"".join(parts)}</html>'
 
 
-_CRLF_WS = None
-
-
 def _lossy_text(html: str) -> str:
     """Crawler-provided fallback text: naive tag strip + whitespace join."""
     import re
@@ -354,13 +351,6 @@ def pages_dataset(n: int, seed: int = 42, profile: str = "t2", override_num_bloc
     return ray.data.range(n, override_num_blocks=nb).map_batches(
         gen, batch_format="pyarrow", batch_size=64
     )
-
-
-def write_pages_parquet(path: str, n: int, seed: int = 42, profile: str = "t2") -> None:
-    """Eager single-process writer for small fixture files (tests)."""
-    import pyarrow.parquet as pq
-
-    pq.write_table(make_pages_table(list(range(n)), seed, profile), path)
 
 
 def pages_parquet_dir(n: int, seed: int = 42, profile: str = "t2") -> str:

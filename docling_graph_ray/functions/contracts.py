@@ -1,16 +1,12 @@
-"""Contract resolution + sparse-output detection — the per-document
-routing predicates.
+"""Contract resolution — the per-document routing predicate.
 
 Ports the reference's deterministic routing (reference:
 docling_graph/core/extractors/contracts/auto.py:31-132
 ``resolve_auto_contract`` — CHARS_PER_TOKEN=4, DIRECT_OVERFLOW_RATIO=1.0,
 direct iff input+budget fits the context AND content chars fit the
-output capacity) and the structured-output sparsity heuristic
-(docling_graph/core/extractors/backends/llm_backend.py:857-918 —
-non-empty leaf count / schema leaf count < 0.40 on docs >= 400 chars
-with >= 10 schema leafs).
+output capacity).
 
-In the Ray engine these are COLUMN predicates: ``resolve_contract_batch``
+In the Ray engine it is a COLUMN predicate: ``resolve_contract_batch``
 derives a ``contract`` column with pyarrow.compute so a dataset splits
 into direct/dense sub-pipelines with ``ds.filter`` — the size-bucketing
 rung of SURVEY.md §2.6 (the giant-HTML lane in pipelines/extract.py is
@@ -23,34 +19,6 @@ import pyarrow.compute as pc
 
 CHARS_PER_TOKEN = 4
 DIRECT_OVERFLOW_RATIO = 1.0
-SPARSE_MIN_CONTENT_CHARS = 400
-SPARSE_MIN_SCHEMA_LEAFS = 10
-SPARSE_RATIO = 0.40
-
-
-def resolve_contract(
-    *,
-    content_chars: int,
-    output_budget_tokens: int,
-    context_limit_tokens: int | None,
-    chunking_available: bool = True,
-) -> tuple[str, str, int]:
-    """(contract, reason, estimated_input_tokens) for ONE document —
-    scalar twin of the batch predicate, semantics of auto.py:66-132."""
-    est = max(1, content_chars // CHARS_PER_TOKEN)
-    if not chunking_available:
-        return "direct", "chunking disabled, dense unavailable", est
-    fits_context = (
-        context_limit_tokens is None
-        or est + output_budget_tokens <= context_limit_tokens
-    )
-    capacity = output_budget_tokens * CHARS_PER_TOKEN
-    fits_output = content_chars <= capacity * DIRECT_OVERFLOW_RATIO
-    if fits_context and fits_output:
-        return "direct", "document fits a single call", est
-    if not fits_context:
-        return "dense", "input would exceed the context window", est
-    return "dense", "document exceeds single-response capacity", est
 
 
 def resolve_contract_batch(
@@ -85,69 +53,3 @@ def resolve_contract_batch(
     return batch.append_column(
         "est_input_tokens", est
     ).append_column("contract", contract)
-
-
-def count_non_empty_values(value: object) -> int:
-    """Recursive non-empty leaf count (llm_backend.py:857-870)."""
-    if value is None:
-        return 0
-    if isinstance(value, str):
-        return 1 if value.strip() else 0
-    if isinstance(value, (int, float, bool)):
-        return 1
-    if isinstance(value, list):
-        return sum(count_non_empty_values(v) for v in value)
-    if isinstance(value, dict):
-        return sum(count_non_empty_values(v) for v in value.values())
-    return 1
-
-
-def count_schema_leaf_fields(schema: dict) -> int:
-    """Approximate JSON-Schema leaf-field count with $defs resolution
-    and a depth-6 recursion cap (llm_backend.py:872-905)."""
-    _defs = schema.get("$defs")
-    defs: dict = _defs if isinstance(_defs, dict) else {}
-
-    def resolve(node: dict) -> dict:
-        ref = node.get("$ref")
-        if isinstance(ref, str) and ref.startswith("#/$defs/"):
-            resolved = defs.get(ref.split("/")[-1])
-            if isinstance(resolved, dict):
-                return resolved
-        return node
-
-    def walk(node: dict, depth: int) -> int:
-        if depth > 6:
-            return 0
-        node = resolve(node)
-        props = node.get("properties") \
-            if isinstance(node.get("properties"), dict) else {}
-        if not props:
-            return 1
-        total = 0
-        for raw in props.values():
-            if not isinstance(raw, dict):
-                continue
-            item = resolve(raw)
-            if item.get("type") == "array" and isinstance(item.get("items"),
-                                                          dict):
-                total += walk(item["items"], depth + 1)
-            else:
-                total += walk(item, depth + 1)
-        return max(total, 1)
-
-    return walk(schema, 1)
-
-
-def is_sparse_result(parsed: dict | list, schema: dict,
-                     content_chars: int) -> bool:
-    """Under-extraction detector: on substantial documents with rich
-    schemas, a result filling < 40% of schema leafs flags a retry
-    (llm_backend.py:908-918).  In the Ray engine this is a per-row
-    quality predicate feeding metrics + a retry flag column."""
-    if content_chars < SPARSE_MIN_CONTENT_CHARS:
-        return False
-    schema_leafs = count_schema_leaf_fields(schema)
-    if schema_leafs < SPARSE_MIN_SCHEMA_LEAFS:
-        return False
-    return count_non_empty_values(parsed) / max(schema_leafs, 1) < SPARSE_RATIO

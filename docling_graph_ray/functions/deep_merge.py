@@ -40,8 +40,6 @@ from docling_graph_ray.functions.merging import merge_descriptions
 
 MERGE_SIMILARITY_THRESHOLD = 0.5
 
-_EMPTY = (None, "", [], {})
-
 
 def _is_empty(value: object) -> bool:
     return value is None or value == "" or value == [] or value == {}
@@ -223,45 +221,6 @@ def _merge_entity_lists(
                 merged.append(source_entity)
                 seen_hashes[s_hash] = source_entity
     return merged
-
-
-def record_path_catalog(records: list[dict] | dict) -> list[str]:
-    """Dotted paths of every nested entity location observed in
-    ``records`` — the data-derived analogue of the reference's
-    template-derived NodeCatalog paths (dense/catalog.py NodeCatalog;
-    a path exists wherever a value is a dict or a list of dicts).
-    Returns paths sorted ascending; '' (the root) is always present."""
-    if isinstance(records, dict):
-        records = [records]
-    paths: set[str] = {""}
-
-    def walk(value: object, path: str) -> None:
-        if isinstance(value, dict):
-            if path:
-                paths.add(path)
-            for k, v in value.items():
-                walk(v, f"{path}.{k}" if path else k)
-        elif isinstance(value, list):
-            for item in value:
-                if isinstance(item, dict):
-                    walk(item, path)
-
-    for r in records:
-        walk(r, "")
-    return sorted(paths)
-
-
-def bottom_up_path_order(paths: list[str]) -> list[str]:
-    """Paths deepest-first (depth = dotted segments; root '' last), ties
-    by path ascending for determinism — the fill/merge scheduling order
-    (dense/catalog.py:469-476 ``bottom_up_path_order``): children
-    consolidate before the parents that embed them, so a parent-level
-    merge never sees half-merged child lists."""
-
-    def depth(p: str) -> int:
-        return (p.count(".") + 1) if p else 0
-
-    return sorted(paths, key=lambda p: (-depth(p), p))
 
 
 def consolidate_records(records: list[dict], **kwargs) -> dict:

@@ -62,7 +62,7 @@ def template_schema_hash(id_fields_map: dict[str, list[str]],
 def stamp_graph_metadata(metadata: dict | None, *,
                          id_fields_map: dict[str, list[str]],
                          field_specs: dict | None = None) -> dict:
-    """Metadata dict for ``graph_to_dict``/``export_graph_json`` carrying
+    """Metadata dict for ``export_graph_json`` carrying
     the self-describing identity schema (graph_converter.py:279-294)."""
     out = dict(metadata or {})
     out["id_fields_map"] = {k: list(v) for k, v in sorted(id_fields_map.items())}

@@ -89,58 +89,3 @@ def merge_descriptions(descriptions: list[str], max_len: int = 2000) -> str:
             out.append(s)
             total += len(s) + (1 if len(out) > 1 else 0)
     return " ".join(out)
-
-
-def skolemize_collisions(
-    node_rows: list[dict], *, id_col: str = "node_id",
-    doc_col: str = "doc_id", conflict_fields: list[str] | None = None,
-) -> tuple[list[dict], list[dict]]:
-    """Cross-document collision guard: when the SAME node id arrives from
-    DIFFERENT documents with conflicting non-empty scalars, every
-    colliding row is renamed ``<id>__doc_<hash8>`` (suffix from its
-    document id) so distinct real-world entities never silently fold —
-    the reference's split-conflicting-collisions pass
-    (docling_graph/core/merge/merger.py:358-596, rename shape
-    ``id__doc_<hash8>``).
-
-    Returns (rows_out, collision_records); non-conflicting same-id rows
-    (agreeing or fillable) pass through unchanged for the normal fold."""
-    from collections import defaultdict
-
-    from docling_graph_ray.functions.hashing import blake2b_hex
-
-    by_id: dict[str, list[dict]] = defaultdict(list)
-    for r in node_rows:
-        by_id[r[id_col]].append(r)
-
-    watch = conflict_fields
-    out: list[dict] = []
-    records: list[dict] = []
-    for nid, rows in by_id.items():
-        docs = {r.get(doc_col) for r in rows}
-        conflict = False
-        if len(docs) > 1:
-            fields = watch if watch is not None else sorted(
-                {k for r in rows for k in r if k not in (id_col, doc_col)}
-            )
-            for f in fields:
-                vals = {r[f] for r in rows
-                        if not _is_empty(r.get(f))}
-                if len(vals) > 1:
-                    conflict = True
-                    records.append({
-                        "node_id": nid, "field": f,
-                        "values": sorted(str(v) for v in vals),
-                        "docs": sorted(str(d) for d in docs),
-                    })
-        if conflict:
-            for r in rows:
-                r2 = dict(r)
-                suffix = blake2b_hex(str(r.get(doc_col)), digest_size=4)
-                r2[id_col] = f"{nid}__doc_{suffix}"
-                out.append(r2)
-        else:
-            out.extend(rows)
-    out.sort(key=lambda r: (str(r[id_col]), str(r.get(doc_col))))
-    records.sort(key=lambda r: (r["node_id"], r["field"]))
-    return out, records

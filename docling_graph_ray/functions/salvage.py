@@ -200,60 +200,3 @@ def salvage_record(record: dict, schema: dict[str, dict]) -> tuple[dict, str]:
         out[field] = v
         status = _worse(status, st)
     return out, status
-
-
-# ---------------------------------------------------------------------------
-# deepest-first phantom-hub prune
-
-
-def _walk_instances(record: dict, segs: list[str], prefix: str = ""):
-    """Yield (parent_list, index, path_str) for every instance at the
-    list path ``a[].b[]…`` — used by the prune below."""
-    seg = segs[0]
-    assert seg.endswith("[]")
-    key = seg[:-2]
-    lst = record.get(key)
-    if not isinstance(lst, list):
-        return
-    for i, item in enumerate(lst):
-        if not isinstance(item, dict):
-            continue
-        path = f"{prefix}{key}[{i}]"
-        if len(segs) == 1:
-            yield lst, i, path
-        else:
-            yield from _walk_instances(item, segs[1:], path + ".")
-
-
-def prune_missing_identity(
-    record: dict, identity_spec: dict[str, list[str]],
-) -> tuple[dict, list[str]]:
-    """Drop nested instances that carry NO non-empty identity field — the
-    phantom-hub guard (reference: llm_backend.py
-    ``_drop_instances_missing_identity`` with deepest-first deletion
-    ordering, dense salvage pass 0).  A 'phantom hub' is an id-less
-    instance that would otherwise become a graph node aggregating
-    unrelated children.
-
-    ``identity_spec`` maps list paths (``'studies[]'``,
-    ``'studies[].experiments[]'``) to their required identity fields.
-    Deletion processes the DEEPEST paths first and, within one list,
-    descending indices — so removals never shift indices of deletions
-    still pending (the reference's exact ordering concern).
-
-    Returns ``(pruned_record, dropped_path_strings)``."""
-    out = json.loads(json.dumps(record))  # deep copy, JSON-typed
-    dropped: list[str] = []
-    for path in sorted(identity_spec, key=lambda p: (-p.count("[]"), p)):
-        id_fields = identity_spec[path]
-        hits = list(_walk_instances(out, path.split(".")))
-        for lst, i, pstr in sorted(hits, key=lambda h: h[1], reverse=True):
-            inst = lst[i]
-            if all(_is_empty_value(inst.get(f)) for f in id_fields):
-                del lst[i]
-                dropped.append(pstr)
-    return out, sorted(dropped)
-
-
-def _is_empty_value(v: Any) -> bool:
-    return v is None or v == "" or v == [] or v == {}

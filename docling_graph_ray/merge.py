@@ -38,7 +38,7 @@ _DOC_COL = "__doc__"
 def merge_graph_dicts(graphs: list[dict], *, strict: bool = True,
                       rekey: bool = True,
                       doc_ids: list[str] | None = None) -> tuple[dict, dict]:
-    """Merge canonical graph dicts (``graph_to_dict`` shape) left to
+    """Merge canonical graph dicts (``graph.json`` shape) left to
     right.  Returns ``(merged_graph_dict, merge_report)``."""
     if not graphs:
         raise ValueError("no input graphs")

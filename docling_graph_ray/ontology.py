@@ -317,7 +317,6 @@ _XSD_SCALARS = {
     "gYear": "int", "anyURI": "str",
 }
 
-_PREFIX_RE = re.compile(r"@prefix\s+([\w-]*):\s*<([^>]*)>\s*\.")
 _COMMENT_RE = re.compile(r"^\s*#.*$", re.MULTILINE)
 
 

@@ -36,8 +36,6 @@ import pyarrow as pa
 
 from docling_graph_ray.fixtures.pages import PAGES_SCHEMA
 
-_EPOCH = np.datetime64("1970-01-01T00:00:00", "us")
-
 
 def rows_to_jsonl_bytes(tbl: pa.Table) -> bytes:
     """Serialize a pages table to JSONL bytes (html → base64, ts → ISO)."""
@@ -96,13 +94,6 @@ def decode_jsonl_lines(lines) -> pa.Table:
         "text": pa.array(texts, pa.string()),
         "lang": pa.array(langs, pa.string()),
     }).cast(PAGES_SCHEMA)
-
-
-def decode_jsonl_batch(batch: pa.Table) -> pa.Table:
-    """map_batches UDF over a ``text`` line column (kept for callers
-    that already hold lines as a Dataset; the reader below fuses the
-    decode into the read task instead)."""
-    return decode_jsonl_lines(batch.column("text").to_pylist())
 
 
 _JSONL_SCHEMA = pa.schema([

@@ -43,18 +43,6 @@ _MAX_HASH = np.uint64((1 << 32) - 1)
 # exact dedup
 
 
-def exact_dedup(ds, key_cols: list[str], order_col: str):
-    """Keep the first row (min ``order_col``) per exact key. Returns the
-    deduped dataset.  Key columns shuffle as-is; callers with long text
-    keys should pre-hash (see ``exact_text_dedup``).
-
-    Partition-bucketed (stages/bucketing.py): one vectorized map_groups
-    call per hash bucket, never one per distinct key."""
-    from docling_graph_ray.stages.bucketing import bucketed_first
-
-    return bucketed_first(ds, key_cols, [(order_col, "ascending")])
-
-
 def add_text_hash(text_col: str, out_col: str = "text_hash"):
     """map_batches UDF factory: 64-bit content hash column for cheap
     shuffling of long-text keys."""

@@ -15,11 +15,9 @@ operator:
   parallel (the reference scores one run directory at a time; here a
   100 TB corpus of per-doc graphs streams through);
 - each group emits integer count rows ``(doc_id, section, rung, cls,
-  tp, fp, fn)``; the headline micro P/R/F1 is a tiny
-  ``groupby(section, rung).sum`` downstream — tp/fp/fn are summed
-  across classes AND documents before ratios, exactly the reference's
-  micro discipline (16_extraction_evaluation.py:233-240,
-  17_benchmark_aggregate.py:59-69).
+  tp, fp, fn)``, so micro P/R/F1 sums tp/fp/fn across classes AND
+  documents before ratios, the reference's micro discipline
+  (16_extraction_evaluation.py:233-240, 17_benchmark_aggregate.py:59-69).
 
 Node identity here is the pair ``(cls, key)`` where ``key`` is the
 caller-supplied canonical identity string (build it with
@@ -107,15 +105,6 @@ def squash(text: str) -> str:
 
 def digit_signature(text: str) -> tuple[str, ...]:
     return tuple(_DIGIT_RUNS.findall(text))
-
-
-def prf(tp: int, fp: int, fn: int) -> dict[str, float]:
-    """Precision/recall/F1 from counts (16_extraction_evaluation.py:221-231)."""
-    p = tp / (tp + fp) if (tp + fp) else 0.0
-    r = tp / (tp + fn) if (tp + fn) else 0.0
-    f1 = 2 * p * r / (p + r) if (p + r) else 0.0
-    return {"tp": tp, "fp": fp, "fn": fn, "p": round(p, 3), "r": round(r, 3),
-            "f1": round(f1, 3)}
 
 
 def is_filled(value: object) -> bool:
@@ -307,29 +296,6 @@ def tag_graph(nodes, edges, *, side: str, doc_col: str = "doc_id",
     if edges is not None:
         tagged = tagged.union(edges.map_batches(tag_edges, batch_format="pyarrow"))
     return tagged
-
-
-def tag_sources(sources, *, doc_col: str = "doc_id", text_col: str = "text"):
-    """Per-document source texts for the verbatim check / synthetic-class
-    detection (16_extraction_evaluation.py:156-162)."""
-
-    def tag(batch: pa.Table) -> pa.Table:
-        n = batch.num_rows
-        return pa.table(
-            {
-                "doc_id": batch.column(doc_col).cast(pa.string()),
-                "side": pa.array(["src"] * n),
-                "kind": pa.array(["source"] * n),
-                "cls": pa.array([""] * n, pa.string()),
-                "key": pa.array([""] * n, pa.string()),
-                "src": pa.array([""] * n, pa.string()),
-                "dst": pa.array([""] * n, pa.string()),
-                "attrs": batch.column(text_col).cast(pa.string()),
-            },
-            schema=TAGGED_SCHEMA,
-        )
-
-    return sources.map_batches(tag, batch_format="pyarrow")
 
 
 def _eval_one_doc(group: pa.Table, structural: str, root_cls: str | None) -> pa.Table:
@@ -537,16 +503,3 @@ def evaluate_graphs(tagged, *, structural: str = "auto",
         .groupby("_part")
         .map_groups(eval_partition, batch_format="pyarrow")
     )
-
-
-def micro_summary(counts):
-    """Micro tp/fp/fn per (section, rung): summed across classes and
-    documents BEFORE ratios (17_benchmark_aggregate.py:59-69).  Returns
-    rows (section, rung, tp, fp, fn) — integer-only, hash-stable;
-    compute p/r/f1 driver-side with ``prf`` when rendering."""
-    summed = counts.groupby(["section", "rung"]).sum(["tp", "fp", "fn"])
-
-    def rename(t: pa.Table) -> pa.Table:
-        return t.rename_columns(["section", "rung", "tp", "fp", "fn"])
-
-    return summed.map_batches(rename, batch_format="pyarrow")

@@ -44,8 +44,6 @@ import ray
 from docling_graph_ray.functions.hashing import blake2b_hex
 
 
-
-
 def dedup_nodes(nodes, *, key_col: str, order_col: str, attr_cols: list[str]):
     """Exact node dedup + enrichment: one row per ``key_col``; the first
     row (by ``order_col``) wins, later duplicates only fill empty attrs.
@@ -558,11 +556,6 @@ def graph_stats(nodes, edges, *, class_col: str = "class",
     return summed.map_batches(rename, batch_format="pyarrow")
 
 
-_WARN_SCHEMA = pa.schema([
-    ("check", pa.string()), ("item", pa.string()), ("detail", pa.string()),
-])
-
-
 def clean_edges_dataset(edges, node_ids, *, src_col: str = "src",
                         dst_col: str = "dst", label_col: str = "label",
                         id_col: str = "node_id"):
@@ -602,152 +595,6 @@ def clean_edges_dataset(edges, node_ids, *, src_col: str = "src",
 
     return bucketed_first(kept, [src_col, dst_col, label_col],
                           out_schema=triple_schema)
-
-
-def integrity_check(nodes, edges, *, key_col: str = "node_id",
-                    src_col: str = "src", dst_col: str = "dst",
-                    label_col: str = "label"):
-    """Graph integrity warnings as (check, item, detail) rows — the
-    reference's integrity-warning pass before validation
-    (graph_converter.py:202-358 stage order: … → integrity warnings →
-    validation).  Checks:
-
-    - ``duplicate_node_id``: key appears on >1 node row,
-    - ``dangling_src`` / ``dangling_dst``: edge endpoint not in the node
-      set (anti co-group join — the node-id side rides the shuffle, never
-      a driver dict, so the graph may be arbitrarily large),
-    - ``self_loop``: src == dst,
-    - ``duplicate_edge``: exact (src, dst, label) triple repeated.
-
-    Non-destructive: emits warnings, never mutates — run BEFORE
-    clean_edges when auditing, or after to assert emptiness."""
-    from docling_graph_ray.stages.joins import semi_join
-
-    # duplicate node ids: partial count per batch → tiny groupby sum
-    def id_partial(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0 or key_col not in batch.schema.names:
-            return pa.table({key_col: pa.array([], pa.string()),
-                             "n": pa.array([], pa.int64())})
-        g = batch.select([key_col]).group_by(key_col).aggregate([([], "count_all")])
-        return pa.table({key_col: g.column(key_col).cast(pa.string()),
-                         "n": g.column("count_all").cast(pa.int64())})
-
-    def dup_id_warnings(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0 or "sum(n)" not in t.schema.names:
-            return _WARN_SCHEMA.empty_table()
-        d = t.filter(pc.greater(t.column("sum(n)"), 1))
-        detail = pc.binary_join_element_wise(
-            pa.array(["count="] * d.num_rows),
-            d.column("sum(n)").cast(pa.string()), "",
-        )
-        return pa.table({
-            "check": pa.array(["duplicate_node_id"] * d.num_rows),
-            "item": d.column(key_col).cast(pa.string()),
-            "detail": detail,
-        }).cast(_WARN_SCHEMA)
-
-    from docling_graph_ray.stages.bucketing import bucketed_aggregate
-
-    dup_nodes = bucketed_aggregate(
-        nodes.map_batches(id_partial, batch_format="pyarrow"),
-        [key_col], [("n", "sum")], rename=[key_col, "sum(n)"], combine=True,
-    ).map_batches(dup_id_warnings, batch_format="pyarrow")
-
-    # self-loops: one vectorized pass
-    def self_loops(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0 or src_col not in batch.schema.names:
-            return _WARN_SCHEMA.empty_table()
-        t = batch.filter(pc.equal(batch.column(src_col), batch.column(dst_col)))
-        return pa.table({
-            "check": pa.array(["self_loop"] * t.num_rows),
-            "item": t.column(src_col).cast(pa.string()),
-            "detail": t.column(label_col).cast(pa.string()),
-        }).cast(_WARN_SCHEMA)
-
-    loop_warns = edges.map_batches(self_loops, batch_format="pyarrow")
-
-    # dangling endpoints: anti co-group join against the node-id dataset
-    node_ids = nodes.map_batches(
-        lambda b: (pa.table({key_col: b.column(key_col).cast(pa.string())})
-                   if b.num_rows and key_col in b.schema.names
-                   else pa.schema([(key_col, pa.string())]).empty_table()),
-        batch_format="pyarrow",
-    )
-    edge_schema = pa.schema([
-        (src_col, pa.string()), (dst_col, pa.string()), (label_col, pa.string()),
-    ])
-
-    def edges_norm(b: pa.Table) -> pa.Table:
-        if b.num_rows == 0 or src_col not in b.schema.names:
-            return edge_schema.empty_table()
-        return b.select([src_col, dst_col, label_col]).cast(edge_schema)
-
-    e_norm = edges.map_batches(edges_norm, batch_format="pyarrow")
-
-    def dangling(col: str, other: str, check: str):
-        missing = semi_join(e_norm, node_ids, on=col, key_col=key_col,
-                            anti=True, out_schema=edge_schema)
-
-        def to_warn(b: pa.Table) -> pa.Table:
-            if b.num_rows == 0 or col not in b.schema.names:
-                return _WARN_SCHEMA.empty_table()
-            if check == "dangling_src":
-                detail = pc.binary_join_element_wise(
-                    b.column(label_col).cast(pa.string()),
-                    b.column(other).cast(pa.string()), "->",
-                )
-            else:
-                detail = pc.binary_join_element_wise(
-                    b.column(other).cast(pa.string()),
-                    b.column(label_col).cast(pa.string()), "->",
-                )
-            return pa.table({
-                "check": pa.array([check] * b.num_rows),
-                "item": b.column(col).cast(pa.string()),
-                "detail": detail,
-            }).cast(_WARN_SCHEMA)
-
-        return missing.map_batches(to_warn, batch_format="pyarrow")
-
-    dang_src = dangling(src_col, dst_col, "dangling_src")
-    dang_dst = dangling(dst_col, src_col, "dangling_dst")
-
-    # duplicate triples: partial count → groupby sum → filter > 1
-    def triple_partial(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0 or src_col not in batch.schema.names:
-            return pa.schema([
-                (src_col, pa.string()), (dst_col, pa.string()),
-                (label_col, pa.string()), ("n", pa.int64()),
-            ]).empty_table()
-        g = batch.group_by([src_col, dst_col, label_col]).aggregate(
-            [([], "count_all")]
-        )
-        return g.rename_columns([src_col, dst_col, label_col, "n"])
-
-    def dup_edge_warnings(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0 or "sum(n)" not in t.schema.names:
-            return _WARN_SCHEMA.empty_table()
-        d = t.filter(pc.greater(t.column("sum(n)"), 1))
-        item = pc.binary_join_element_wise(
-            d.column(src_col).cast(pa.string()),
-            d.column(dst_col).cast(pa.string()), "->",
-        )
-        detail = pc.binary_join_element_wise(
-            d.column("sum(n)").cast(pa.string()),
-            d.column(label_col).cast(pa.string()), "x ",
-        )
-        return pa.table({
-            "check": pa.array(["duplicate_edge"] * d.num_rows),
-            "item": item, "detail": detail,
-        }).cast(_WARN_SCHEMA)
-
-    dup_edges = bucketed_aggregate(
-        e_norm.map_batches(triple_partial, batch_format="pyarrow"),
-        [src_col, dst_col, label_col], [("n", "sum")],
-        rename=[src_col, dst_col, label_col, "sum(n)"], combine=True,
-    ).map_batches(dup_edge_warnings, batch_format="pyarrow")
-
-    return dup_nodes.union(loop_warns, dang_src, dang_dst, dup_edges)
 
 
 def enforce_closed_catalogs(nodes, edges, *,

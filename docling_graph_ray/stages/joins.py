@@ -463,12 +463,3 @@ def lookup_join_auto(left, lookup, *, on: str, key_col: str | None = None,
     return lookup_join(left, lookup, on=on, key_col=key_col,
                        value_cols=value_cols, out_schema=out_schema,
                        num_partitions=num_partitions)
-
-
-def join_partitions(cap: int = 32) -> int:
-    """Partition count for native ``Dataset.join``: half the cluster's
-    CPUs, capped — small sessions must still be able to schedule the
-    hash-join aggregator actors (a 4-cpu test session deadlocks at 32)."""
-    import ray
-
-    return max(2, min(cap, int(ray.cluster_resources().get("CPU", 8)) // 2))

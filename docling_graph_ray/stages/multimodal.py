@@ -1,8 +1,8 @@
 """Multimodal column plumbing: opaque binary payloads + typed metadata.
 
 Images/audio/video are carried as ``binary`` columns with a metadata
-struct; decode / feature-extract / resize / frame-sample run as
-actor-pool ``map_batches`` stages (the pattern of the reference's
+struct; decode / feature-extract run as an actor-pool
+``map_batches`` stage (the pattern of the reference's
 ``VlmBackend`` GPU stage, docling_graph/core/extractors/backends/
 vlm_backend.py:21-120: heavy state in ``__init__``, batches through
 ``__call__``).
@@ -121,32 +121,6 @@ class MediaFeatureActor:
         )
 
 
-PROBE_SCHEMA = pa.schema([
-    ("media_id", pa.int64()),
-    ("format", pa.string()),
-    ("width", pa.int64()),
-    ("height", pa.int64()),
-    ("channels", pa.int64()),
-    ("sample_rate", pa.int64()),
-    ("n_samples", pa.int64()),
-])
-
-
-def media_probe_batch(batch: pa.Table) -> pa.Table:
-    """Header-only metadata probe over an opaque binary media column
-    (media_codec.probe_media): magic-byte format + intrinsic dimensions
-    without decoding entropy data.  STATELESS — run it as a plain task
-    pool; at 100 TB this pass routes payloads to the right decode actor
-    pool (and right batch_size) before any pixels are touched."""
-    from docling_graph_ray.stages.media_codec import probe_media
-
-    rows = []
-    ids = batch.column("media_id").to_pylist()
-    for mid, p in zip(ids, batch.column("payload").to_pylist()):
-        rows.append({"media_id": int(mid), **probe_media(p or b"")})
-    return pa.Table.from_pylist(rows, schema=PROBE_SCHEMA)
-
-
 def media_features(ds, *, concurrency=(1, 4), batch_size: int = 8):
     """pages-of-media Dataset (media_id, payload, meta) → features."""
     return ds.map_batches(
@@ -198,91 +172,6 @@ def make_media_table(n: int, seed: int = 42) -> pa.Table:
             "payload": pa.array(payloads, pa.binary()),
             "meta": pa.array(metas, MEDIA_META_TYPE),
         }
-    )
-
-
-class MediaResizeActor:
-    """Actor-pool resize stage: payload → resized payload + updated meta.
-
-    REAL for PNG payloads: decode → nearest-neighbour resize → re-encode
-    PNG (deterministic bytes).  Non-PNG payloads take the codec-free
-    stub path (fake pixels, raw bytes out) so the plumbing — binary
-    in/binary out, meta width/height update, small batches for large
-    payloads — is identical either way."""
-
-    def __init__(self, width: int = 8, height: int = 8) -> None:
-        self.width = width
-        self.height = height
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        payloads = batch.column("payload").to_pylist()
-        metas = batch.column("meta").to_pylist()
-        out_payloads, out_metas = [], []
-        for p, m in zip(payloads, metas):
-            if sniff_format(p or b"") == "png":
-                try:
-                    img = decode_png(p)
-                    small = resize_nearest(img, self.width, self.height)
-                    out_payloads.append(encode_png(small))
-                    out_metas.append({**m, "width": self.width,
-                                      "height": self.height})
-                    continue
-                except ValueError:
-                    pass
-            img = _decode_stub(p or b"")
-            # STUB resize: strided downsample of the fake pixels
-            sy = max(1, img.shape[0] // self.height)
-            sx = max(1, img.shape[1] // self.width)
-            small = img[::sy, ::sx][: self.height, : self.width]
-            out_payloads.append(small.tobytes())
-            out_metas.append({**m, "width": self.width, "height": self.height})
-        return pa.table({
-            "media_id": batch.column("media_id"),
-            "payload": pa.array(out_payloads, pa.binary()),
-            "meta": pa.array(out_metas, MEDIA_META_TYPE),
-        })
-
-
-def frame_sample(ds, *, every_ms: int = 250, max_frames: int = 8,
-                 concurrency=(1, 4), batch_size: int = 4):
-    """Video rows → frame rows (flat map: one row in, N frame rows out).
-
-    Frame timestamps are ``0, every_ms, 2*every_ms, …`` capped at
-    ``max_frames`` and the clip duration; each frame row carries a
-    deterministic fake frame payload (codec-free stand-in for an ffmpeg
-    seek+decode) plus ``frame_no`` / ``ts_ms``.  Non-video rows are
-    dropped (route them to their own stage)."""
-
-    class FrameSampler:
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            ids = batch.column("media_id").to_pylist()
-            payloads = batch.column("payload").to_pylist()
-            metas = batch.column("meta").to_pylist()
-            rows = []
-            for mid, p, m in zip(ids, payloads, metas):
-                if (m or {}).get("media_type") != "video":
-                    continue
-                dur = int((m or {}).get("duration_ms") or 0)
-                n = min(max_frames, max(1, dur // every_ms + 1))
-                for f in range(n):
-                    ts = f * every_ms
-                    if dur and ts > dur:
-                        break
-                    frame = hashlib.blake2b(
-                        (p or b"") + ts.to_bytes(8, "big"), digest_size=32
-                    ).digest()
-                    rows.append({
-                        "media_id": mid, "frame_no": f, "ts_ms": ts,
-                        "frame": frame,
-                    })
-            return pa.Table.from_pylist(rows, schema=pa.schema([
-                ("media_id", pa.int64()), ("frame_no", pa.int32()),
-                ("ts_ms", pa.int32()), ("frame", pa.binary()),
-            ]))
-
-    return ds.map_batches(
-        FrameSampler, batch_format="pyarrow", batch_size=batch_size,
-        concurrency=concurrency,
     )
 
 

@@ -12,11 +12,11 @@ oracle.
 Scale notes:
 - ``split_assign_batch`` is embarrassingly parallel — no shuffle at all.
 - ``stratified_sample`` reduces each block to <= k rows per stratum
-  BEFORE the groupby, so the wide op moves O(k x blocks x strata) rows,
-  never the corpus.
+  BEFORE the final ranking, so that step sees O(k x blocks x strata)
+  rows, never the corpus.
 - ``temperature_mix`` broadcasts the per-source threshold table (a true
   dim: one row per crawl source) via ``ray.put`` and filters inside
-  ``map_batches``; only the tiny count aggregate shuffles.
+  ``map_batches``; only the tiny per-block counts reach the driver.
 
 Reference: the docling-graph engine exposes only uniform sampling
 (SURVEY.md §2.7); split/stratified/temperature assignment are
@@ -107,13 +107,15 @@ def split_assign_batch(
 # stratified sample (top-k per stratum by hash order)
 
 
-def _partial_topk(batch: pa.Table, *, strat_col: str, id_col: str, k: int) -> pa.Table:
+def _topk_per_stratum(batch: pa.Table, *, strat_col: str, id_col: str,
+                      k: int) -> pa.Table:
+    """The first k rows of each stratum in ``(mix32(id), id)`` order,
+    sorted by (stratum, mix32(id), id), with their 1-based rank ``rk``."""
     ids = batch.column(id_col).to_numpy(zero_copy_only=False)
-    h = mix32(ids)
-    batch = batch.append_column("_h", pa.array(h, pa.int64()))
-    # per-stratum top-k inside the block: sort once, take k per group
+    h = pa.array(mix32(ids), pa.int64())
+    # sort once, take k per group
     order = pc.sort_indices(
-        batch,
+        batch.append_column("_h", h),
         sort_keys=[(strat_col, "ascending"), ("_h", "ascending"), (id_col, "ascending")],
     )
     t = batch.take(order)
@@ -121,7 +123,9 @@ def _partial_topk(batch: pa.Table, *, strat_col: str, id_col: str, k: int) -> pa
     # rank within run of equal strata (sorted, so runs are contiguous)
     starts = np.r_[0, np.flatnonzero(strata[1:] != strata[:-1]) + 1]
     rank = np.arange(len(strata)) - np.repeat(starts, np.diff(np.r_[starts, len(strata)]))
-    return t.filter(pa.array(rank < k))
+    keep = rank < k
+    return t.filter(pa.array(keep)).append_column(
+        "rk", pa.array(rank[keep] + 1, pa.int64()))
 
 
 def stratified_sample(
@@ -135,24 +139,23 @@ def stratified_sample(
 
     Output: one row per kept doc with its 1-based ``rk`` within the
     stratum.  Each input block is reduced to <= k rows per stratum
-    before the groupby (combiner pattern), so the shuffle moves
-    O(k x blocks x strata) rows regardless of corpus size.
+    first (combiner pattern), so the final ranking sees
+    O(k x blocks x strata) rows regardless of corpus size.  Those rows
+    are gathered into ONE block and ranked by a single task: a
+    ``groupby(strat_col)`` sort shuffle over a handful of strata leaves
+    most reduce partitions empty, and Ray emits those as schema-less
+    blocks ("RefBundle with a different schema").
     """
 
-    def finalize(group: pa.Table) -> pa.Table:
-        order = pc.sort_indices(
-            group, sort_keys=[("_h", "ascending"), (id_col, "ascending")]
-        )
-        t = group.take(order[: min(k, len(order))])
-        return t.append_column(
-            "rk", pa.array(np.arange(1, t.num_rows + 1), pa.int64())
-        ).drop_columns(["_h"])
+    def topk(b: pa.Table) -> pa.Table:
+        return _topk_per_stratum(b, strat_col=strat_col, id_col=id_col, k=k)
 
-    partial = ds.map_batches(
-        lambda b: _partial_topk(b, strat_col=strat_col, id_col=id_col, k=k),
-        batch_format="pyarrow",
-    )
-    return partial.groupby(strat_col).map_groups(finalize, batch_format="pyarrow")
+    def rank(b: pa.Table) -> pa.Table:
+        return topk(b.drop_columns(["rk"]))
+
+    partial = ds.map_batches(topk, batch_format="pyarrow")
+    return partial.repartition(1).map_batches(
+        rank, batch_format="pyarrow", batch_size=None)
 
 
 # ---------------------------------------------------------------------------
@@ -190,10 +193,12 @@ def temperature_mix(
     """Deterministic temperature-resampled corpus (kept rows only).
 
     Two passes over the source column: a combiner-first count aggregate
-    (per-batch ``value_counts`` partials, then a tiny groupby) yields the
-    per-source row counts — a true dimension table, one row per crawl
-    source — which is broadcast once via ``ray.put``; the keep filter
-    then runs embarrassingly parallel inside ``map_batches``.
+    (per-batch ``value_counts`` partials, summed on the driver — they
+    are O(blocks x sources) rows, and a ``groupby`` shuffle over a
+    handful of sources would emit schema-less empty partitions) yields
+    the per-source row counts — a true dimension table, one row per
+    crawl source — which is broadcast once via ``ray.put``; the keep
+    filter then runs embarrassingly parallel inside ``map_batches``.
     Output: (id, source, n_source, thr) for every kept row.
     """
 
@@ -206,23 +211,21 @@ def temperature_mix(
             }
         )
 
-    counts_tbl = (
+    partials = (
         ds.select_columns([source_col])
         .map_batches(count_partial, batch_format="pyarrow")
-        .groupby(source_col)
-        .sum("n")
-        .to_pandas()  # one row per source: a dim, safe on the driver
+        .to_pandas()
     )
-    if counts_tbl.empty:
-        # empty input: the aggregate frame has no columns at all;
-        # return a schema-stable empty result instead of KeyError
+    if partials.empty:
+        # empty input: the frame may have no columns at all; return a
+        # schema-stable empty result instead of KeyError
         return ray.data.from_arrow(pa.table({
             id_col: pa.array([], pa.int64()),
             source_col: pa.array([], pa.string()),
             "n_source": pa.array([], pa.int64()),
             "thr": pa.array([], pa.int64()),
         }))
-    counts = dict(zip(counts_tbl[source_col], counts_tbl["sum(n)"]))
+    counts = partials.groupby(source_col, dropna=False)["n"].sum().to_dict()
     thr_ref = ray.put(temperature_thresholds(counts, alpha))
     counts_ref = ray.put({k: int(v) for k, v in counts.items()})
 

@@ -107,472 +107,3 @@ def distinct_estimate(ds, *, col: str, p: int = 12):
         return 0.0, 0
     sketches = [np.asarray(r, np.uint8) for r in rows["regs"]]
     return hll_estimate(hll_merge(sketches)), len(sketches)
-
-
-def _token_counts(batch: pa.Table, text_col: str):
-    """Arrow-C-path per-batch token value_counts: regex split →
-    flatten → drop empties → value_counts.  Returns (tokens, counts,
-    total) with zero Python per-token work."""
-    import pyarrow.compute as pc
-
-    col = batch.column(text_col).combine_chunks()
-    flat = pc.list_flatten(
-        pc.split_pattern_regex(pc.fill_null(col, ""), r"\s+"))
-    flat = flat.filter(pc.not_equal(flat, ""))
-    if isinstance(flat, pa.ChunkedArray):
-        flat = flat.combine_chunks()
-    vc = pc.value_counts(flat)
-    return vc.field("values"), vc.field("counts"), len(flat)
-
-
-def heavy_hitters(ds, *, text_col: str = "text", phi: float = 0.01):
-    """EXACT frequent tokens — every token with global frequency
-    ``>= ceil(phi * N)`` and its exact count — in two streaming passes
-    with NO full-vocabulary shuffle (the classic 2-pass heavy-hitters
-    scheme; cf. Misra-Gries / mergeable-summaries, Agarwal et al. 2013,
-    but with exact final counts).
-
-    Pass 1 (candidates): per-batch Arrow ``value_counts``; a token
-    whose batch share clears ``phi`` (minus a one-token slack so float
-    rounding can only ADD candidates) becomes a candidate.  Pigeonhole:
-    a token with global share >= phi must clear the local threshold in
-    at least one batch, so the candidate set is a SUPERSET of the true
-    heavy hitters — and carries at most ~1/phi survivors per batch, so
-    it is bounded by batches/phi, never by the vocabulary.  Batch token
-    totals ride along as partial rows, so N needs no extra pass.
-
-    Pass 2 (exact recount): the candidate set broadcasts into a second
-    vectorized pass; only candidate tokens emit count partials (a
-    ``<= |candidates|``-domain grouped sum — the full vocabulary never
-    shuffles), and the exact global threshold filters at the end.
-    On a multi-node cluster the pass-1 collect is the one driver touch;
-    its bound is batches × 1/phi partial rows of a few bytes — a
-    mergeable-sketch tree (sum + top-k fold) would cap it at ~1/phi if
-    a deployment ever needed it.
-    """
-    import math
-
-    import pyarrow.compute as pc
-
-    def candidates(batch: pa.Table) -> pa.Table:
-        toks, counts, total = _token_counts(batch, text_col)
-        if total == 0:
-            return pa.table({"token": pa.array([], pa.string()),
-                             "n": pa.array([], pa.int64())})
-        keep = pc.greater_equal(
-            counts.cast(pa.float64()), phi * total - 1.0)
-        return pa.table({
-            "token": pa.concat_arrays(
-                [toks.filter(keep), pa.array([""], pa.string())]),
-            "n": pa.concat_arrays(
-                [counts.filter(keep).cast(pa.int64()),
-                 pa.array([total], pa.int64())]),
-        })
-
-    # pass-1 partials: bounded by batches × (1/phi + 1) rows
-    part = ds.map_batches(candidates, batch_format="pyarrow").take_all()
-    n_total = sum(r["n"] for r in part if r["token"] == "")
-    cand = sorted({r["token"] for r in part if r["token"] != ""})
-    threshold = math.ceil(phi * n_total)
-    if not cand or n_total == 0:
-        import ray.data
-
-        return ray.data.from_arrow(pa.table({
-            "token": pa.array([], pa.string()),
-            "n": pa.array([], pa.int64()),
-        }))
-    cand_arr = pa.array(cand, pa.string())
-
-    def recount(batch: pa.Table) -> pa.Table:
-        toks, counts, _ = _token_counts(batch, text_col)
-        keep = pc.is_in(toks, value_set=cand_arr)
-        return pa.table({
-            "token": toks.filter(keep),
-            "n": counts.filter(keep).cast(pa.int64()),
-        })
-
-    out = (
-        ds.map_batches(recount, batch_format="pyarrow")
-        .groupby("token")
-        .sum("n")
-    )
-    return out.map_batches(
-        lambda t: pa.table({
-            "token": t.column("token"),
-            "n": t.column("sum(n)").cast(pa.int64()),
-        }).filter(pc.greater_equal(t.column("sum(n)"),
-                                   pa.scalar(threshold, pa.int64()))),
-        batch_format="pyarrow",
-    )
-
-
-def grouped_distinct_estimate(ds, *, key_col: str, col: str, p: int = 12):
-    """Per-group approximate COUNT(DISTINCT col) — the groupby form of
-    :func:`distinct_estimate`, built on HLL's mergeability.
-
-    One streaming pass emits ONE 2^p-byte register row per
-    (batch, group); the per-group fold is an elementwise register max
-    (associative + commutative), so the shuffle carries fixed-size
-    sketch rows — never the values — and the reduce per group is a tiny
-    numpy max over its batch partials.  The ``map_groups`` Python-call
-    count equals the KEY DOMAIN (bounded by contract here: sources,
-    languages, partitions), not the row count.
-
-    Returns ``(key, estimate)`` rows, estimate rounded to 4 digits —
-    the same rounding the sha256-register oracle arithmetic is proven
-    exact under (doc_distinct_estimate, round-5 promotion).
-    """
-
-    def partials(batch: pa.Table) -> pa.Table:
-        tbl = batch.select([key_col, col]).combine_chunks()
-        per: dict = {}
-        for k, v in zip(tbl.column(key_col).to_pylist(),
-                        tbl.column(col).to_pylist()):
-            per.setdefault(k, []).append(v)
-        keys = list(per)
-        return pa.table({
-            key_col: pa.array(keys),
-            "regs": pa.array([hll_registers(per[k], p).tolist()
-                              for k in keys], pa.list_(pa.uint8())),
-        })
-
-    def merge_group(g: pa.Table) -> pa.Table:
-        if g.num_rows == 0 or key_col not in g.schema.names:
-            return pa.table({key_col: pa.array([], pa.string()),
-                             "estimate": pa.array([], pa.float64())})
-        regs = hll_merge([np.asarray(r, np.uint8)
-                          for r in g.column("regs").to_pylist()])
-        return pa.table({
-            key_col: g.column(key_col).slice(0, 1),
-            "estimate": pa.array([round(hll_estimate(regs), 4)],
-                                 pa.float64()),
-        })
-
-    return (
-        ds.map_batches(partials, batch_format="pyarrow")
-        .groupby(key_col)
-        .map_groups(merge_group, batch_format="pyarrow")
-    )
-
-
-def zipf_fit(ds, *, text_col: str = "text", k: int = 40):
-    """Zipf-slope fit over the top-k token frequencies — the corpus
-    health statistic (natural text slopes ≈ −1; synthetic or templated
-    corpora drift toward 0 or collapse steeply).
-
-    Token counts fold with per-batch Arrow ``value_counts`` partials
-    into a grouped sum (narrow (token, n) rows — the text never
-    shuffles); the global sort touches only that narrow table, the
-    top-k (ties broken by token) is tiny, and the least-squares fold
-    over x = ln(rank), y = ln(freq) is closed-form on the driver.
-    Returns one row ``(k_used, slope, intercept)``, both coefficients
-    rounded to 6 (k ≤ 1000 float64 terms; order drift ~1e-12)."""
-    import pyarrow.compute as pc
-
-    def partials(batch: pa.Table) -> pa.Table:
-        toks, counts, _ = _token_counts(batch, text_col)
-        return pa.table({"token": toks, "n": counts.cast(pa.int64())})
-
-    counts = (
-        ds.map_batches(partials, batch_format="pyarrow")
-        .groupby("token")
-        .sum("n")
-    )
-    top = counts.sort(["sum(n)", "token"], descending=[True, False]) \
-        .limit(k).take_all()
-    if not top:
-        return pa.table({
-            "k_used": pa.array([0], pa.int64()),
-            "slope": pa.array([0.0], pa.float64()),
-            "intercept": pa.array([0.0], pa.float64()),
-        })
-    freqs = np.asarray([r["sum(n)"] for r in top], np.float64)
-    x = np.log(np.arange(1, len(freqs) + 1, dtype=np.float64))
-    y = np.log(freqs)
-    kk = float(len(freqs))
-    sx, sy, sxy, sxx = x.sum(), y.sum(), (x * y).sum(), (x * x).sum()
-    denom = kk * sxx - sx * sx
-    slope = (kk * sxy - sx * sy) / denom if denom else 0.0
-    intercept = (sy - slope * sx) / kk
-    return pa.table({
-        "k_used": pa.array([len(freqs)], pa.int64()),
-        "slope": pa.array([round(slope, 6) + 0.0], pa.float64()),
-        "intercept": pa.array([round(intercept, 6) + 0.0], pa.float64()),
-    })
-
-
-def corpus_kl(ds, *, text_col: str = "text", split_col: str,
-              split_value, round_digits: int = 6):
-    """Token-distribution drift between a corpus slice and the rest:
-    add-1-smoothed KL(P‖Q) and KL(Q‖P), P = rows where
-    ``split_col == split_value``, Q = the others — the "did this
-    ingest/filter change what the corpus looks like" monitor.
-
-    Fully distributed: per-batch value_counts partials fold into a
-    narrow ``(token, c_p, c_q)`` table (the text never shuffles); the
-    vocabulary size and totals are C-path aggregates of that table, and
-    the KL terms fold with a second map over it — the vocabulary never
-    lands on the driver.  Both divergences round to ``round_digits``
-    (float-sum order drift ~1e-12 at any realistic vocabulary)."""
-    import pyarrow.compute as pc
-
-    def partials(batch: pa.Table) -> pa.Table:
-        side = batch.column(split_col).to_pylist()
-        out = []
-        for want_p in (True, False):
-            mask = pa.array([(v == split_value) == want_p for v in side])
-            toks, counts, _ = _token_counts(batch.filter(mask), text_col)
-            out.append(pa.table({
-                "token": toks,
-                "c_p": counts.cast(pa.int64()) if want_p
-                       else pa.array([0] * len(toks), pa.int64()),
-                "c_q": pa.array([0] * len(toks), pa.int64()) if want_p
-                       else counts.cast(pa.int64()),
-            }))
-        return pa.concat_tables(out)
-
-    from docling_graph_ray.stages.bucketing import bucketed_aggregate
-
-    counts = bucketed_aggregate(
-        ds.map_batches(partials, batch_format="pyarrow"),
-        ["token"], [("c_p", "sum"), ("c_q", "sum")],
-        rename=["token", "c_p", "c_q"], combine=True,
-    ).materialize()  # narrow (token, int64, int64); consumed 3x below
-
-    vocab = counts.count()
-    if vocab == 0:
-        return pa.table({
-            "vocab": pa.array([0], pa.int64()),
-            "n_p": pa.array([0], pa.int64()),
-            "n_q": pa.array([0], pa.int64()),
-            "kl_pq": pa.array([0.0], pa.float64()),
-            "kl_qp": pa.array([0.0], pa.float64()),
-        })
-    n_p = counts.sum("c_p") or 0
-    n_q = counts.sum("c_q") or 0
-    dp, dq = float(n_p + vocab), float(n_q + vocab)
-
-    def kl_terms(b: pa.Table) -> pa.Table:
-        cp = b.column("c_p").to_numpy(zero_copy_only=False).astype(np.float64)
-        cq = b.column("c_q").to_numpy(zero_copy_only=False).astype(np.float64)
-        p = (cp + 1.0) / dp
-        q = (cq + 1.0) / dq
-        lr = np.log(p) - np.log(q)
-        return pa.table({
-            "t_pq": pa.array([float(np.sum(p * lr))], pa.float64()),
-            "t_qp": pa.array([float(np.sum(-q * lr))], pa.float64()),
-        })
-
-    terms = counts.map_batches(kl_terms, batch_format="pyarrow")
-    # the smoothed tails: tokens absent from the union vocab contribute
-    # nothing (both sides smooth over the SAME union vocabulary)
-    kl_pq = round((terms.sum("t_pq") or 0.0), round_digits) + 0.0
-    kl_qp = round((terms.sum("t_qp") or 0.0), round_digits) + 0.0
-    return pa.table({
-        "vocab": pa.array([vocab], pa.int64()),
-        "n_p": pa.array([int(n_p)], pa.int64()),
-        "n_q": pa.array([int(n_q)], pa.int64()),
-        "kl_pq": pa.array([kl_pq], pa.float64()),
-        "kl_qp": pa.array([kl_qp], pa.float64()),
-    })
-
-
-def oov_rate(ds, *, id_col: str = "doc_id", text_col: str = "text",
-             vocab_k: int = 1000, round_digits: int = 6):
-    """Per-document out-of-vocabulary rate against the corpus top-k
-    vocabulary — the tokenizer-coverage check run before committing a
-    vocab to a training run.
-
-    Two passes: the top-k vocabulary folds exactly like
-    :func:`zipf_fit` (narrow count rows, ties broken by token), then
-    broadcasts into a vectorized membership scan (``pc.is_in`` on the
-    flattened token array + a per-doc segmented sum).  Rates round to
-    ``round_digits``; wordless docs report ``n_tokens 0, oov_rate 0``."""
-    import pyarrow.compute as pc
-
-    def partials(batch: pa.Table) -> pa.Table:
-        toks, counts, _ = _token_counts(batch, text_col)
-        return pa.table({"token": toks, "n": counts.cast(pa.int64())})
-
-    vocab_rows = (
-        ds.map_batches(partials, batch_format="pyarrow")
-        .groupby("token").sum("n")
-        .sort(["sum(n)", "token"], descending=[True, False])
-        .limit(vocab_k).take_all()
-    )
-    vocab_arr = pa.array([r["token"] for r in vocab_rows], pa.string())
-
-    def scan(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return pa.table({
-                id_col: pa.array([], pa.int64()),
-                "n_tokens": pa.array([], pa.int64()),
-                "oov_rate": pa.array([], pa.float64()),
-            })
-        ids = batch.column(id_col)
-        col = batch.column(text_col).combine_chunks()
-        lists = pc.split_pattern_regex(pc.fill_null(col, ""), r"\s+")
-        flat = pc.list_flatten(lists)
-        if isinstance(flat, pa.ChunkedArray):
-            flat = flat.combine_chunks()
-        ok = pc.and_(pc.not_equal(flat, ""),
-                     pc.is_in(flat, value_set=vocab_arr))
-        word = pc.not_equal(flat, "")
-        # segmented sums over the per-doc list offsets
-        offs = np.asarray(lists.offsets, np.int64)
-        in_v = np.add.reduceat(
-            np.concatenate([ok.to_numpy(zero_copy_only=False)
-                            .astype(np.int64), [0]]), offs[:-1]) \
-            * (np.diff(offs) > 0)
-        n_tok = np.add.reduceat(
-            np.concatenate([word.to_numpy(zero_copy_only=False)
-                            .astype(np.int64), [0]]), offs[:-1]) \
-            * (np.diff(offs) > 0)
-        rate = np.zeros(len(n_tok), np.float64)
-        nz = n_tok > 0
-        rate[nz] = np.round(
-            (n_tok[nz] - in_v[nz]) / n_tok[nz], round_digits) + 0.0
-        return pa.table({
-            id_col: ids,
-            "n_tokens": pa.array(n_tok),
-            "oov_rate": pa.array(rate),
-        })
-
-    return ds.map_batches(scan, batch_format="pyarrow")
-
-
-# ---------------------------------------------------------------------------
-# count-min sketch (Cormode & Muthukrishnan 2005)
-
-
-CMS_D = 4    # hash rows
-CMS_W = 512  # buckets per row
-
-
-def _cms_buckets(tokens: list, d: int, w: int) -> np.ndarray:
-    """Deterministic (d, len(tokens)) bucket matrix: row i uses
-    crc32(f"{i}:{token}") % w — the salt convention the DuckDB twin
-    replays through the CRC CTE."""
-    import zlib
-
-    out = np.empty((d, len(tokens)), np.int64)
-    for j, tok in enumerate(tokens):
-        b = str(tok).encode("utf-8", "surrogatepass")
-        for i in range(d):
-            out[i, j] = zlib.crc32(b"%d:%s" % (i, b)) % w
-    return out
-
-
-def cms_sketch(ds, *, text_col: str = "text", d: int = CMS_D,
-               w: int = CMS_W) -> np.ndarray:
-    """Count-min sketch of the corpus token multiset: ONE streaming
-    pass, each batch folds its local token counts into a (d, w) int64
-    counter partial (only nonzero slots leave the batch), partials
-    merge with a slot-keyed sum — the mergeable-sketch shape (same
-    contract as the HLL registers above).  At 100 TB the shuffle
-    payload is ≤ batches × d × w slot rows, independent of corpus
-    token volume or vocabulary."""
-    from docling_graph_ray.stages.bucketing import bucketed_aggregate
-
-    def partial(b: pa.Table) -> pa.Table:
-        empty = pa.schema([("slot", pa.int64()),
-                           ("n", pa.int64())]).empty_table()
-        if b.num_rows == 0 or text_col not in b.schema.names:
-            return empty
-        toks, counts, _ = _token_counts(b, text_col)
-        if len(toks) == 0:
-            return empty
-        ns = counts.to_numpy(zero_copy_only=False).astype(np.int64)
-        buckets = _cms_buckets(toks.to_pylist(), d, w)
-        counters = np.zeros((d, w), np.int64)
-        for i in range(d):
-            np.add.at(counters[i], buckets[i], ns)
-        flat = counters.ravel()
-        nz = np.flatnonzero(flat)
-        return pa.table({"slot": pa.array(nz, pa.int64()),
-                         "n": pa.array(flat[nz], pa.int64())})
-
-    counters = np.zeros((d, w), np.int64)
-    for r in bucketed_aggregate(
-        ds.map_batches(partial, batch_format="pyarrow"),
-        ["slot"], [("n", "sum")], rename=["slot", "n"], combine=True,
-    ).take_all():
-        counters[r["slot"] // w, r["slot"] % w] = r["n"]
-    return counters
-
-
-def cms_estimate(counters: np.ndarray, tokens: list) -> np.ndarray:
-    """Point-query the sketch: est(token) = min over rows of the
-    token's bucket counter.  Never underestimates the true count."""
-    d, w = counters.shape
-    if not tokens:
-        return np.zeros(0, np.int64)
-    buckets = _cms_buckets(tokens, d, w)
-    return np.min(
-        np.stack([counters[i, buckets[i]] for i in range(d)]), axis=0)
-
-
-# ---------------------------------------------------------------------------
-# KMV (k minimum values) distinct sketch
-
-
-KMV_SCHEMA = pa.schema([("k", pa.int64()), ("n_mins", pa.int64()),
-                        ("kth_hash", pa.int64()),
-                        ("estimate", pa.float64())])
-
-
-def kmv_distinct(ds, *, col: str, k: int = 256):
-    """K-minimum-values distinct-count sketch (Bar-Yossef et al. 2002):
-    keep the k smallest DISTINCT hash values; if the k-th smallest is
-    h_k, the cardinality estimate is (k−1)·2^32 / h_k (hashes are
-    mix32, uniform on [0, 2^32)).  Unlike HLL the whole sketch state is
-    exactly reproducible in SQL — the k-th smallest distinct hash is a
-    window rank — so this one is oracle-gated, not just error-banded.
-
-    Distribution: per-block k smallest distinct hashes (a true
-    combiner — mins of mins are mins), then one small sort+limit over
-    the ≤ blocks×k candidates.  Exact count is returned instead when
-    fewer than k distinct hashes exist.  The single estimate division
-    runs on exactly-representable inputs, so it hashes bit-identically
-    across engines."""
-    from docling_graph_ray.stages.sampling import mix32
-
-    def partial(b: pa.Table) -> pa.Table:
-        ids = b.column(col).cast(pa.int64()).to_numpy(
-            zero_copy_only=False)
-        if not len(ids):
-            return pa.table({"h": pa.array([], pa.int64())})
-        h = np.unique(mix32(ids))[:k]
-        return pa.table({"h": pa.array(h, pa.int64())})
-
-    cands = ds.select_columns([col]).map_batches(
-        partial, batch_format="pyarrow")
-
-    # candidate set is ≤ blocks×k int64 rows; at extreme block counts
-    # even that is too big for the driver, so the fold stays
-    # dataset-native: bucketed distinct over the candidates, then a
-    # sort+limit(k) whose take ships exactly k rows to the driver
-    from docling_graph_ray.stages.bucketing import bucketed_aggregate
-
-    distinct = bucketed_aggregate(
-        cands, ["h"], [("", "count_all")], rename=["h", "_n"],
-        combine=True,
-    ).map_batches(lambda t: t.select(["h"]), batch_format="pyarrow")
-    mins = np.array(
-        [r["h"] for r in distinct.sort("h").limit(k).take_all()],
-        np.int64)
-
-    n_mins = len(mins)
-    if n_mins < k:
-        est = np.float64(n_mins)
-        kth = -1
-    else:
-        kth = int(mins[k - 1])
-        est = (np.float64(k - 1) * np.float64(4294967296.0)) \
-            / np.float64(kth)
-    return pa.table({
-        "k": pa.array([k], pa.int64()),
-        "n_mins": pa.array([n_mins], pa.int64()),
-        "kth_hash": pa.array([kth], pa.int64()),
-        "estimate": pa.array([float(est)], pa.float64()),
-    })

@@ -868,61 +868,3 @@ def winnow_fingerprint_batch(batch: pa.Table, *, text_col: str = "text",
         "pos": pa.array(np.concatenate(out_pos)),
         "gram_hash": pa.array(np.concatenate(out_h)),
     })
-
-
-def grouped_value_quantiles(ds, group_col: str, col: str, qs: list[float]):
-    """Exact per-group discrete quantiles via the same value-histogram
-    shape as :func:`value_quantiles`, keyed by ``(group, value)``:
-    per-batch Arrow group-by counts → one tiny bucketed sum shuffle
-    (payload bounded by groups × per-batch distinct values, not rows)
-    → driver-side cumulative walk per group over the merged histogram.
-
-    For bounded-cardinality numerics (lengths, counts) and a bounded
-    group domain (source/domain/lang) the merged histogram is tiny
-    next to the corpus, so EXACT per-group percentiles need no
-    per-group sort and no corpus shuffle.  Quantile rule matches
-    DuckDB ``quantile_disc`` (element at ``max(ceil(q*n)-1, 0)``).
-
-    Returns a small pyarrow table ``(group_col, q, value)``."""
-    import math
-    from collections import defaultdict
-
-    from docling_graph_ray.stages.bucketing import bucketed_aggregate
-
-    def partial(b: pa.Table) -> pa.Table:
-        if b.num_rows == 0 or col not in b.schema.names:
-            return pa.schema([("g", pa.string()), ("v", pa.int64()),
-                              ("n", pa.int64())]).empty_table()
-        t = pa.table({"g": b.column(group_col).cast(pa.string()),
-                      "v": b.column(col).cast(pa.int64())})
-        agg = t.group_by(["g", "v"]).aggregate([([], "count_all")])
-        return pa.table({"g": agg.column("g"), "v": agg.column("v"),
-                         "n": agg.column("count_all").cast(pa.int64())})
-
-    hists: dict[str, list[tuple[int, int]]] = defaultdict(list)
-    for r in bucketed_aggregate(
-        ds.map_batches(partial, batch_format="pyarrow"),
-        ["g", "v"], [("n", "sum")], rename=["g", "v", "n"], combine=True,
-    ).take_all():
-        if r["v"] is not None:
-            hists[r["g"]].append((r["v"], r["n"]))
-
-    out_g, out_q, out_v = [], [], []
-    for g in sorted(hists):
-        hist = sorted(hists[g])
-        total = sum(n for _, n in hist)
-        for q in qs:
-            idx = max(math.ceil(q * total) - 1, 0) if total else 0
-            acc = 0
-            val = hist[-1][0] if hist else None
-            for v, n in hist:
-                acc += n
-                if acc > idx:
-                    val = v
-                    break
-            out_g.append(g)
-            out_q.append(float(q))
-            out_v.append(val)
-    return pa.table({group_col: pa.array(out_g, pa.string()),
-                     "q": pa.array(out_q, pa.float64()),
-                     "value": pa.array(out_v, pa.int64())})

@@ -119,17 +119,6 @@ def synth_messy_urls(doc_ids) -> pa.Array:
     return pa.array(out.astype("U"), pa.string())
 
 
-def add_canonical_url(url_col: str = "url", out_col: str = "url_canon"):
-    """``map_batches`` callable attaching the canonical url column."""
-
-    def fn(batch: pa.Table) -> pa.Table:
-        return batch.append_column(
-            out_col, canonicalize_url(batch.column(url_col))
-        )
-
-    return fn
-
-
 def url_dedup(ds, *, url_col: str = "url", id_col: str = "doc_id"):
     """One row per canonical url: ``(url_canon, keep_id, n_dups)`` with
     the minimum id as the deterministic keeper.  Partition-bucketed

@@ -61,9 +61,6 @@ class StageRegistry:
         return run
 
 
-DEFAULT_REGISTRY = StageRegistry()
-
-
 def builtin_registry() -> StageRegistry:
     """Registry pre-loaded with the engine's dataset-level operators."""
     reg = StageRegistry()

@@ -157,28 +157,6 @@ def profile_columns(ds, *, cls: str, columns: list[str]):
     )
 
 
-def profile_json_records(ds, *, json_col: str, cls: str):
-    """Same, over untyped JSON records (the induce-from-documents case:
-    values carry their own types, so the type votes are genuine)."""
-
-    def partial(batch: pa.Table) -> pa.Table:
-        per_field: dict[str, dict] = {}
-        records = [json.loads(s) if s else {} for s in
-                   batch.column(json_col).to_pylist()]
-        fields = sorted({k for r in records for k in r})
-        for f in fields:
-            per_field[f] = _new_acc()
-        for r in records:
-            for f in fields:
-                _observe(per_field[f], r.get(f))
-        return _partial_rows(cls, per_field)
-
-    partials = ds.map_batches(partial, batch_format="pyarrow")
-    return partials.groupby(["cls", "field"]).map_groups(
-        _merge_partials, batch_format="pyarrow"
-    )
-
-
 def _merge_partials(group: pa.Table) -> pa.Table:
     rows = group.to_pylist()
     out = dict(rows[0])
@@ -355,323 +333,6 @@ def induce_spec(profiles, *, root: str, name: str = "induced_template",
     return {"name": name, "docstring": f"Template induced from data "
             f"profiles of {', '.join(sorted(by_cls))}.",
             "root": root, "enums": enums, "models": models}
-
-
-# ---------------------------------------------------------------------------
-# cross-document spec reconciliation (reference templategen/induce/
-# merge.py:1-809 — merge_documents; design §4.4).  Per-document induced
-# specs union into ONE draft by deterministic votes: "the same
-# candidates always merge to the same draft".  Pure data manipulation —
-# specs are tiny, so this is driver-side; the distributed part of
-# induction is the profiling that produced each per-document spec.
-
-MAX_MERGED_ENUM_MEMBERS = 24
-_RARE_FIELD_MIN_DOCS = 3
-
-_SCALAR_LATTICE = {"int", "float"}
-
-
-def _merge_scalar_types(types: list[str]) -> tuple[str, bool]:
-    """Promotion lattice ``int -> float -> str`` (never narrows);
-    non-scalar disagreements collapse to str (merge.py:_resolve_scalar)."""
-    uniq = {t if t in SCALAR_TYPES else "str" for t in types}
-    if len(uniq) == 1:
-        return next(iter(uniq)), False
-    if uniq <= _SCALAR_LATTICE:
-        return "float", True
-    return "str", True
-
-
-def merge_induced_specs(specs: list[dict], *, root_name: str | None = None,
-                        name: str = "merged_template",
-                        max_enum_members: int = MAX_MERGED_ENUM_MEMBERS,
-                        ) -> tuple[dict, list[str]]:
-    """Union per-document induced specs into one draft spec
-    (reference merge.py:merge_documents semantics, re-keyed to this
-    engine's spec shape).  Returns ``(spec, decisions)``.
-
-    - classes union by ``canonicalize_identity_for_dedup`` canonical
-      name ("Line item"/"LineItem" unify exactly as the runtime
-      registry would); display name = first occurrence's
-    - ``kind`` by majority vote; an entity/component tie breaks to
-      entity only when identity evidence survived in >=1 document; an
-      entity-voted class with NO identity anywhere demotes to component
-      (never invent ids — repair is the safety net, not the mechanism)
-    - fields union by canonical name; role precedence identity > edge >
-      property; scalar types promote int -> float -> str on
-      disagreement; ``is_list = any``; ``optional = any`` (and a field
-      absent from some documents of its class is optional by absence)
-    - enums union members first-seen-ordered, ``include_other = any``
-      (OTHER folding); a union wider than ``max_enum_members`` demotes
-      the field to str with the top members listed in its description
-    - edge targets resolve by majority; an edge whose target class was
-      not kept is dropped; ``reference = all``; label = first seen
-    - ``max_instances`` takes the max across documents (the documented
-      figure — ``repair_spec``'s R13 rung doubles exactly once)
-    - a field seen in only 1 of >=3 documents gets a "Rare: "
-      description prefix
-    """
-    from docling_graph_ray.functions.normalize import (
-        canonicalize_identity_for_dedup,
-    )
-
-    def ckey(s: str) -> str:
-        return canonicalize_identity_for_dedup("name", s or "")
-
-    decisions: list[str] = []
-    # ---- group class occurrences across documents -----------------------
-    order: list[str] = []
-    occ_by_key: dict[str, list[tuple[int, dict]]] = {}
-    enum_by_name: dict[int, dict[str, dict]] = {}
-    root_votes: list[str] = []
-    for di, spec in enumerate(specs):
-        enum_by_name[di] = {e["name"]: e for e in spec.get("enums", [])}
-        if spec.get("root"):
-            root_votes.append(ckey(spec["root"]))
-        for m in spec.get("models", []):
-            k = ckey(m["name"])
-            if not k:
-                continue
-            if k not in occ_by_key:
-                occ_by_key[k] = []
-                order.append(k)
-            occ_by_key[k].append((di, m))
-
-    display = {k: occ[0][1]["name"] for k, occ in occ_by_key.items()}
-    kept_keys = set(occ_by_key)
-
-    # ---- root election ---------------------------------------------------
-    if root_name is not None:
-        root_key = ckey(root_name)
-        if root_key not in kept_keys:
-            raise ValueError(f"root_name {root_name!r} names no merged class")
-    elif root_votes:
-        from collections import Counter
-
-        root_key, votes = Counter(root_votes).most_common(1)[0]
-        if len(set(root_votes)) > 1:
-            decisions.append(
-                f"root vote: {display.get(root_key, root_key)!r} wins "
-                f"{votes}/{len(root_votes)}")
-    else:
-        root_key = order[0]
-        decisions.append("no root votes; first class elected root")
-
-    # ---- per-class merge ---------------------------------------------------
-    merged_models: list[dict] = []
-    merged_enums: list[dict] = []
-    enum_taken: set[str] = set(display.values())
-    for k in order:
-        occ = occ_by_key[k]
-        mname = display[k]
-        n_docs = len({di for di, _ in occ})
-        # kind vote (merge.py:_vote_kind)
-        if k == root_key:
-            kind = "root"
-        else:
-            n_entity = sum(1 for _, m in occ
-                           if m.get("kind") != "component")
-            n_comp = sum(1 for _, m in occ if m.get("kind") == "component")
-            has_identity = any(m.get("identity") for _, m in occ)
-            kind = ("entity" if n_entity > n_comp
-                    else "component" if n_comp > n_entity
-                    else ("entity" if has_identity else "component"))
-            if n_entity and n_comp:
-                decisions.append(f"{mname}: kind vote entity={n_entity} / "
-                                 f"component={n_comp} -> {kind}")
-            if kind == "entity" and not has_identity:
-                kind = "component"
-                decisions.append(f"{mname}: entity with no identity "
-                                 "evidence — demoted to component (never "
-                                 "invent ids)")
-        # fields union by canonical name, identity-bearing keys first
-        forder: list[str] = []
-        fgroups: dict[str, list[tuple[int, dict]]] = {}
-        for di, m in occ:
-            for f in m.get("fields", []):
-                fk = ckey(f["name"])
-                if not fk:
-                    continue
-                if fk not in fgroups:
-                    fgroups[fk] = []
-                    forder.append(fk)
-                fgroups[fk].append((di, f))
-        forder.sort(key=lambda fk: 0 if any(
-            f.get("role") == "identity" for _, f in fgroups[fk]) else 1)
-
-        fields: list[dict] = []
-        for fk in forder:
-            focc = fgroups[fk]
-            fname = focc[0][1]["name"]
-            roles = {f.get("role") for _, f in focc}
-            role = ("identity" if "identity" in roles
-                    else "edge" if "edge" in roles else "property")
-            f_docs = {di for di, _ in focc}
-            out = {
-                "name": fname, "type": "str",
-                "is_list": (role != "identity"
-                            and any(f.get("is_list") for _, f in focc)),
-                "optional": (any(f.get("optional", True) for _, f in focc)
-                             or len(f_docs) < n_docs),
-                "description": next(
-                    (str(f.get("description") or "").strip()
-                     for _, f in focc
-                     if str(f.get("description") or "").strip()), ""),
-                "examples": [],
-                "role": role, "edge_label": None, "reference": False,
-            }
-            if role == "edge":
-                from collections import Counter
-
-                edge_occ = [f for _, f in focc if f.get("role") == "edge"]
-                targets = [ckey(f["type"]) for f in edge_occ]
-                tkey, _n = Counter(targets).most_common(1)[0]
-                if len(set(targets)) > 1:
-                    decisions.append(f"{mname}.{fname}: documents disagree "
-                                     f"on the edge target; majority "
-                                     f"{display.get(tkey, tkey)!r} wins")
-                if tkey not in kept_keys:
-                    decisions.append(f"{mname}.{fname}: edge dropped — "
-                                     "target class not kept in the merge")
-                    continue
-                out["type"] = display[tkey]
-                labels = [f.get("edge_label") for f in edge_occ
-                          if f.get("edge_label")]
-                if labels:
-                    out["edge_label"] = labels[0]
-                    if len(set(labels)) > 1:
-                        decisions.append(
-                            f"{mname}.{fname}: labels disagree "
-                            f"{sorted(set(labels))}; {labels[0]!r} wins")
-                out["reference"] = all(f.get("reference")
-                                       for f in edge_occ)
-            else:
-                # examples union round-robin across documents, deduped
-                seen_ex: set[str] = set()
-                queues = {}
-                for di, f in focc:
-                    queues.setdefault(di, []).extend(
-                        str(e) for e in (f.get("examples") or []))
-                qs = [queues[di] for di in sorted(queues)]
-                while (len(out["examples"]) < MAX_FIELD_EXAMPLES
-                       and any(qs)):
-                    for q in qs:
-                        while q:
-                            e = q.pop(0)
-                            key = " ".join(e.split()).casefold()
-                            if key in seen_ex:
-                                continue
-                            seen_ex.add(key)
-                            out["examples"].append(e)
-                            break
-                        if len(out["examples"]) >= MAX_FIELD_EXAMPLES:
-                            break
-                # enum union with OTHER folding, else scalar lattice
-                enum_decls = [
-                    enum_by_name[di][f["type"]] for di, f in focc
-                    if f.get("type") in enum_by_name.get(di, {})
-                ]
-                if enum_decls:
-                    members: list[str] = []
-                    mseen: set[str] = set()
-                    for e in enum_decls:
-                        for v in e.get("members", []):
-                            if str(v) not in mseen:
-                                mseen.add(str(v))
-                                members.append(str(v))
-                    if len(members) > max_enum_members:
-                        out["type"] = "str"
-                        listed = ", ".join(members[:10])
-                        out["description"] = (
-                            f"{out['description']} Common values: "
-                            f"{listed}.").strip()
-                        decisions.append(
-                            f"{mname}.{fname}: enum union has "
-                            f"{len(members)} members "
-                            f"(> {max_enum_members}) — demoted to str")
-                    else:
-                        ename = _unique_enum_name(
-                            _pascal(mname) + _pascal(fname), enum_taken)
-                        merged_enums.append({
-                            "name": ename, "members": members,
-                            "include_other": any(
-                                e.get("include_other", True)
-                                for e in enum_decls),
-                        })
-                        out["type"] = ename
-                        if len(enum_decls) < len(focc):
-                            decisions.append(
-                                f"{mname}.{fname}: enum in "
-                                f"{len(enum_decls)}/{len(focc)} "
-                                "occurrences — union kept (scalar "
-                                "occurrences fold into OTHER)")
-                else:
-                    resolved, promoted = _merge_scalar_types(
-                        [f.get("type", "str") for _, f in focc])
-                    out["type"] = resolved
-                    if promoted:
-                        decisions.append(
-                            f"{mname}.{fname}: documents disagree on the "
-                            f"type — promoted to {resolved!r} "
-                            "(int -> float -> str, never narrows)")
-            # rare-field flag (merge.py:_RARE_FIELD_MIN_DOCS)
-            if n_docs >= _RARE_FIELD_MIN_DOCS and len(f_docs) == 1:
-                base = out["description"] or (
-                    f"Seen in 1 of {n_docs} sample documents.")
-                out["description"] = f"Rare: {base}"
-                decisions.append(f"{mname}.{fname}: seen in only 1 of "
-                                 f"{n_docs} documents — flagged 'Rare:'")
-            fields.append(out)
-
-        if kind == "component":
-            for f in fields:
-                if f["role"] == "identity":
-                    f["role"] = "property"
-            identity: list[str] = []
-        else:
-            identity = [f["name"] for f in fields
-                        if f["role"] == "identity"]
-        model = {
-            "name": mname, "kind": kind,
-            "docstring": next(
-                (str(m.get("docstring") or "").strip() for _, m in occ
-                 if str(m.get("docstring") or "").strip()),
-                f"{mname}."),
-            "identity": identity, "fields": fields,
-        }
-        mis = [int(m["max_instances"]) for _, m in occ
-               if isinstance(m.get("max_instances"), int)
-               and not isinstance(m.get("max_instances"), bool)]
-        if mis and kind != "component":
-            model["max_instances"] = max(mis)
-        dedups = sorted({d for _, m in occ
-                         for d in (m.get("root_list_dedup") or [])})
-        if dedups and kind == "root":
-            model["root_list_dedup"] = dedups
-        merged_models.append(model)
-
-    # root renders last in our spec convention-free shape; keep union order
-    spec = {
-        "name": name,
-        "docstring": "Template merged from "
-                     f"{len(specs)} per-document induced specs.",
-        "root": display[root_key],
-        "enums": merged_enums,
-        "models": merged_models,
-    }
-    return spec, decisions
-
-
-def _unique_enum_name(base: str, taken: set[str]) -> str:
-    """First of base, base_2, ... not taken (merge.py:_unique_display —
-    enums and classes share one name pool so the linter's rename cascade
-    can never confuse them)."""
-    nm, i = base, 2
-    while nm in taken:
-        nm = f"{base}_{i}"
-        i += 1
-    taken.add(nm)
-    return nm
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,9 @@
-"""Interactive graph visualization + HTML run report.
+"""Interactive graph visualization.
 
-Reference analogue: the Visualization stage's Cytoscape HTML + report
-(docling_graph/core/visualizers/interactive_visualizer.py:23-410,
-report_generator.py:13-260).  This container has no network, so instead
-of a CDN-loaded Cytoscape bundle the page embeds the graph as JSON plus
+Reference analogue: the Visualization stage's Cytoscape HTML
+(docling_graph/core/visualizers/interactive_visualizer.py:23-410).
+This container has no network, so instead of a CDN-loaded Cytoscape
+bundle the page embeds the graph as JSON plus
 a small self-contained force-layout renderer (vanilla JS + SVG): class-
 colored nodes, labeled edges, drag, zoom/pan, click-to-inspect
 attributes.  Driver-side small-data rendering — graphs above
@@ -193,41 +193,4 @@ def export_graph_html(nodes, edges, path: str, **kwargs) -> str:
     with open(tmp, "w", encoding="utf-8") as f:
         f.write(html_text)
     os.replace(tmp, path)
-    return path
-
-
-def write_run_report_html(out_dir: str) -> str:
-    """Companion HTML rendering of the run report (report_generator.py
-    analogue): the markdown report's stats as styled tables."""
-    from docling_graph_ray.report import render_run_report
-
-    md = render_run_report(out_dir)
-    # minimal md → html: headings, bullets, tables pass through <pre>
-    body: list[str] = []
-    for line in md.splitlines():
-        if line.startswith("# "):
-            body.append(f"<h1>{_html.escape(line[2:])}</h1>")
-        elif line.startswith("## "):
-            body.append(f"<h2>{_html.escape(line[3:])}</h2>")
-        elif line.startswith("- "):
-            body.append(f"<li>{_html.escape(line[2:])}</li>")
-        elif line.startswith("|"):
-            cells = [c.strip() for c in line.strip("|").split("|")]
-            if set("".join(cells)) <= {"-", " ", ":"}:
-                continue
-            tag = "td"
-            body.append("<tr>" + "".join(
-                f"<{tag}>{_html.escape(c)}</{tag}>" for c in cells) + "</tr>")
-        elif line.strip():
-            body.append(f"<p>{_html.escape(line)}</p>")
-    html_text = (
-        "<!DOCTYPE html><html><head><meta charset=\"utf-8\">"
-        "<title>run report</title><style>body{font-family:sans-serif;"
-        "margin:16px}td{border:1px solid #ddd;padding:4px 8px}"
-        "table{border-collapse:collapse}</style></head><body><table>"
-        + "\n".join(body) + "</table></body></html>"
-    )
-    path = os.path.join(out_dir, "report.html")
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(html_text)
     return path

@@ -156,34 +156,6 @@ def test_coerce_scalar_to_quantity_rung():
     assert status2 == "defaulted" and rec2["wt"]["text_value"] == ""
 
 
-def test_prune_missing_identity_deepest_first():
-    """Phantom-hub guard: id-less nested instances drop deepest-first
-    (llm_backend._drop_instances_missing_identity ordering)."""
-    from docling_graph_ray.functions.salvage import prune_missing_identity
-
-    record = {
-        "title": "root",
-        "studies": [
-            {"study_id": "s1", "experiments": [
-                {"exp_id": "e1"}, {"exp_id": ""}, {"exp_id": "e3"},
-            ]},
-            {"study_id": "", "experiments": [{"exp_id": "e9"}]},  # phantom hub
-            {"study_id": "s3", "experiments": []},
-        ],
-    }
-    spec = {"studies[]": ["study_id"],
-            "studies[].experiments[]": ["exp_id"]}
-    out, dropped = prune_missing_identity(record, spec)
-    assert dropped == ["studies[0].experiments[1]", "studies[1]"]
-    assert [s["study_id"] for s in out["studies"]] == ["s1", "s3"]
-    assert [e["exp_id"] for e in out["studies"][0]["experiments"]] == ["e1", "e3"]
-    # input untouched (pure function)
-    assert len(record["studies"]) == 3
-    # idempotent
-    out2, dropped2 = prune_missing_identity(out, spec)
-    assert dropped2 == [] and out2 == out
-
-
 # ---------------------------------------------------------------------- sniff
 
 @pytest.mark.parametrize("raw,kind", [

@@ -1,98 +1,20 @@
-"""Contract routing + sparse-output detection (reference:
-auto.py:31-132, llm_backend.py:857-918)."""
+"""Contract routing (reference: auto.py:31-132)."""
 
 import pyarrow as pa
 
-from docling_graph_ray.functions.contracts import (
-    count_non_empty_values,
-    count_schema_leaf_fields,
-    is_sparse_result,
-    resolve_contract,
-    resolve_contract_batch,
-)
-
-
-def test_resolve_contract_direct_small_doc():
-    contract, reason, est = resolve_contract(
-        content_chars=4000, output_budget_tokens=2048,
-        context_limit_tokens=8192,
-    )
-    assert contract == "direct" and est == 1000
-
-
-def test_resolve_contract_dense_on_output_pressure():
-    # fits the context but exceeds the output capacity (8192 chars)
-    contract, reason, _ = resolve_contract(
-        content_chars=10_000, output_budget_tokens=2048,
-        context_limit_tokens=100_000,
-    )
-    assert contract == "dense" and "single-response" in reason
-
-
-def test_resolve_contract_dense_on_context_overflow():
-    contract, reason, _ = resolve_contract(
-        content_chars=7000, output_budget_tokens=2048,
-        context_limit_tokens=3000,
-    )
-    assert contract == "dense" and "context window" in reason
-
-
-def test_resolve_contract_unknown_context_and_no_chunking():
-    # unknown context: only the output-capacity rule applies
-    assert resolve_contract(
-        content_chars=8192, output_budget_tokens=2048,
-        context_limit_tokens=None,
-    )[0] == "direct"
-    # chunking disabled: always direct
-    assert resolve_contract(
-        content_chars=10**7, output_budget_tokens=2048,
-        context_limit_tokens=8192, chunking_available=False,
-    )[0] == "direct"
+from docling_graph_ray.functions.contracts import resolve_contract_batch
 
 
 def test_resolve_contract_batch_matches_scalar():
+    # the per-document rule, by hand: est = max(1, chars // 4); direct iff
+    # est + 2048 <= 8192 (context) and chars <= 2048 * 4 (one response)
     chars = [0, 100, 8192, 8193, 100_000]
     batch = pa.table({"n_chars": pa.array(chars, pa.int64())})
     out = resolve_contract_batch(
         batch, chars_col="n_chars", output_budget_tokens=2048,
         context_limit_tokens=8192,
     )
-    expected = [resolve_contract(content_chars=c, output_budget_tokens=2048,
-                                 context_limit_tokens=8192) for c in chars]
-    assert out.column("contract").to_pylist() == [e[0] for e in expected]
-    assert out.column("est_input_tokens").to_pylist() == [e[2] for e in expected]
-
-
-def test_count_non_empty_values():
-    assert count_non_empty_values(
-        {"a": "x", "b": "", "c": None, "d": [1, "", {"e": 2}], "f": 0}
-    ) == 4  # a, 1, e, f
-
-
-SCHEMA = {
-    "$defs": {"Child": {"properties": {"x": {"type": "string"},
-                                       "y": {"type": "integer"}}}},
-    "properties": {
-        "name": {"type": "string"},
-        "kids": {"type": "array", "items": {"$ref": "#/$defs/Child"}},
-        "solo": {"$ref": "#/$defs/Child"},
-    },
-}
-
-
-def test_count_schema_leaf_fields():
-    # name (1) + kids->Child (2) + solo->Child (2)
-    assert count_schema_leaf_fields(SCHEMA) == 5
-    assert count_schema_leaf_fields({"properties": {}}) == 1
-
-
-def test_is_sparse_result():
-    rich_schema = {"properties": {f"f{i}": {"type": "string"}
-                                  for i in range(12)}}
-    sparse = {"f0": "x"}                       # 1/12 < 0.40
-    full = {f"f{i}": "x" for i in range(6)}    # 6/12 >= 0.40
-    assert is_sparse_result(sparse, rich_schema, content_chars=500)
-    assert not is_sparse_result(full, rich_schema, content_chars=500)
-    # short docs and small schemas never flag
-    assert not is_sparse_result(sparse, rich_schema, content_chars=399)
-    assert not is_sparse_result({}, SCHEMA, content_chars=500)
+    assert out.column("contract").to_pylist() == [
+        "direct", "direct", "direct", "dense", "dense"]
+    assert out.column("est_input_tokens").to_pylist() == [
+        1, 25, 2048, 2048, 25_000]

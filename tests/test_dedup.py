@@ -8,7 +8,6 @@ import ray.data
 
 from docling_graph_ray.stages.dedup import (
     embedding_near_dedup,
-    exact_dedup,
     hamming64,
     minhash_lsh_dedup,
     minhash_signature,
@@ -234,15 +233,6 @@ def test_ngram_jaccard_dedup(ray_session):
     assert out[4]["rep_id"] == 1
     assert out[2]["rep_id"] == 1
     assert not out[3]["is_dup"]
-
-
-def test_exact_dedup(ray_session):
-    t = pa.table(
-        {"k": ["a", "a", "b"], "order": [2, 1, 5], "v": ["late", "early", "only"]}
-    )
-    out = exact_dedup(ray.data.from_arrow(t), ["k"], "order").take_all()
-    got = {r["k"]: r["v"] for r in out}
-    assert got == {"a": "early", "b": "only"}
 
 
 def test_embedding_near_dedup(ray_session):

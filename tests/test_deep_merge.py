@@ -124,26 +124,3 @@ def test_merge_partial_records_dataset(ray_session):
     assert d1["studies"] == [{"name": "S1", "p1": 1, "p2": 1}]
     assert int(out.loc["d1", "n_partials"]) == 2
     assert json.loads(out.loc["d2", "record"]) == {"title": "only"}
-
-
-def test_record_path_catalog_and_bottom_up_order():
-    from docling_graph_ray.functions.deep_merge import (
-        bottom_up_path_order,
-        record_path_catalog,
-    )
-
-    rec = {
-        "orderkey": 1,
-        "customer": {"name": "c", "address": {"city": "x"}},
-        "items": [{"ln": 1, "part": {"pk": 9}}, {"ln": 2}],
-    }
-    paths = record_path_catalog(rec)
-    assert paths == ["", "customer", "customer.address", "items",
-                     "items.part"]
-    order = bottom_up_path_order(paths)
-    # deepest first, root last; ties alphabetical
-    assert order == ["customer.address", "items.part", "customer",
-                     "items", ""]
-    # catalog unions across records
-    paths2 = record_path_catalog([rec, {"extra": {"a": 1}}])
-    assert "extra" in paths2

@@ -1,14 +1,8 @@
-"""DoclingExporter-parity artifact set: .json / .md / .dclg + per-page
-(docling_exporter.py:25-120 semantics on the extracted-row model)."""
-
-import json
+"""DocLang view of an extracted row, read back by ``extract_doclang``
+(docling_exporter.py:25-120 .dclg semantics on the extracted-row model)."""
 
 from docling_graph_ray.stages.doc_formats import extract_doclang
-from docling_graph_ray.stages.exporters import (
-    document_to_dict,
-    export_document,
-    render_doclang,
-)
+from docling_graph_ray.stages.exporters import render_doclang
 
 TEXT = "Intro heading\n\nBody & <tags> here\n\nSecond page text"
 SPANS = [
@@ -19,22 +13,6 @@ SPANS = [
     {"span_id": 2, "start": 35, "end": 51, "kind": "block", "path": "p",
      "block_class": "text", "page_no": 2, "bbox": [5, 5, 100, 90]},
 ]
-
-
-def test_export_document_artifact_set(tmp_path):
-    paths = export_document("u1", TEXT, SPANS, str(tmp_path), "doc",
-                            per_page=True)
-    assert set(paths) == {"document_json", "markdown", "doclang",
-                          "page_markdowns"}
-    doc = json.loads(open(paths["document_json"]).read())
-    assert doc["url"] == "u1"
-    assert doc["extracted_text"] == TEXT
-    assert [s["span_id"] for s in doc["spans"]] == [0, 1, 2]
-    md = open(paths["markdown"]).read()
-    assert "Intro heading" in md
-    assert len(paths["page_markdowns"]) == 2  # pages 1 and 2
-    page2 = open(paths["page_markdowns"][1]).read()
-    assert "Second page" in page2 and "Intro" not in page2
 
 
 def test_doclang_escapes_and_geometry(tmp_path):
@@ -53,13 +31,6 @@ def test_doclang_write_read_roundtrip():
     assert back["extracted_text"] == TEXT
     assert [s["block_class"] for s in back["spans"]] == [
         "heading", "text", "text"]
-
-
-def test_document_to_dict_is_canonical():
-    d1 = document_to_dict("u", "t", SPANS)
-    d2 = document_to_dict("u", "t", list(SPANS))
-    assert d1 == d2
-    assert d1["format"].endswith("/document")
 
 
 def test_export_document_invalid_class_tag(tmp_path):

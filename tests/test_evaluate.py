@@ -10,14 +10,12 @@ import ray
 import ray.data
 
 from docling_graph_ray.stages.evaluate import (
+    TAGGED_SCHEMA,
     evaluate_graphs,
     identity_token,
-    micro_summary,
     pair_similarity,
-    prf,
     relaxed_match_pairs,
     tag_graph,
-    tag_sources,
 )
 
 
@@ -30,6 +28,16 @@ def _nodes(side_rows):
         {"doc_id": d, "class": c, "key": k, **attrs}
         for d, c, k, attrs in side_rows
     ])
+
+
+def _sources(rows):
+    """Source-text rows in the tagged layout (side ``src``; the text rides
+    in ``attrs``) for the verbatim check."""
+    return ray.data.from_arrow(pa.Table.from_pylist([
+        {"doc_id": d, "side": "src", "kind": "source", "cls": "", "key": "",
+         "src": "", "dst": "", "attrs": text}
+        for d, text in rows
+    ], schema=TAGGED_SCHEMA))
 
 
 def _edges(rows):
@@ -61,12 +69,11 @@ def counts(ray_session):
         ("d1", "WORKS_AT", ("Person", "ALICE"), ("Org", "GLOBEX")),
         ("d1", "KNOWS", ("Person", "ALICE"), ("Person", "BOB_2_JR")),
     ])
-    sources = _ds([{"doc_id": "d1", "text": "Source doc. " + bio}])
     tagged = tag_graph(gt_nodes, gt_edges, side="gt",
                        attr_cols=["role", "age", "bio"]).union(
         tag_graph(got_nodes, got_edges, side="got",
                   attr_cols=["role", "age", "bio"]),
-        tag_sources(sources),
+        _sources([("d1", "Source doc. " + bio)]),
     )
     out = evaluate_graphs(tagged, structural="off").to_pandas()
     return out.set_index(["section", "rung", "cls"]).sort_index()
@@ -104,24 +111,6 @@ def test_completeness_on_strict_matches(counts):
 def test_verbatim_ratio(counts):
     # got ALICE bio (>= 80 chars) is verbatim-contained in the source
     assert _row(counts, "verbatim", "", "") == (1, 0, 0)
-
-
-def test_micro_summary_sums_before_ratios(ray_session):
-    rows = pa.Table.from_pylist([
-        {"doc_id": "a", "section": "nodes", "rung": "strict", "cls": "X",
-         "tp": 3, "fp": 1, "fn": 0},
-        {"doc_id": "b", "section": "nodes", "rung": "strict", "cls": "Y",
-         "tp": 1, "fp": 0, "fn": 4},
-        {"doc_id": "a", "section": "edges", "rung": "strict", "cls": "L",
-         "tp": 2, "fp": 2, "fn": 2},
-    ])
-    micro = micro_summary(ray.data.from_arrow(rows)).to_pandas()
-    micro = micro.set_index(["section", "rung"]).sort_index()
-    node = micro.loc[("nodes", "strict")]
-    assert (int(node["tp"]), int(node["fp"]), int(node["fn"])) == (4, 1, 4)
-    scores = prf(4, 1, 4)
-    assert scores["p"] == 0.8 and scores["r"] == 0.5
-    assert scores["f1"] == round(2 * 0.8 * 0.5 / 1.3, 3)
 
 
 def test_structural_alignment_on_synthetic_ids(ray_session):

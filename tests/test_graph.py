@@ -1,7 +1,6 @@
 """Graph operators: dedup+enrich, edge cleanup, phantom filter,
 cardinality bounds, content-hash dedup + redirect, stats, exporters."""
 
-import os
 import json
 
 import numpy as np
@@ -230,88 +229,6 @@ def test_fold_merge_idempotent(ray_session):
     ]
 
 
-def test_cypher_export_styles(ray_session, tmp_path):
-    from docling_graph_ray.stages.exporters import export_graph_cypher
-
-    nodes = _nodes_ds([
-        {"node_id": "n1", "class": "Person", "name": "Ada", "age": 36},
-        {"node_id": "n2", "class": "Org", "name": "ACME's", "age": None},
-    ])
-    edges = _nodes_ds([{"src": "n1", "dst": "n2", "label": "works-at"}])
-    p = export_graph_cypher(nodes, edges, str(tmp_path / "g.cypher"))
-    text = open(p).read()
-    assert "CREATE CONSTRAINT IF NOT EXISTS FOR (n:Org)" in text
-    assert "MERGE (n:Person {age: 36, name: 'Ada', node_id: 'n1'});" in text
-    assert "'ACME\\'s'" in text                      # quote escaping
-    assert "[:WORKS_AT {}]" in text                  # label normalization
-    p2 = export_graph_cypher(nodes, edges, str(tmp_path / "g2.cypher"),
-                             style="create")
-    assert "CREATE (n:Person" in open(p2).read()
-    with pytest.raises(ValueError):
-        export_graph_cypher(nodes, edges, str(tmp_path / "x"), style="upsert")
-
-
-def test_render_markdown():
-    from docling_graph_ray.stages.exporters import render_markdown
-
-    text = "Title\n\npara one\n\nc1\n\nc2\n\nitem"
-    spans = [
-        {"span_id": 0, "start": 0, "end": 5, "kind": "heading", "block_class": "h1"},
-        {"span_id": 1, "start": 7, "end": 15, "kind": "block", "block_class": "p"},
-        {"span_id": 2, "start": 17, "end": 19, "kind": "cell", "block_class": "td"},
-        {"span_id": 3, "start": 21, "end": 23, "kind": "cell", "block_class": "td"},
-        {"span_id": 4, "start": 25, "end": 29, "kind": "item", "block_class": "li"},
-    ]
-    md = render_markdown(text, spans)
-    assert md == "# Title\n\npara one\n\n| c1 | c2 |\n\n- item\n"
-
-
-def test_skolemize_collisions():
-    from docling_graph_ray.functions.merging import skolemize_collisions
-
-    rows = [
-        {"node_id": "e1", "doc_id": "d1", "name": "Alpha"},
-        {"node_id": "e1", "doc_id": "d2", "name": "Beta"},     # conflict
-        {"node_id": "e2", "doc_id": "d1", "name": "Gamma"},
-        {"node_id": "e2", "doc_id": "d2", "name": None},       # fillable, no conflict
-    ]
-    out, recs = skolemize_collisions(rows)
-    ids = [r["node_id"] for r in out]
-    assert all(i.startswith("e1__doc_") for i in ids[:2])
-    assert ids[2:] == ["e2", "e2"]
-    assert len({ids[0], ids[1]}) == 2                          # split apart
-    assert recs == [{
-        "node_id": "e1", "field": "name",
-        "values": ["Alpha", "Beta"], "docs": ["d1", "d2"],
-    }]
-    # idempotent on already-clean input
-    out2, recs2 = skolemize_collisions(out[2:])
-    assert recs2 == [] and [r["node_id"] for r in out2] == ["e2", "e2"]
-
-
-def test_integrity_check(ray_session):
-    from docling_graph_ray.stages.graph import integrity_check
-
-    nodes = _nodes_ds([
-        {"node_id": "a", "class": "X"},
-        {"node_id": "a", "class": "X"},   # duplicate id
-        {"node_id": "b", "class": "Y"},
-    ])
-    edges = _nodes_ds([
-        {"src": "a", "dst": "b", "label": "l"},
-        {"src": "a", "dst": "b", "label": "l"},   # duplicate triple
-        {"src": "a", "dst": "a", "label": "l"},   # self-loop
-        {"src": "z", "dst": "b", "label": "l"},   # dangling src
-    ])
-    warns = integrity_check(nodes, edges).to_pandas()
-    checks = sorted(warns["check"].tolist())
-    assert checks == [
-        "dangling_src", "duplicate_edge", "duplicate_node_id", "self_loop",
-    ]
-    dup = warns[warns["check"] == "duplicate_node_id"].iloc[0]
-    assert dup["item"] == "a" and dup["detail"] == "count=2"
-
-
 def test_span_geometry_slots(ray_session):
     """PDF spans carry page_no/bbox; HTML spans have them null."""
     import pyarrow as pa_
@@ -375,11 +292,10 @@ def test_enforce_closed_catalogs(ray_session):
 
 
 def test_export_json_cypher_sharded_above_cap(ray_session, tmp_path):
-    """Above max_driver_rows both exporters switch to sharded output and
-    never build a graph-sized driver list (VERDICT r2 What's-wrong #5);
-    import_graph_json round-trips the sharded manifest."""
+    """Above max_driver_rows the JSON exporter switches to sharded output
+    and never builds a graph-sized driver list (VERDICT r2 What's-wrong
+    #5); import_graph_json round-trips the sharded manifest."""
     from docling_graph_ray.stages.exporters import (
-        export_graph_cypher,
         export_graph_json,
         import_graph_json,
     )
@@ -402,22 +318,3 @@ def test_export_json_cypher_sharded_above_cap(ray_session, tmp_path):
     n2, e2, meta = import_graph_json(p)
     assert [r["node_id"] for r in n2] == [f"n{i:03d}" for i in range(40)]
     assert len(e2) == 40 and meta == {"run": "big"}
-
-    cp = export_graph_cypher(nodes, edges, str(tmp_path / "g.cypher"),
-                             max_driver_rows=10)
-    head = open(cp).read()
-    assert "CREATE CONSTRAINT" in head and "sharded export" in head
-    shard_dir = cp + ".shards"
-    shards = sorted(os.listdir(shard_dir))
-    assert shards and all(s.endswith(".cypher") for s in shards)
-    # node shards (a-*) sort before edge shards (b-*) for replay order
-    assert shards[0].startswith("a-nodes-")
-    body = "".join(open(os.path.join(shard_dir, s)).read() for s in shards)
-    assert body.count("MERGE (n:Doc") == 40
-    assert body.count("MERGE (a)-[:NEXT") == 40
-
-    # below the cap the conformance single-file shape is unchanged
-    cp_small = export_graph_cypher(nodes, edges,
-                                   str(tmp_path / "small.cypher"))
-    small = open(cp_small).read()
-    assert small.count("MERGE (n:Doc") == 40 and "sharded" not in small

@@ -6,13 +6,11 @@ from __future__ import annotations
 import sys
 from pathlib import Path
 
-import pyarrow as pa
-
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 
 from docling_graph_ray.fixtures.pages import make_pages_table
 from docling_graph_ray.sources.jsonl import (
-    decode_jsonl_batch,
+    decode_jsonl_lines,
     jsonl_fixture_dir,
     read_jsonl_pages,
     rows_to_jsonl_bytes,
@@ -66,8 +64,7 @@ def test_jsonl_corrupt_line_salvaged():
     raw = rows_to_jsonl_bytes(tbl)
     lines = raw.decode().splitlines()
     lines.insert(1, '{"url": broken json')
-    batch = pa.table({"text": pa.array(lines, pa.string())})
-    out = decode_jsonl_batch(batch)
+    out = decode_jsonl_lines(lines)
     assert out.num_rows == 3
     urls = out.column("url").to_pylist()
     assert urls.count("") == 1  # the corrupt line became a salvage row

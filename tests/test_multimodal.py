@@ -37,47 +37,6 @@ def test_features_deterministic():
     assert a == b
 
 
-def test_resize_stage(ray_session):
-    import ray.data as rd
-
-    from docling_graph_ray.stages.multimodal import MediaResizeActor, make_media_table
-
-    from docling_graph_ray.stages.media_codec import decode_png, sniff_format
-
-    ds = rd.from_arrow(make_media_table(12))
-    out = ds.map_batches(
-        MediaResizeActor, batch_format="pyarrow", batch_size=4,
-        concurrency=(1, 2),
-        fn_constructor_kwargs={"width": 8, "height": 8},
-    ).to_pandas().sort_values("media_id")
-    assert len(out) == 12
-    for _, r in out.iterrows():
-        p = bytes(r["payload"])
-        if r["media_id"] % 3 == 0:
-            # image rows: REAL resized PNG out
-            assert sniff_format(p) == "png"
-            assert decode_png(p).shape == (8, 8, 3)
-        else:
-            # stub path: raw fake pixels
-            assert len(p) == 8 * 8 * 3
-    assert all(m["width"] == 8 and m["height"] == 8 for m in out["meta"])
-
-
-def test_frame_sample(ray_session):
-    import ray.data as rd
-
-    from docling_graph_ray.stages.multimodal import frame_sample, make_media_table
-
-    tbl = make_media_table(12)  # every 3rd row is video with duration 1000+i
-    out = frame_sample(rd.from_arrow(tbl), every_ms=250, max_frames=8).to_pandas()
-    assert set(out["media_id"]) == {2, 5, 8, 11}   # video rows only
-    one = out[out["media_id"] == 2].sort_values("frame_no")
-    assert one["ts_ms"].tolist() == [0, 250, 500, 750, 1000]
-    # deterministic frame bytes
-    out2 = frame_sample(rd.from_arrow(tbl), every_ms=250, max_frames=8).to_pandas()
-    assert sorted(map(bytes, out["frame"])) == sorted(map(bytes, out2["frame"]))
-
-
 def test_png_roundtrip_exact():
     from docling_graph_ray.stages.media_codec import decode_png, encode_png
 
@@ -220,25 +179,6 @@ def test_probe_media_formats():
     for junk in (b"", b"\xff\xd8\xff", b"GIF89a\x01", png[:20], b"RIFF1234"):
         out = probe_media(junk)
         assert isinstance(out["format"], str)
-
-
-def test_media_probe_batch(ray_session):
-    import ray.data
-
-    from docling_graph_ray.stages.multimodal import (
-        make_media_table, media_probe_batch,
-    )
-
-    ds = ray.data.from_arrow(make_media_table(12)).map_batches(
-        media_probe_batch, batch_format="pyarrow")
-    df = ds.to_pandas().set_index("media_id").sort_index()
-    # rows 0,3,6,9 are real PNGs (24x16); 1,4,7,10 real WAVs
-    assert (df.loc[[0, 3, 6, 9], "format"] == "png").all()
-    assert (df.loc[[0, 3, 6, 9], "width"] == 24).all()
-    assert (df.loc[[1, 4, 7, 10], "format"] == "wav").all()
-    assert (df.loc[[1, 4, 7, 10], "sample_rate"] == 16000).all()
-    # fake video payloads sniff unknown (bytes, not metadata, decide)
-    assert (df.loc[[2, 5, 8, 11], "format"] == "unknown").all()
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ the structural contracts; validate_stage rejects malformed plugins."""
 import pyarrow as pa
 import pytest
 
-from docling_graph_ray.stages.multimodal import MediaFeatureActor, MediaResizeActor
+from docling_graph_ray.stages.multimodal import MediaFeatureActor
 from docling_graph_ray.stages.pdf_parse import PdfParseActor
 from docling_graph_ray.state.protocols import (
     BatchStage,
@@ -16,7 +16,6 @@ from docling_graph_ray.state.protocols import (
 def test_builtin_actors_are_batch_stages():
     assert isinstance(PdfParseActor(), BatchStage)
     assert isinstance(MediaFeatureActor(), BatchStage)
-    assert isinstance(MediaResizeActor(), BatchStage)
 
 
 def test_pdf_actor_is_document_parser():

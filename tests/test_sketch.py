@@ -51,195 +51,4 @@ def test_distinct_estimate_dataset(ray_session):
     assert (est0, nb0) == (0.0, 0) or est0 == 0.0
 
 
-def test_grouped_distinct_estimate(ray_session):
-    """Grouped HLL vs the single-group sketch computed per key, and
-    partitioning invariance (register merge is order-free)."""
-    import pyarrow as pa
-    import ray.data
-
-    from docling_graph_ray.stages.sketch import (
-        grouped_distinct_estimate,
-        hll_estimate,
-        hll_registers,
-    )
-
-    rows = []
-    for g, n_distinct, reps in (("a", 40, 3), ("b", 7, 1), ("c", 1, 50)):
-        for i in range(n_distinct):
-            rows += [(g, f"{g}-text-{i}")] * reps
-    tbl = pa.table({"source": [r[0] for r in rows],
-                    "text": [r[1] for r in rows]})
-
-    for parts in (2, 7):
-        ds = ray.data.from_arrow(tbl).repartition(parts)
-        out = {r["source"]: r["estimate"]
-               for r in grouped_distinct_estimate(
-                   ds, key_col="source", col="text").take_all()}
-        want = {
-            g: round(hll_estimate(hll_registers(
-                [t for s, t in rows if s == g])), 4)
-            for g in ("a", "b", "c")
-        }
-        assert out == want, (parts, out, want)
-    # small-range HLL is near-exact here
-    assert abs(out["a"] - 40) < 2 and abs(out["b"] - 7) < 1
-    assert abs(out["c"] - 1) < 0.1
-
-
-def test_zipf_fit(ray_session):
-    """Zipf slope vs a numpy polyfit brute force; exact -1 slope on a
-    constructed power-law corpus."""
-    import math
-    from collections import Counter
-
-    import numpy as np
-    import pyarrow as pa
-    import ray.data
-
-    from docling_graph_ray.stages.sketch import zipf_fit
-
-    # freq(token_r) = 120 // r → near-perfect Zipf over 8 ranks
-    words = []
-    for r in range(1, 9):
-        words += [f"w{r:02d}"] * (120 // r)
-    texts = [" ".join(words[i::5]) for i in range(5)]
-    ds = ray.data.from_arrow(pa.table({"doc_id": list(range(5)),
-                                       "text": texts})).repartition(3)
-    row = zipf_fit(ds, k=8).to_pylist()[0]
-
-    c = Counter(words)
-    freqs = sorted(c.values(), reverse=True)
-    x = np.log(np.arange(1, len(freqs) + 1, dtype=float))
-    y = np.log(np.asarray(freqs, float))
-    slope, intercept = np.polyfit(x, y, 1)
-    assert row["k_used"] == 8
-    assert abs(row["slope"] - round(slope, 6)) < 1e-6
-    assert abs(row["intercept"] - round(intercept, 6)) < 1e-6
-    assert -1.15 < row["slope"] < -0.85  # the power law is recovered
-    assert abs(row["intercept"] - math.log(120)) < 0.2
-
-
-def test_corpus_kl(ray_session):
-    """KL drift vs a dict brute force; zero divergence on identical
-    slices; asymmetry present on skewed ones."""
-    import math
-    from collections import Counter
-
-    import pyarrow as pa
-    import ray.data
-
-    from docling_graph_ray.stages.sketch import corpus_kl
-
-    rows = [
-        ("en", "aa aa bb cc"), ("en", "aa bb bb dd"),
-        ("de", "aa cc cc ee"), ("de", "ee ee ff"),
-    ]
-    ds = ray.data.from_arrow(pa.table({
-        "lang": [r[0] for r in rows], "text": [r[1] for r in rows],
-    })).repartition(3)
-    row = corpus_kl(ds, split_col="lang", split_value="en").to_pylist()[0]
-
-    cp, cq = Counter(), Counter()
-    for lang, t in rows:
-        (cp if lang == "en" else cq).update(t.split())
-    vocab = len(set(cp) | set(cq))
-    n_p, n_q = sum(cp.values()), sum(cq.values())
-    kl_pq = kl_qp = 0.0
-    for tok in set(cp) | set(cq):
-        p = (cp.get(tok, 0) + 1.0) / (n_p + vocab)
-        q = (cq.get(tok, 0) + 1.0) / (n_q + vocab)
-        lr = math.log(p) - math.log(q)
-        kl_pq += p * lr
-        kl_qp += -q * lr
-    assert row["vocab"] == vocab and row["n_p"] == n_p and row["n_q"] == n_q
-    assert abs(row["kl_pq"] - round(kl_pq, 6)) < 1e-9
-    assert abs(row["kl_qp"] - round(kl_qp, 6)) < 1e-9
-    assert row["kl_pq"] > 0 and row["kl_qp"] > 0
-
-    # identical slices → both divergences exactly 0 after rounding
-    same = ray.data.from_arrow(pa.table({
-        "lang": ["en", "de"], "text": ["x y z", "x y z"],
-    }))
-    r0 = corpus_kl(same, split_col="lang", split_value="en").to_pylist()[0]
-    assert r0["kl_pq"] == 0.0 and r0["kl_qp"] == 0.0
-    assert str(r0["kl_pq"]) == "0.0"
-
-
-def test_oov_rate(ray_session):
-    """OOV rate vs a Counter brute force; empty docs; exact top-k tie
-    handling (ties broken by token asc)."""
-    from collections import Counter
-
-    import pyarrow as pa
-    import ray.data
-
-    from docling_graph_ray.stages.sketch import oov_rate
-
-    texts = ["a a a b b c rare1", "b c c rare2 rare2", "", "   ",
-             "a b c", "rare3"]
-    ds = ray.data.from_arrow(pa.table({
-        "doc_id": pa.array(range(len(texts)), pa.int64()),
-        "text": texts,
-    })).repartition(3)
-    k = 3
-    out = {r["doc_id"]: r for r in oov_rate(ds, vocab_k=k).take_all()}
-
-    c = Counter()
-    for t in texts:
-        c.update(t.split())
-    vocab = set(tok for tok, _ in
-                sorted(c.items(), key=lambda kv: (-kv[1], kv[0]))[:k])
-    assert vocab == {"a", "b", "c"}
-    for i, t in enumerate(texts):
-        ws = t.split()
-        want_rate = (round(sum(1 for w in ws if w not in vocab) / len(ws), 6)
-                     if ws else 0.0)
-        assert out[i]["n_tokens"] == len(ws)
-        assert abs(out[i]["oov_rate"] - want_rate) < 1e-9, (i, out[i])
-    assert out[5]["oov_rate"] == 1.0 and out[2]["oov_rate"] == 0.0
-
-
 # count-min sketch
-
-
-def test_cms_never_underestimates_and_merges(ray_session):
-    """CMS point estimates are >= true counts (never under), equal the
-    truth when the vocabulary is far smaller than the bucket space,
-    and the sketch of a union equals the elementwise sum of the
-    parts' sketches (the mergeable contract)."""
-    import collections
-
-    import numpy as np
-    import ray
-
-    from docling_graph_ray.stages.sketch import cms_estimate, cms_sketch
-
-    rng = np.random.RandomState(3)
-    vocab = [f"tok{i}" for i in range(40)]
-    docs_a = [" ".join(rng.choice(vocab, rng.randint(5, 60)))
-              for _ in range(120)]
-    docs_b = [" ".join(rng.choice(vocab, rng.randint(5, 60)))
-              for _ in range(80)]
-
-    def exact(docs):
-        c = collections.Counter()
-        for d in docs:
-            c.update(d.split())
-        return c
-
-    def tbl(docs):
-        return ray.data.from_arrow(
-            pa.table({"text": pa.array(docs)})).repartition(5)
-
-    sk_a = cms_sketch(tbl(docs_a))
-    sk_b = cms_sketch(tbl(docs_b))
-    sk_ab = cms_sketch(tbl(docs_a + docs_b))
-    assert (sk_ab == sk_a + sk_b).all()          # mergeable
-
-    truth = exact(docs_a + docs_b)
-    est = cms_estimate(sk_ab, vocab)
-    true = np.array([truth[t] for t in vocab])
-    assert (est >= true).all()                    # CMS guarantee
-    # 40 tokens x 4 rows into 512 buckets: collisions possible but the
-    # min over 4 independent rows resolves them at this density
-    assert (est == true).all()

@@ -15,7 +15,6 @@ from docling_graph_ray.templategen import (
     induce_spec,
     lint_spec,
     profile_columns,
-    profile_json_records,
     render_template,
     repair_spec,
     sanitize_identifier,
@@ -65,15 +64,6 @@ def test_profile_counts(profile):
     assert int(profile.loc["lang", "distinct_saturated"]) == 0
 
 
-def test_profile_json_records(ray_session):
-    recs = [{"j": json.dumps(d)} for d in
-            ({"a": 1, "b": True}, {"a": 2.5}, {"b": False, "c": "x"})]
-    out = profile_json_records(
-        _ds(recs, blocks=2), json_col="j", cls="E"
-    ).to_pandas().set_index("field")
-    assert int(out.loc["a", "n_int"]) == 1 and int(out.loc["a", "n_float"]) == 1
-    assert int(out.loc["b", "n_bool"]) == 2
-    assert int(out.loc["c", "n_filled"]) == 1
     # n counts every record that the field was observed against in its batch
 
 
@@ -1147,142 +1137,3 @@ def test_canonical_home_rule():
     assert not root_f["seller"]["reference"]
     assert not root_f["buyer"]["reference"]
     assert not [f for f in lint_spec(fixed) if f["code"] == "W19"]
-
-
-def test_merge_induced_specs_cross_document():
-    """r5 (VERDICT r4 next-step #5; reference induce/merge.py): per-doc
-    induced specs union by canonical class name with deterministic
-    votes — kind majority w/ identity tiebreak + demotion, scalar
-    promotion lattice, enum union with OTHER folding + width demotion,
-    edge target majority + drop-if-unkept, max_instances max, rare-field
-    flag."""
-    from docling_graph_ray.templategen import (
-        lint_spec,
-        merge_induced_specs,
-        render_template,
-        repair_spec,
-        verify_template_source,
-    )
-
-    def f(name, type_, **kw):
-        return _field(name, type_, **kw)
-
-    spec_a = {
-        "name": "a", "root": "Invoice", "enums": [
-            {"name": "InvoiceStatus", "members": ["open", "paid"],
-             "include_other": True},
-        ],
-        "models": [
-            {"name": "Invoice", "kind": "root", "identity": ["inv_id"],
-             "docstring": "An invoice.", "max_instances": 2, "fields": [
-                 f("inv_id", "str", role="identity", optional=False),
-                 f("total", "int"),
-                 f("status", "InvoiceStatus"),
-                 f("seller", "Party", role="edge", edge_label="SOLD_BY"),
-             ]},
-            {"name": "Party", "kind": "entity", "identity": ["name"],
-             "docstring": "A party.", "fields": [
-                 f("name", "str", role="identity", optional=False),
-             ]},
-        ],
-    }
-    spec_b = {
-        "name": "b", "root": "Invoice", "enums": [
-            {"name": "InvoiceStatus", "members": ["paid", "void"],
-             "include_other": True},
-        ],
-        "models": [
-            # same class, different display casing -> unifies
-            {"name": "invoice", "kind": "root", "identity": ["inv_id"],
-             "docstring": "", "max_instances": 5, "fields": [
-                 f("inv_id", "str", role="identity", optional=False),
-                 f("total", "float"),            # int vs float -> float
-                 f("status", "InvoiceStatus"),
-                 # edge target disagreement: Ghost never kept -> but
-                 # majority target is Party (2/3), so edge survives
-                 f("seller", "Ghost", role="edge", edge_label="VENDOR"),
-             ]},
-            {"name": "Party", "kind": "component", "identity": [],
-             "docstring": "", "fields": [
-                 f("name", "str"),
-             ]},
-        ],
-    }
-    spec_c = {
-        "name": "c", "root": "Invoice", "enums": [],
-        "models": [
-            {"name": "Invoice", "kind": "root", "identity": ["inv_id"],
-             "docstring": "", "fields": [
-                 f("inv_id", "str", role="identity", optional=False),
-                 f("total", "int"),
-                 f("notes", "str"),               # rare: 1 of 3 docs
-                 f("seller", "Party", role="edge", edge_label="SOLD_BY"),
-             ]},
-            {"name": "Party", "kind": "entity", "identity": ["name"],
-             "docstring": "", "fields": [
-                 f("name", "str", role="identity", optional=False),
-             ]},
-        ],
-    }
-    merged, decisions = merge_induced_specs([spec_a, spec_b, spec_c])
-    by = {m["name"]: m for m in merged["models"]}
-    assert merged["root"] == "Invoice"
-    assert set(by) == {"Invoice", "Party"}
-
-    inv = {fl["name"]: fl for fl in by["Invoice"]["fields"]}
-    # identity first, survives with role identity
-    assert by["Invoice"]["fields"][0]["name"] == "inv_id"
-    # int vs int vs float -> float (promotion, never narrowing)
-    assert inv["total"]["type"] == "float"
-    assert any("promoted to 'float'" in d for d in decisions)
-    # enum union keeps first-seen member order, OTHER folded in
-    enum = {e["name"]: e for e in merged["enums"]}
-    status_t = inv["status"]["type"]
-    assert enum[status_t]["members"] == ["open", "paid", "void"]
-    assert enum[status_t]["include_other"] is True
-    # rare field flagged
-    assert inv["notes"]["description"].startswith("Rare:")
-    assert inv["notes"]["optional"] is True
-    # edge: majority target Party, first label wins, conflict recorded
-    assert inv["seller"]["type"] == "Party"
-    assert inv["seller"]["edge_label"] == "SOLD_BY"
-    assert any("labels disagree" in d for d in decisions)
-    # kind vote: Party entity=2 vs component=1 -> entity
-    assert by["Party"]["kind"] == "entity"
-    assert by["Party"]["identity"] == ["name"]
-    # max_instances: documented max across docs
-    assert by["Invoice"]["max_instances"] == 5
-
-    # the merged draft repairs + renders + exec-verifies
-    fixed, _ = repair_spec(merged)
-    assert not [x for x in lint_spec(fixed) if x["code"].startswith("E")]
-    classes = verify_template_source(render_template(fixed))
-    assert "Invoice" in classes and "Party" in classes
-
-
-def test_merge_induced_specs_demotions():
-    from docling_graph_ray.templategen import merge_induced_specs
-
-    # entity-voted but no identity anywhere -> component demotion;
-    # enum union wider than the cap -> str with listed values
-    wide = [{"name": f"s{i}", "root": "R", "enums": [
-        {"name": "RKind", "members": [f"v{j}" for j in range(i * 3, i * 3 + 3)],
-         "include_other": True}],
-        "models": [
-            {"name": "R", "kind": "root", "identity": ["rid"],
-             "docstring": "", "fields": [
-                 _field("rid", "str", role="identity", optional=False),
-                 _field("kind", "RKind"),
-                 _field("tag", "Tag", role="edge", edge_label="TAGGED"),
-             ]},
-            {"name": "Tag", "kind": "entity", "identity": [],
-             "docstring": "", "fields": [_field("label", "str")]},
-        ]} for i in range(3)]
-    merged, decisions = merge_induced_specs(wide, max_enum_members=5)
-    by = {m["name"]: m for m in merged["models"]}
-    assert by["Tag"]["kind"] == "component"   # no identity evidence
-    assert any("never invent ids" in d for d in decisions)
-    kind_f = {fl["name"]: fl for fl in by["R"]["fields"]}["kind"]
-    assert kind_f["type"] == "str"            # 9 members > cap 5
-    assert "Common values:" in kind_f["description"]
-    assert merged["enums"] == []

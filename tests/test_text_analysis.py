@@ -327,35 +327,3 @@ def test_winnow_shared_substring_shares_a_hash():
 
 
 # grouped value quantiles
-
-
-def test_grouped_value_quantiles_matches_numpy(ray_session):
-    """grouped_value_quantiles == per-group sorted-index rule
-    (max(ceil(q*n)-1, 0)) on a skewed random table, incl. a
-    single-value group."""
-    import math
-
-    import numpy as np
-    import ray
-
-    from docling_graph_ray.stages.text_analysis import grouped_value_quantiles
-
-    rng = np.random.RandomState(7)
-    groups = (["a"] * 200 + ["b"] * 37 + ["c"] * 1)
-    vals = np.concatenate([
-        rng.randint(0, 15, 200),      # heavy ties
-        rng.randint(100, 5000, 37),
-        np.array([42]),
-    ]).astype("int64")
-    qs = [0.0, 0.25, 0.5, 0.75, 0.9, 0.99, 1.0]
-    ds = ray.data.from_arrow(pa.table({
-        "g": pa.array(groups), "v": pa.array(vals)})).repartition(7)
-    got = {
-        (r["g"], r["q"]): r["value"]
-        for r in grouped_value_quantiles(ds, "g", "v", qs).to_pylist()
-    }
-    for g in ("a", "b", "c"):
-        sv = np.sort(vals[np.array(groups) == g])
-        for q in qs:
-            idx = max(math.ceil(q * len(sv)) - 1, 0)
-            assert got[(g, q)] == sv[idx], (g, q)

@@ -1,5 +1,5 @@
-"""Interactive graph HTML + HTML run report (visualizers analogue:
-interactive_visualizer.py:23-410, report_generator.py:13-260)."""
+"""Interactive graph HTML (visualizers analogue:
+interactive_visualizer.py:23-410)."""
 
 import json
 import re
@@ -11,7 +11,6 @@ import ray.data
 from docling_graph_ray.visualize import (
     export_graph_html,
     render_graph_html,
-    write_run_report_html,
 )
 
 
@@ -60,17 +59,3 @@ def test_export_graph_html_from_datasets(ray_session, tmp_path):
     )
     text = open(p).read()
     assert "<svg" in text and "n3" in text
-
-
-def test_run_report_html(ray_session, tmp_path):
-    from docling_graph_ray.fixtures.pages import pages_dataset
-    from docling_graph_ray.pipelines.extract import run_extract_pipeline
-
-    out = str(tmp_path / "run")
-    run_extract_pipeline(pages_dataset(60, profile="t1"), out_dir=out,
-                         num_partitions=2).count()  # consume → execute
-    p = write_run_report_html(out)
-    text = open(p).read()
-    assert text.startswith("<!DOCTYPE html>")
-    assert "Extraction run report" in text
-    assert "partitions committed" in text
