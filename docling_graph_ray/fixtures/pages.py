@@ -359,12 +359,16 @@ def pages_parquet_dir(n: int, seed: int = 42, profile: str = "t2") -> str:
     The cache key includes a hash of THIS MODULE's source, so editing the
     generator invalidates stale caches.  Callers then read with
     ``ray.data.read_parquet`` — the timed path matches the north rule's
-    input (Parquet shards), not Python row generation."""
+    input (Parquet shards), not Python row generation.  Files hold
+    ``max(250, min(512, n // 64))`` rows each (the last one the rest) and
+    are generated one at a time, so the driver holds one file's rows."""
     import hashlib
     import inspect
     import os
     import shutil
     import sys
+
+    import pyarrow.parquet as pq
 
     src_hash = hashlib.blake2b(
         inspect.getsource(sys.modules[__name__]).encode(), digest_size=6
@@ -382,10 +386,13 @@ def pages_parquet_dir(n: int, seed: int = 42, profile: str = "t2") -> str:
     # the whole pipeline starved behind them (measured: 9x throughput
     # cliff from 48k→96k).  128-row groups ≈ 33 MB in-memory for the
     # bench profile keep reads splittable at every scale.
-    pages_dataset(n, seed, profile).write_parquet(
-        tmp, num_rows_per_file=max(250, min(512, n // 64)),
-        row_group_size=128,
-    )
+    os.makedirs(tmp)
+    per_file = max(250, min(512, n // 64))
+    for k, start in enumerate(range(0, n, per_file)):
+        table = make_pages_table(range(start, min(n, start + per_file)),
+                                 seed, profile)
+        pq.write_table(table, os.path.join(tmp, f"part-{k:05d}.parquet"),
+                       row_group_size=128)
     try:
         os.replace(tmp, dest)
     except OSError:

@@ -2,13 +2,14 @@
 
 Ray-Data-first shape (SURVEY.md §7) — a LINEAR chain, one source scan:
 
-    read pages, one task per Parquet file   (url, warc_ts, html, text, lang)
+    read pages, one task per Parquet file, or per row-group bin when
+    there are fewer files than CPUs      (url, warc_ts, html, text, lang)
       → classify: lane + part_id                      (cheap, vectorized)
       → map_batches(ExtractActor stage)               (plain task UDF)
           - read, classify and extract are all task UDFs, so Ray FUSES
             them into one operator,
             ReadParquet->MapBatches(classify)->MapBatches(ExtractActor):
-            each task reads a file, classifies it and extracts it
+            each task reads a file (or a bin), classifies and extracts it
           - the parser (ExtractActor) is built inside that task once per
             block and called on 32-row windows: HTML rows (any size)
             decode → parse → score → text+spans, giant rows handled by
@@ -33,6 +34,16 @@ Design notes for 100 TB:
   stream ended, so the finalizer ran on the one CPU left.  The fused task
   runs on warm task workers and only the compressed extracted text
   leaves it;
+- the fused operator gets every CPU: Ray Data's operator resource
+  reservation is off on the pipeline's own DataContext.  With it on, Ray
+  2.49 reserved about a CPU each for the sort and the finalizer, which
+  cannot start before the last extract task ends (the sort is an
+  all-to-all barrier), and left the extract operator 1.44 of 4 CPUs: one
+  task at a time.  The object store has to hold all the extract output
+  before the reduce in any case, so the reservation only idled CPUs;
+- the read makes enough tasks for the CPUs: with fewer Parquet files
+  than CPUs it reads contiguous row-group bins balanced by bytes
+  (``read_pages_parquet``), so a one-file input is not one task;
 - the single wide op is the url-hash groupby, and the same key drives
   dedup, lineage, checkpoint layout and resume (SURVEY.md §7.4);
 - ``html`` is projected away inside the extract stage, so the shuffle
@@ -46,10 +57,17 @@ Design notes for 100 TB:
 from __future__ import annotations
 
 import zlib
+from bisect import bisect_left
 from collections.abc import Iterator
+from functools import partial
+from itertools import accumulate
 
 import pyarrow as pa
 import pyarrow.compute as pc
+import pyarrow.parquet as pq
+from ray.data import Dataset
+from ray.data.block import BlockMetadata
+from ray.data.datasource import Datasource, ReadTask
 
 from docling_graph_ray.functions.hashing import url_part_ids, xor_rollup_hex
 from docling_graph_ray.stages.doc_formats import extract_doc_json, extract_doclang
@@ -537,34 +555,127 @@ def _lanes(classified, shuffle_codec: str | None = None, parser_cls=None,
     return classified.map_batches(stage, batch_format="pyarrow")
 
 
-def read_pages_parquet(path: str):
-    """Read a pages Parquet directory as one read task per file.
+def _byte_bins(sizes: list[int], k: int) -> list[tuple[int, int]]:
+    """Cut ``sizes`` into ``k`` contiguous, non-empty ``[lo, hi)`` runs
+    whose byte sums are near equal: cut ``j`` falls at the prefix sum
+    closest to ``j / k`` of the total (``1 <= k <= len(sizes)``)."""
+    prefix = list(accumulate(sizes, initial=0))
+    cuts = [0]
+    for j in range(1, k):
+        target = prefix[-1] * j / k
+        i = bisect_left(prefix, target)
+        if target - prefix[i - 1] <= prefix[i] - target:
+            i -= 1
+        # at least one item in this run and in each run after it
+        cuts.append(min(max(i, cuts[-1] + 1), len(sizes) - (k - j)))
+    cuts.append(len(sizes))
+    return list(zip(cuts, cuts[1:]))
 
-    One task per file lets the extract stage fuse into the read
-    (``_lanes``): a read planned with more blocks than files splits its
-    output (``SplitBlocks``), and a split read does not fuse.  It also
-    keeps small inputs coalesced: Ray's default planning targets ~200
-    blocks whatever the input size, so a bench-scale input fanned into
-    ~180 blocks of a few dozen rows and the url-hash groupby became an
-    O(blocks²) tiny-object shuffle (measured 16.4 s vs 3.7 s for the
-    identical sf0.1 flagship run).
+
+def _read_row_groups(row_groups: list[tuple[str, int]]):
+    """Read task body: one table per row group, so a task holds one row
+    group at a time whatever the bin's size."""
+    files: dict[str, pq.ParquetFile] = {}
+    for path, index in row_groups:
+        if path not in files:
+            files[path] = pq.ParquetFile(path)
+        yield files[path].read_row_group(index, use_threads=False)
+
+
+class _RowGroupBinsDatasource(Datasource):
+    """Parquet row groups read as contiguous bins balanced by the
+    footers' ``total_byte_size``, one read task per bin.
+
+    Named ``Parquet`` so the fused operator keeps the name
+    ``ReadParquet->MapBatches(classify)->MapBatches(ExtractActor)``."""
+
+    def __init__(self, row_groups: list[tuple[str, int, int, int]]) -> None:
+        # (path, row-group index, num_rows, total_byte_size), in file order
+        self._row_groups = row_groups
+
+    def get_name(self) -> str:
+        return "Parquet"
+
+    def estimate_inmemory_data_size(self) -> None:
+        # no estimate: Ray splits the blocks of a read it expects to be
+        # large (``SplitBlocks``), and a split read does not fuse
+        return None
+
+    def get_read_tasks(self, parallelism: int) -> list[ReadTask]:
+        rgs = self._row_groups
+        tasks = []
+        for lo, hi in _byte_bins([rg[3] for rg in rgs],
+                                 min(parallelism, len(rgs))):
+            part = rgs[lo:hi]
+            meta = BlockMetadata(
+                num_rows=sum(rg[2] for rg in part),
+                size_bytes=sum(rg[3] for rg in part),
+                input_files=sorted({rg[0] for rg in part}),
+                exec_stats=None,
+            )
+            tasks.append(ReadTask(
+                partial(_read_row_groups, [(rg[0], rg[1]) for rg in part]),
+                meta,
+            ))
+        return tasks
+
+
+def read_pages_parquet(path: str):
+    """Read a pages Parquet directory: one read task per file, or, when the
+    directory has fewer files than the cluster has CPUs, one task per bin
+    of row groups.
+
+    Each read task is one task of the fused read → classify → extract
+    operator (``_lanes``), so the read's task count is the extract
+    stage's parallelism.  With as many files as CPUs or more, it reads
+    ``read_parquet(override_num_blocks=n_files)``: one task per file.  A
+    read planned with more blocks than tasks splits its output
+    (``SplitBlocks``), and a split read does not fuse; and Ray's default
+    planning targets ~200 blocks whatever the input size, so a
+    bench-scale input fanned into ~180 blocks of a few dozen rows and the
+    url-hash groupby became an O(blocks²) tiny-object shuffle (measured
+    16.4 s vs 3.7 s for the identical sf0.1 flagship run).
+
+    With fewer files than CPUs, one task per file leaves CPUs idle (a
+    single-file input extracted on 1 of 4 CPUs), so the row groups of all
+    files, in file order, are cut into ``min(row groups, CPUs)``
+    contiguous bins of near-equal ``total_byte_size`` (footer sizes), one
+    read task each.  Only the files < CPUs case splits: one task per row
+    group on a 4-file, 8-row-group input with 4 CPUs (perfbench's
+    ``resume_half``) ran slower than one task per file, 1589–1668 vs
+    1705–1820 docs/s over three interleaved pairs.
 
     Falls back to Ray's default planning for non-local paths (no cheap
-    listing) and for a directory with no top-level ``.parquet`` file.
+    listing) and for a directory with no top-level ``.parquet`` file, and
+    to one task per file when a file has no row group or no Ray session
+    is up yet (no CPU count to plan for).
     """
     import os
 
     import ray
 
     try:
-        n_files = sum(
-            1
+        files = sorted(
+            e.path
             for e in os.scandir(path)
             if e.is_file() and e.name.endswith(".parquet")
         )
     except OSError:
         return ray.data.read_parquet(path)
-    return ray.data.read_parquet(path, override_num_blocks=n_files or None)
+    cpus = ray.cluster_resources().get("CPU", 0) if ray.is_initialized() else 0
+    if 0 < len(files) < cpus:
+        metas = [pq.read_metadata(f) for f in files]
+        if all(m.num_row_groups for m in metas):
+            row_groups = [
+                (f, i, m.row_group(i).num_rows, m.row_group(i).total_byte_size)
+                for f, m in zip(files, metas)
+                for i in range(m.num_row_groups)
+            ]
+            return ray.data.read_datasource(
+                _RowGroupBinsDatasource(row_groups),
+                override_num_blocks=min(len(row_groups), int(cpus)),
+            )
+    return ray.data.read_parquet(path, override_num_blocks=len(files) or None)
 
 
 def extract_pages_dataset(
@@ -624,9 +735,16 @@ def run_extract_pipeline(
     def finalize_partition(group: pa.Table) -> pa.Table:
         return finalizer(group)
 
-    return extracted.groupby("part_id").map_groups(
+    lineage = extracted.groupby("part_id").map_groups(
         finalize_partition, batch_format="pyarrow"
     )
+    # every operator after the extract waits behind the groupby's sort, so
+    # a CPU reserved for it idles until extraction is over; the setting
+    # goes on a private copy of the DataContext, which the plan otherwise
+    # shares with the caller's ``pages``
+    lineage = Dataset.copy(lineage, _deep_copy=True)
+    lineage.context.op_resource_reservation_enabled = False
+    return lineage
 
 
 def dedup_extracted(extracted, shuffle_codec: str | None = "zlib"):

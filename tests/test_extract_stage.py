@@ -1,15 +1,21 @@
 """The flagship's extract stage runs as a task fused into the Parquet read,
-and the parser classes it is handed are built only inside the workers."""
+one task per file or, with fewer files than CPUs, per bin of row groups;
+its tasks run side by side, and the parser classes it is handed are built
+only inside the workers."""
 
 import os
 import shutil
+import time
+import uuid
 
 import pyarrow as pa
 import pyarrow.parquet as pq
+import ray
 
 from docling_graph_ray.fixtures.pages import make_pages_table
 from docling_graph_ray.pipelines.extract import (
     ExtractActor,
+    _byte_bins,
     extract_pages_dataset,
     read_pages_parquet,
     run_extract_pipeline,
@@ -17,6 +23,7 @@ from docling_graph_ray.pipelines.extract import (
 
 FUSED = "ReadParquet->MapBatches(classify)->MapBatches(ExtractActor)"
 P = 4
+CPUS = 4  # the ray_session fixture's
 
 
 def _pages_dir(root, n_files=3, rows_per_file=40) -> str:
@@ -102,3 +109,148 @@ def test_injected_backends_are_built_in_workers(ray_session, tmp_path):
         assert pids, name
         assert os.getpid() not in pids, name
     assert injected == extracted()
+
+
+def _read_tasks(ds):
+    """The read tasks the planner will run for a just-read Dataset."""
+    read = ds._logical_plan.dag
+    return read._datasource_or_legacy_reader.get_read_tasks(read._parallelism)
+
+
+def _write_file(path, rows, row_group_size, big_rows=0):
+    """Pages rows ``rows`` in row groups of ``row_group_size``; the first
+    ``big_rows`` rows carry 200 KB of extra html each."""
+    table = make_pages_table(list(rows), profile="t1")
+    html = [h + b" " * (200_000 if i < big_rows else 0)
+            for i, h in enumerate(table.column("html").to_pylist())]
+    table = table.set_column(table.schema.get_field_index("html"), "html",
+                             pa.array(html, table.schema.field("html").type))
+    pq.write_table(table, path, row_group_size=row_group_size)
+
+
+def test_byte_bins_are_contiguous_and_balanced():
+    assert _byte_bins([5] * 6, 3) == [(0, 2), (2, 4), (4, 6)]
+    assert _byte_bins([100, 1, 1, 1, 1, 100], 2) == [(0, 3), (3, 6)]
+    assert _byte_bins([1, 1, 1, 1, 100], 2) == [(0, 4), (4, 5)]
+    # two heavy groups first: each gets a bin of its own
+    assert _byte_bins([1000, 1000] + [10] * 6, 4) == [(0, 1), (1, 2), (2, 3),
+                                                       (3, 8)]
+    assert _byte_bins([7, 0, 0], 3) == [(0, 1), (1, 2), (2, 3)]
+    assert _byte_bins([3], 1) == [(0, 1)]
+
+
+def test_read_plans_one_task_per_file_with_files_ge_cpus(ray_session,
+                                                        tmp_path):
+    """As many files as CPUs or more: one read task per file, whatever
+    their row groups."""
+    d = tmp_path / "pages"
+    d.mkdir()
+    for k in range(CPUS):
+        _write_file(d / f"part-{k:05d}.parquet", range(k * 20, k * 20 + 20),
+                    row_group_size=5)
+    ds = read_pages_parquet(str(d))
+    assert ds._logical_plan.dag.name == "ReadParquet"
+    tasks = _read_tasks(ds)
+    assert len(tasks) == CPUS
+    assert sorted(len(t.metadata.input_files) for t in tasks) == [1] * CPUS
+    assert ds.count() == CPUS * 20
+
+
+def test_read_splits_one_file_into_byte_balanced_row_group_bins(
+        ray_session, tmp_path):
+    """One file of k row groups reads as min(k, CPUs) tasks over
+    contiguous row-group bins balanced by bytes: the two heavy groups at
+    the head land in tasks of their own, where an even split by row
+    groups would put both in the first task."""
+    d = tmp_path / "pages"
+    d.mkdir()
+    _write_file(d / "part-00000.parquet", range(80), row_group_size=10,
+                big_rows=20)
+    ds = read_pages_parquet(str(d))
+    tasks = _read_tasks(ds)
+    assert [t.metadata.num_rows for t in tasks] == [10, 10, 10, 50]
+    # read in order, the bins give back the file row for row
+    got = pa.concat_tables(b for t in tasks for b in t())
+    assert got.equals(pq.read_table(d / "part-00000.parquet"))
+
+    few = tmp_path / "few"
+    few.mkdir()
+    _write_file(few / "part-00000.parquet", range(30), row_group_size=10)
+    assert len(_read_tasks(read_pages_parquet(str(few)))) == 3
+
+
+def test_read_falls_back_to_read_parquet(ray_session, tmp_path, monkeypatch):
+    """A file with no row group and a non-local path both go to
+    ``ray.data.read_parquet``."""
+    calls = []
+
+    def fake_read_parquet(path, **kw):
+        calls.append((path, kw))
+        return "read_parquet"
+
+    monkeypatch.setattr(ray.data, "read_parquet", fake_read_parquet)
+    d = tmp_path / "pages"
+    d.mkdir()
+    _write_file(d / "part-00000.parquet", range(20), row_group_size=10)
+    pq.ParquetWriter(d / "part-00001.parquet",
+                     pq.read_schema(d / "part-00000.parquet")).close()
+    assert read_pages_parquet(str(d)) == "read_parquet"
+    assert calls == [(str(d), {"override_num_blocks": 2})]
+    calls.clear()
+    assert read_pages_parquet("s3://bucket/pages") == "read_parquet"
+    assert calls == [("s3://bucket/pages", {})]
+
+
+def test_row_group_tasks_of_one_file_run_side_by_side(ray_session, tmp_path):
+    """One file of two row groups runs as two fused tasks AT ONCE: no CPU
+    is held back for the operators behind the groupby's sort, which
+    cannot start before extraction ends anyway."""
+    d = tmp_path / "pages"
+    d.mkdir()
+    _write_file(d / "part-00000.parquet", range(40), row_group_size=20)
+    meet = tmp_path / "meet"
+    meet.mkdir()
+    meet_dir = str(meet)
+
+    class MeetingParser(ExtractActor):
+        """Each parser, built once per block inside its task, leaves an
+        arrival file, waits up to 20 s for a second arrival and records
+        whether one came."""
+
+        def __init__(self, shuffle_codec=None, ocr_backend=None):
+            me = uuid.uuid4().hex
+            open(os.path.join(meet_dir, f"arrived-{me}"), "w").close()
+            end = time.monotonic() + 20
+            while not (met := sum(n.startswith("arrived-")
+                                  for n in os.listdir(meet_dir)) > 1):
+                if time.monotonic() > end:
+                    break
+                time.sleep(0.05)
+            with open(os.path.join(meet_dir, f"met-{me}"), "w") as f:
+                f.write(str(int(met)))
+            super().__init__(shuffle_codec=shuffle_codec,
+                             ocr_backend=ocr_backend)
+
+    ds = run_extract_pipeline(read_pages_parquet(str(d)),
+                              out_dir=str(tmp_path / "out"),
+                              num_partitions=P, parser_cls=MeetingParser)
+    assert len(ds.take_all()) == P
+    names = _operator_names(ds)
+    assert FUSED.replace("ExtractActor", "MeetingParser") in names, names
+    assert not any("SplitBlocks" in n for n in names), names
+    met = [(meet / n).read_text() for n in os.listdir(meet)
+           if n.startswith("met-")]
+    assert met == ["1", "1"]
+
+
+def test_reservation_setting_stays_on_the_pipeline(ray_session, tmp_path):
+    """The pipeline turns Ray Data's operator CPU reservation off on its
+    own DataContext only: neither the session's current context nor the
+    caller's pages Dataset sees the change."""
+    pages = read_pages_parquet(_pages_dir(tmp_path))
+    ds = run_extract_pipeline(pages, num_partitions=P)
+    assert len(ds.take_all()) == P
+    assert FUSED in _operator_names(ds)
+    assert ds.context.op_resource_reservation_enabled is False
+    assert pages.context.op_resource_reservation_enabled is True
+    assert ray.data.DataContext.get_current().op_resource_reservation_enabled
