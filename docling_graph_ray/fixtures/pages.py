@@ -360,8 +360,8 @@ def pages_parquet_dir(n: int, seed: int = 42, profile: str = "t2") -> str:
     generator invalidates stale caches.  Callers then read with
     ``ray.data.read_parquet`` — the timed path matches the north rule's
     input (Parquet shards), not Python row generation.  Files hold
-    ``max(250, min(512, n // 64))`` rows each (the last one the rest) and
-    are generated one at a time, so the driver holds one file's rows."""
+    ``max(250, min(512, n // 64))`` rows each (the last one the rest),
+    each generated and written by a Ray task of its own."""
     import hashlib
     import inspect
     import os
@@ -369,6 +369,7 @@ def pages_parquet_dir(n: int, seed: int = 42, profile: str = "t2") -> str:
     import sys
 
     import pyarrow.parquet as pq
+    import ray
 
     src_hash = hashlib.blake2b(
         inspect.getsource(sys.modules[__name__]).encode(), digest_size=6
@@ -388,11 +389,16 @@ def pages_parquet_dir(n: int, seed: int = 42, profile: str = "t2") -> str:
     # bench profile keep reads splittable at every scale.
     os.makedirs(tmp)
     per_file = max(250, min(512, n // 64))
-    for k, start in enumerate(range(0, n, per_file)):
+
+    @ray.remote
+    def write_file(k: int, start: int) -> None:
         table = make_pages_table(range(start, min(n, start + per_file)),
                                  seed, profile)
         pq.write_table(table, os.path.join(tmp, f"part-{k:05d}.parquet"),
                        row_group_size=128)
+
+    ray.get([write_file.remote(k, start)
+             for k, start in enumerate(range(0, n, per_file))])
     try:
         os.replace(tmp, dest)
     except OSError:

@@ -42,7 +42,7 @@ Design notes for 100 TB:
   task at a time.  The object store has to hold all the extract output
   before the reduce in any case, so the reservation only idled CPUs;
 - the read makes enough tasks for the CPUs: with fewer Parquet files
-  than CPUs it reads contiguous row-group bins balanced by bytes
+  than CPUs it reads contiguous bins of row groups, one task each
   (``read_pages_parquet``), so a one-file input is not one task;
 - the single wide op is the url-hash groupby, and the same key drives
   dedup, lineage, checkpoint layout and resume (SURVEY.md §7.4);
@@ -57,10 +57,8 @@ Design notes for 100 TB:
 from __future__ import annotations
 
 import zlib
-from bisect import bisect_left
 from collections.abc import Iterator
 from functools import partial
-from itertools import accumulate
 
 import pyarrow as pa
 import pyarrow.compute as pc
@@ -555,23 +553,6 @@ def _lanes(classified, shuffle_codec: str | None = None, parser_cls=None,
     return classified.map_batches(stage, batch_format="pyarrow")
 
 
-def _byte_bins(sizes: list[int], k: int) -> list[tuple[int, int]]:
-    """Cut ``sizes`` into ``k`` contiguous, non-empty ``[lo, hi)`` runs
-    whose byte sums are near equal: cut ``j`` falls at the prefix sum
-    closest to ``j / k`` of the total (``1 <= k <= len(sizes)``)."""
-    prefix = list(accumulate(sizes, initial=0))
-    cuts = [0]
-    for j in range(1, k):
-        target = prefix[-1] * j / k
-        i = bisect_left(prefix, target)
-        if target - prefix[i - 1] <= prefix[i] - target:
-            i -= 1
-        # at least one item in this run and in each run after it
-        cuts.append(min(max(i, cuts[-1] + 1), len(sizes) - (k - j)))
-    cuts.append(len(sizes))
-    return list(zip(cuts, cuts[1:]))
-
-
 def _read_row_groups(row_groups: list[tuple[str, int]]):
     """Read task body: one table per row group, so a task holds one row
     group at a time whatever the bin's size."""
@@ -583,8 +564,8 @@ def _read_row_groups(row_groups: list[tuple[str, int]]):
 
 
 class _RowGroupBinsDatasource(Datasource):
-    """Parquet row groups read as contiguous bins balanced by the
-    footers' ``total_byte_size``, one read task per bin.
+    """Parquet row groups read as contiguous bins of near-equal row-group
+    count, one read task per bin.
 
     Named ``Parquet`` so the fused operator keeps the name
     ``ReadParquet->MapBatches(classify)->MapBatches(ExtractActor)``."""
@@ -603,10 +584,9 @@ class _RowGroupBinsDatasource(Datasource):
 
     def get_read_tasks(self, parallelism: int) -> list[ReadTask]:
         rgs = self._row_groups
+        n, k = len(rgs), min(parallelism, len(rgs))
         tasks = []
-        for lo, hi in _byte_bins([rg[3] for rg in rgs],
-                                 min(parallelism, len(rgs))):
-            part = rgs[lo:hi]
+        for part in (rgs[i * n // k:(i + 1) * n // k] for i in range(k)):
             meta = BlockMetadata(
                 num_rows=sum(rg[2] for rg in part),
                 size_bytes=sum(rg[3] for rg in part),
@@ -639,8 +619,10 @@ def read_pages_parquet(path: str):
     With fewer files than CPUs, one task per file leaves CPUs idle (a
     single-file input extracted on 1 of 4 CPUs), so the row groups of all
     files, in file order, are cut into ``min(row groups, CPUs)``
-    contiguous bins of near-equal ``total_byte_size`` (footer sizes), one
-    read task each.  Only the files < CPUs case splits: one task per row
+    contiguous bins of near-equal row-group count, one read task each: a
+    file of at most as many row groups as CPUs (perfbench's
+    ``giant_skew``: one file, two row groups) gets a task per row group.
+    Only the files < CPUs case splits: one task per row
     group on a 4-file, 8-row-group input with 4 CPUs (perfbench's
     ``resume_half``) ran slower than one task per file, 1589–1668 vs
     1705–1820 docs/s over three interleaved pairs.

@@ -15,7 +15,7 @@ import ray
 from docling_graph_ray.fixtures.pages import make_pages_table
 from docling_graph_ray.pipelines.extract import (
     ExtractActor,
-    _byte_bins,
+    _RowGroupBinsDatasource,
     extract_pages_dataset,
     read_pages_parquet,
     run_extract_pipeline,
@@ -27,8 +27,9 @@ CPUS = 4  # the ray_session fixture's
 
 
 def _pages_dir(root, n_files=3, rows_per_file=40) -> str:
-    """A pages Parquet directory of ``n_files`` files; fewer files than
-    the session's CPUs, the shape a CPU-floored read would split."""
+    """A pages Parquet directory of ``n_files`` one-row-group files; the
+    default, fewer files than the session's CPUs, reads as row-group
+    bins."""
     d = root / "pages"
     d.mkdir()
     for k in range(n_files):
@@ -51,24 +52,34 @@ def _operator_names(ds) -> list[str]:
 
 def test_read_classify_extract_fuse_into_one_task(ray_session, tmp_path):
     """Fresh and resumed runs plan read → classify → extract as ONE task
-    operator that never splits the read's blocks: raw html stays inside
-    the task that read it."""
-    src = _pages_dir(tmp_path)
-    out = str(tmp_path / "out")
-    for resumed in (False, True):
-        ds = run_extract_pipeline(read_pages_parquet(src), out_dir=out,
-                                  num_partitions=P)
-        lineage = ds.take_all()
-        names = _operator_names(ds)
-        assert FUSED in names, names
-        assert not any("SplitBlocks" in n for n in names), names
-        if resumed:
-            assert sorted(r["part_id"] for r in lineage) == list(range(0, P, 2))
-        else:
-            assert len(lineage) == P
-            for pid in range(0, P, 2):  # uncommit half the partitions
-                os.remove(os.path.join(out, "_manifests", f"part-{pid:05d}.json"))
-                shutil.rmtree(os.path.join(out, f"part_id={pid}"))
+    operator that never splits the read's blocks, through either read:
+    row-group bins for fewer files than CPUs, ``read_parquet`` one task
+    per file for as many (large inputs, ``resume_half``).  Raw html stays
+    inside the task that read it."""
+    for n_files in (3, CPUS):
+        root = tmp_path / str(n_files)
+        root.mkdir()
+        src = _pages_dir(root, n_files=n_files)
+        out = str(root / "out")
+        for resumed in (False, True):
+            pages = read_pages_parquet(src)
+            read = pages._logical_plan.dag._datasource_or_legacy_reader
+            binned = isinstance(read, _RowGroupBinsDatasource)
+            assert binned == (n_files < CPUS)
+            ds = run_extract_pipeline(pages, out_dir=out, num_partitions=P)
+            lineage = ds.take_all()
+            names = _operator_names(ds)
+            assert FUSED in names, names
+            assert not any("SplitBlocks" in n for n in names), names
+            if resumed:
+                assert (sorted(r["part_id"] for r in lineage)
+                        == list(range(0, P, 2)))
+            else:
+                assert len(lineage) == P
+                for pid in range(0, P, 2):  # uncommit half the partitions
+                    os.remove(os.path.join(out, "_manifests",
+                                           f"part-{pid:05d}.json"))
+                    shutil.rmtree(os.path.join(out, f"part_id={pid}"))
 
 
 def test_injected_backends_are_built_in_workers(ray_session, tmp_path):
@@ -117,26 +128,10 @@ def _read_tasks(ds):
     return read._datasource_or_legacy_reader.get_read_tasks(read._parallelism)
 
 
-def _write_file(path, rows, row_group_size, big_rows=0):
-    """Pages rows ``rows`` in row groups of ``row_group_size``; the first
-    ``big_rows`` rows carry 200 KB of extra html each."""
-    table = make_pages_table(list(rows), profile="t1")
-    html = [h + b" " * (200_000 if i < big_rows else 0)
-            for i, h in enumerate(table.column("html").to_pylist())]
-    table = table.set_column(table.schema.get_field_index("html"), "html",
-                             pa.array(html, table.schema.field("html").type))
-    pq.write_table(table, path, row_group_size=row_group_size)
-
-
-def test_byte_bins_are_contiguous_and_balanced():
-    assert _byte_bins([5] * 6, 3) == [(0, 2), (2, 4), (4, 6)]
-    assert _byte_bins([100, 1, 1, 1, 1, 100], 2) == [(0, 3), (3, 6)]
-    assert _byte_bins([1, 1, 1, 1, 100], 2) == [(0, 4), (4, 5)]
-    # two heavy groups first: each gets a bin of its own
-    assert _byte_bins([1000, 1000] + [10] * 6, 4) == [(0, 1), (1, 2), (2, 3),
-                                                       (3, 8)]
-    assert _byte_bins([7, 0, 0], 3) == [(0, 1), (1, 2), (2, 3)]
-    assert _byte_bins([3], 1) == [(0, 1)]
+def _write_file(path, rows, row_group_size):
+    """Pages rows ``rows`` in row groups of ``row_group_size``."""
+    pq.write_table(make_pages_table(list(rows), profile="t1"), path,
+                   row_group_size=row_group_size)
 
 
 def test_read_plans_one_task_per_file_with_files_ge_cpus(ray_session,
@@ -156,27 +151,31 @@ def test_read_plans_one_task_per_file_with_files_ge_cpus(ray_session,
     assert ds.count() == CPUS * 20
 
 
-def test_read_splits_one_file_into_byte_balanced_row_group_bins(
-        ray_session, tmp_path):
-    """One file of k row groups reads as min(k, CPUs) tasks over
-    contiguous row-group bins balanced by bytes: the two heavy groups at
-    the head land in tasks of their own, where an even split by row
-    groups would put both in the first task."""
+def test_read_splits_row_groups_into_contiguous_bins(ray_session, tmp_path):
+    """Fewer files than CPUs: k row groups read as min(k, CPUs) tasks over
+    contiguous bins of near-equal row-group count, in file order, a bin
+    spanning two files where the cut falls so."""
     d = tmp_path / "pages"
     d.mkdir()
-    _write_file(d / "part-00000.parquet", range(80), row_group_size=10,
-                big_rows=20)
+    _write_file(d / "part-00000.parquet", range(20), row_group_size=10)
+    _write_file(d / "part-00001.parquet", range(20, 60), row_group_size=10)
     ds = read_pages_parquet(str(d))
+    assert ds._logical_plan.dag.name == "ReadParquet"
     tasks = _read_tasks(ds)
-    assert [t.metadata.num_rows for t in tasks] == [10, 10, 10, 50]
-    # read in order, the bins give back the file row for row
+    # 6 row groups of 10 rows in 4 bins: 1, 2, 1, 2 row groups
+    assert [t.metadata.num_rows for t in tasks] == [10, 20, 10, 20]
+    assert [len(t.metadata.input_files) for t in tasks] == [1, 2, 1, 1]
+    # read in order, the bins give back the files row for row
     got = pa.concat_tables(b for t in tasks for b in t())
-    assert got.equals(pq.read_table(d / "part-00000.parquet"))
+    assert got.equals(pa.concat_tables(pq.read_table(f)
+                                       for f in sorted(d.iterdir())))
+    assert ds.count() == 60
 
     few = tmp_path / "few"
     few.mkdir()
     _write_file(few / "part-00000.parquet", range(30), row_group_size=10)
-    assert len(_read_tasks(read_pages_parquet(str(few)))) == 3
+    assert [t.metadata.num_rows
+            for t in _read_tasks(read_pages_parquet(str(few)))] == [10] * 3
 
 
 def test_read_falls_back_to_read_parquet(ray_session, tmp_path, monkeypatch):
