@@ -153,13 +153,9 @@ def bind_node_provenance(nodes, chunks, *,
     # hash(url) % P bucket, never once per url (SURVEY §7.4) — the per-
     # value substring scan is inherent Python, but the per-group task/
     # slice/table overhead is gone; one sorted pass walks the url runs.
-    from docling_graph_ray.stages.bucketing import add_part, run_starts
+    from docling_graph_ray.stages.bucketing import bucketed_map, run_starts
 
     def bind_partition(g: pa.Table) -> pa.Table:
-        if g.num_rows == 0 or "_is_chunk" not in g.schema.names:
-            return NODE_PROVENANCE_SCHEMA.empty_table()
-        if "_part" in g.schema.names:
-            g = g.drop_columns(["_part"])
         order = pa.compute.sort_indices(
             g, sort_keys=[("_key", "ascending")])
         g = g.take(order).combine_chunks()
@@ -204,11 +200,7 @@ def bind_node_provenance(nodes, chunks, *,
                                  "start": -1, "end": -1})
         return pa.Table.from_pylist(rows, schema=NODE_PROVENANCE_SCHEMA)
 
-    return (
-        tagged.map_batches(add_part(["_key"], 64), batch_format="pyarrow")
-        .groupby("_part")
-        .map_groups(bind_partition, batch_format="pyarrow")
-    )
+    return bucketed_map(tagged, ["_key"], bind_partition)
 
 
 def derive_unanchored(anchors: list[dict],

@@ -255,21 +255,13 @@ def merge_partial_records(
     group task/slice/table overhead is gone; one sorted pass walks the
     doc runs.  Partitioning assumption: one document's partials always
     share a bucket."""
-    from docling_graph_ray.stages.bucketing import add_part, run_starts
+    from docling_graph_ray.stages.bucketing import bucketed_map, run_starts
 
     from docling_graph_ray.stages.joins import as_arrow_schema
 
     doc_type = as_arrow_schema(ds.schema()).field(doc_col).type
 
     def merge_partition(g: pa.Table) -> pa.Table:
-        out_schema = pa.schema([
-            (doc_col, doc_type), ("n_partials", pa.int64()),
-            ("record", pa.string()),
-        ])
-        if g.num_rows == 0 or doc_col not in g.schema.names:
-            return out_schema.empty_table()
-        if "_part" in g.schema.names:
-            g = g.drop_columns(["_part"])
         # json_col as tiebreak: order_col alone is not a total order when
         # two partials share a page (observed: duplicate l_linenumber per
         # order), and without one the keep-first winner depends on shuffle
@@ -299,8 +291,4 @@ def merge_partial_records(
             "record": pa.array(out_rec, pa.string()),
         })
 
-    return (
-        ds.map_batches(add_part([doc_col], 64), batch_format="pyarrow")
-        .groupby("_part")
-        .map_groups(merge_partition, batch_format="pyarrow")
-    )
+    return bucketed_map(ds, [doc_col], merge_partition)

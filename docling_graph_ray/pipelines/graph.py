@@ -273,7 +273,7 @@ def graph_merge_runs(sf_dir: str):
     # is every LATER non-empty occurrence that differs from it — exactly
     # fold_records' semantics (functions/merging.py:41), property-tested
     # against it in tests.
-    from docling_graph_ray.stages.bucketing import add_part, run_starts
+    from docling_graph_ray.stages.bucketing import bucketed_map, run_starts
 
     in_schema = pa.schema([
         ("suppkey", pa.int64()), ("run", pa.string()),
@@ -287,10 +287,6 @@ def graph_merge_runs(sf_dir: str):
     ])
 
     def fold_partition(g: pa.Table) -> pa.Table:
-        if g.num_rows == 0 or "suppkey" not in g.schema.names:
-            return out_schema.empty_table()
-        if "_part" in g.schema.names:
-            g = g.drop_columns(["_part"])
         # deterministic within-key order: run A before run B, then by
         # (order_in_run, ln) — left-associative precedence
         # (merger.py:1-10).  ln breaks (run, order) ties.
@@ -342,12 +338,7 @@ def graph_merge_runs(sf_dir: str):
             "n_mentions": pa.array(lens, pa.int64()),
         }).cast(out_schema)
 
-    return (
-        ds.map_batches(add_part(["suppkey"], 64, in_schema),
-                       batch_format="pyarrow")
-        .groupby("_part")
-        .map_groups(fold_partition, batch_format="pyarrow")
-    )
+    return bucketed_map(ds, ["suppkey"], fold_partition, schema=in_schema)
 
 
 # ---------------------------------------------------------------------------
@@ -736,23 +727,17 @@ def graph_connected_components(sf_dir: str):
 
     orders = _read(sf_dir, "orders", ["o_orderkey", "o_custkey"])
 
-    edge_schema = pa.schema([("src", pa.int64()), ("dst", pa.int64())])
-
     # Partition-bucketed chain builder (stages/bucketing.py): one
     # vectorized map_groups call per custkey-hash bucket, never one per
     # customer.  Within a bucket the (custkey, orderkey) sort makes
     # consecutive-pair edges a single shifted-compare; single-order
     # customers get a self-edge.
-    from docling_graph_ray.stages.bucketing import add_part, run_starts
+    from docling_graph_ray.stages.bucketing import bucketed_map, run_starts
 
     in_schema = pa.schema([("o_orderkey", pa.int64()),
                            ("o_custkey", pa.int64())])
 
     def chain_partition(g: pa.Table) -> pa.Table:
-        if g.num_rows == 0 or "o_orderkey" not in g.schema.names:
-            return edge_schema.empty_table()
-        if "_part" in g.schema.names:
-            g = g.drop_columns(["_part"])
         idx = pc.sort_indices(g, sort_keys=[
             ("o_custkey", "ascending"), ("o_orderkey", "ascending")])
         g = g.take(idx).combine_chunks()
@@ -766,12 +751,8 @@ def graph_connected_components(sf_dir: str):
         return pa.table({"src": pa.array(src, pa.int64()),
                          "dst": pa.array(dst, pa.int64())})
 
-    edges = (
-        orders.map_batches(add_part(["o_custkey"], 64, in_schema),
-                           batch_format="pyarrow")
-        .groupby("_part")
-        .map_groups(chain_partition, batch_format="pyarrow")
-    )
+    edges = bucketed_map(orders, ["o_custkey"], chain_partition,
+                         schema=in_schema)
     return connected_components(edges, label_blocks=8)
 
 

@@ -299,16 +299,9 @@ def latest_event_per_user(sf_dir: str):
     # vectorized map_groups call per hash bucket, never one per user —
     # the first row of each user run under (ts, event_id) desc is that
     # user's global latest
-    from docling_graph_ray.stages.bucketing import add_part, run_starts
+    from docling_graph_ray.stages.bucketing import bucketed_map, run_starts
 
     def top1_partition(g: pa.Table) -> pa.Table:
-        if g.num_rows == 0 or "user_id" not in g.schema.names:
-            return pa.table({
-                "user_id": pa.array([], pa.int64()),
-                "last_ts": pa.array([], pa.timestamp("us")),
-                "last_event_type": pa.array([], pa.string()),
-                "last_value": pa.array([], pa.float64()),
-            })
         idx = pc.sort_indices(g, sort_keys=[
             ("user_id", "ascending"),
             ("ts", "descending"),
@@ -324,12 +317,8 @@ def latest_event_per_user(sf_dir: str):
             "last_value": g.column("value"),
         })
 
-    return (
-        ds.map_batches(partial_top1, batch_format="pyarrow")
-        .map_batches(add_part(["user_id"], 64), batch_format="pyarrow")
-        .groupby("_part")
-        .map_groups(top1_partition, batch_format="pyarrow")
-    )
+    return bucketed_map(ds.map_batches(partial_top1, batch_format="pyarrow"),
+                        ["user_id"], top1_partition)
 
 
 def events_sessionize(sf_dir: str, gap_minutes: int = 30):
@@ -347,23 +336,12 @@ def events_sessionize(sf_dir: str, gap_minutes: int = 30):
     cumsum value at each user's run start.  All of one user's events
     land in one partition (the windowed-aggregate partitioning
     assumption, SURVEY.md custom-operator rule (a))."""
-    from docling_graph_ray.stages.bucketing import add_part, run_starts
+    from docling_graph_ray.stages.bucketing import bucketed_map, run_starts
 
     ev = _read(sf_dir, "events", ["event_id", "ts", "user_id", "value"])
     gap_us = np.int64(gap_minutes * 60 * 1_000_000)
 
     def sessionize_partition(g: pa.Table) -> pa.Table:
-        if g.num_rows == 0 or "user_id" not in g.schema.names:
-            return pa.table({
-                "user_id": pa.array([], pa.int64()),
-                "session_id": pa.array([], pa.int64()),
-                "session_start": pa.array([], pa.timestamp("us")),
-                "session_end": pa.array([], pa.timestamp("us")),
-                "value_cents": pa.array([], pa.int64()),
-                "n_events": pa.array([], pa.int64()),
-            })
-        if "_part" in g.schema.names:
-            g = g.drop_columns(["_part"])
         idx = pc.sort_indices(g, sort_keys=[
             ("user_id", "ascending"), ("ts", "ascending"),
             ("event_id", "ascending")])
@@ -398,11 +376,7 @@ def events_sessionize(sf_dir: str, gap_minutes: int = 30):
              "value_cents", "n_events"]
         )
 
-    return (
-        ev.map_batches(add_part(["user_id"], 64), batch_format="pyarrow")
-        .groupby("_part")
-        .map_groups(sessionize_partition, batch_format="pyarrow")
-    )
+    return bucketed_map(ev, ["user_id"], sessionize_partition)
 
 
 def events_sliding_window(sf_dir: str, window_days: int = 7):
@@ -441,18 +415,9 @@ def events_sliding_window(sf_dir: str, window_days: int = 7):
     # the (user, day)-sorted partition and ``key - win`` can never reach
     # back into the previous user's block, so ONE searchsorted serves
     # every user at once.
-    from docling_graph_ray.stages.bucketing import add_part, run_starts
+    from docling_graph_ray.stages.bucketing import bucketed_map, run_starts
 
     def trailing_partition(g: pa.Table) -> pa.Table:
-        if g.num_rows == 0 or "user_id" not in g.schema.names:
-            return pa.table({
-                "user_id": pa.array([], pa.int64()),
-                "day": pa.array([], pa.timestamp("us")),
-                "value_cents": pa.array([], pa.int64()),
-                "trailing_7d_cents": pa.array([], pa.int64()),
-            })
-        if "_part" in g.schema.names:
-            g = g.drop_columns(["_part"])
         idx = pc.sort_indices(g, sort_keys=[
             ("user_id", "ascending"), ("day", "ascending")])
         g = g.take(idx).combine_chunks()
@@ -481,11 +446,7 @@ def events_sliding_window(sf_dir: str, window_days: int = 7):
             "trailing_7d_cents": pa.array(trail, pa.int64()),
         })
 
-    return (
-        daily.map_batches(add_part(["user_id"], 64), batch_format="pyarrow")
-        .groupby("_part")
-        .map_groups(trailing_partition, batch_format="pyarrow")
-    )
+    return bucketed_map(daily, ["user_id"], trailing_partition)
 
 
 def orders_deep_merge(sf_dir: str):

@@ -10,7 +10,7 @@ Architecture (the scale-safe union-shuffle shape):
 1. both sides are projected to a COMMON schema and unioned — left
    payload columns ride with nulls on right rows and vice versa;
 2. ONE hash shuffle co-locates rows by ``hash(key) % P`` PARTITION
-   BUCKET (``groupby("_part").map_groups``) — map_groups runs exactly P
+   BUCKET (``bucketing.bucketed_map``) — map_groups runs exactly P
    times, never once per key (SURVEY §7.4); there is no per-row lookup
    table, no driver-side index, and the right side is never broadcast
    (it scales with the input);
@@ -109,7 +109,7 @@ def asof_join(
     # "at-or-before" is exactly time<= with max-tiebreak ties) — found by
     # a cumulative max over right-row positions, validated against the
     # run start so matches never leak across keys.
-    from docling_graph_ray.stages.bucketing import add_part, run_starts
+    from docling_graph_ray.stages.bucketing import bucketed_map, run_starts
 
     out_schema = pa.schema(
         [pa.field(c, _left_types[c]) for c in left_cols]
@@ -117,10 +117,6 @@ def asof_join(
     )
 
     def match_partition(g: pa.Table) -> pa.Table:
-        if g.num_rows == 0 or "_side" not in g.schema.names:
-            return out_schema.empty_table()
-        if "_part" in g.schema.names:
-            g = g.drop_columns(["_part"])
         sort_keys = [("_key", "ascending"), ("_time", "ascending")]
         if right_tiebreak is not None:
             sort_keys.append((right_tiebreak, "ascending"))
@@ -150,8 +146,4 @@ def asof_join(
             out = out.filter(pa.array(matched))
         return out.cast(out_schema)
 
-    return (
-        unioned.map_batches(add_part(["_key"], 64), batch_format="pyarrow")
-        .groupby("_part")
-        .map_groups(match_partition, batch_format="pyarrow")
-    )
+    return bucketed_map(unioned, ["_key"], match_partition)

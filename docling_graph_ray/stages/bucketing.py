@@ -1,14 +1,19 @@
-"""Partition-bucketed grouped operators — the shared cure for
-per-group-Python ``map_groups``.
+"""Partition-bucketed grouped operators — the package's one co-location
+primitive and the shared cure for per-group-Python ``map_groups``.
 
 ``groupby(key).map_groups(fn)`` costs one Python interpreter call per
 DISTINCT key; at corpus-scale group counts that call overhead dominates
 (measured 324 s at 1.6M groups vs ~20 s for the vectorized rewrite,
-SURVEY.md §7.4 — crossover ≈400k groups).  Every helper here instead
+SURVEY.md §7.4 — crossover ≈400k groups).  ``bucketed_map`` instead
 buckets rows by ``hash(key columns) % P`` and groups by the BUCKET: the
 shuffle payload is identical (plus one int64 column), ``map_groups`` runs
-exactly P times, and each call resolves its whole bucket with Arrow C++ /
-numpy kernels over the (key-)sorted rows.
+at most P times, and each call resolves its whole bucket with Arrow C++ /
+numpy kernels over the (key-)sorted rows.  ``bucketed_first`` and
+``bucketed_aggregate`` are built on it, and every other wide step of the
+package (joins, co-groups, per-key folds) calls it directly, so the hash,
+the tag column and the shuffle are decided here and nowhere else — a
+switch to Ray's native hash shuffle, once it plans within memory (ROADMAP
+direction 3), is a change to ``bucketed_map`` alone.
 
 Rows of one key always share a bucket, so per-key results are exact.
 Skew: a partition holds ~1/P of the rows; a pathologically hot key
@@ -18,6 +23,8 @@ would — size ``num_partitions`` so rows/P fits a worker heap (default
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 import pyarrow as pa
@@ -51,20 +58,35 @@ def hash_partition_cols(b: pa.Table, cols: list[str],
     return pa.array((acc % num_partitions).astype(np.int64))
 
 
-def add_part(cols: list[str], num_partitions: int,
-             out_schema: pa.Schema | None = None):
-    """map_batches UDF factory: append the ``_part`` bucket column.
-    Schema-guarded — empty pass-through blocks (no columns) become empty
-    tables of ``out_schema`` + ``_part`` when a schema is given."""
+def bucketed_map(ds, key_cols: list[str], fn, *,
+                 num_partitions: int = DEFAULT_PARTITIONS,
+                 schema: pa.Schema | None = None):
+    """Co-locate rows by ``hash(key_cols) % num_partitions`` and run
+    ``fn(bucket) -> pa.Table`` once per non-empty bucket — the package's
+    one partitioning decision.
 
-    def fn(b: pa.Table) -> pa.Table:
-        if b.num_rows == 0 and out_schema is not None and (
-                not b.schema.names or cols[0] not in b.schema.names):
-            b = out_schema.empty_table()
+    Rows are tagged with a ``_part`` column (``hash_partition_cols``),
+    sort-shuffled by it and handed to ``fn`` with the tag already
+    dropped; every row of a key is in the same call.  ``fn`` never sees
+    an empty table: Ray 2.49's ``map_groups`` skips empty blocks (pinned
+    by ``tests/test_bucketing.py``).  ``schema`` coerces empty
+    pass-through blocks that lack the key columns into empty tables of
+    that schema before tagging, so every shuffled block carries the same
+    columns."""
+
+    def tag(b: pa.Table) -> pa.Table:
+        if (b.num_rows == 0 and schema is not None
+                and key_cols[0] not in b.schema.names):
+            b = schema.empty_table()
         return b.append_column("_part", hash_partition_cols(
-            b, cols, num_partitions))
+            b, key_cols, num_partitions))
 
-    return fn
+    @functools.wraps(fn)
+    def untag(g: pa.Table) -> pa.Table:
+        return fn(g.drop_columns(["_part"]))
+
+    return (ds.map_batches(tag, batch_format="pyarrow")
+            .groupby("_part").map_groups(untag, batch_format="pyarrow"))
 
 
 def run_starts(g: pa.Table, cols: list[str]) -> tuple[np.ndarray, np.ndarray]:
@@ -107,21 +129,13 @@ def bucketed_first(ds, key_cols: list[str],
     sort_keys = [(c, "ascending") for c in key_cols] + list(order_keys or [])
 
     def first_per_key(g: pa.Table) -> pa.Table:
-        if g.num_rows == 0 or key_cols[0] not in g.schema.names:
-            return out_schema.empty_table()
-        if "_part" in g.schema.names:
-            g = g.drop_columns(["_part"])
         idx = pc.sort_indices(g, sort_keys=sort_keys)
         g = g.take(idx).combine_chunks()
         starts, _ = run_starts(g, key_cols)
         return g.take(pa.array(starts, pa.int64())).cast(out_schema)
 
-    return (
-        ds.map_batches(add_part(key_cols, num_partitions, out_schema),
-                       batch_format="pyarrow")
-        .groupby("_part")
-        .map_groups(first_per_key, batch_format="pyarrow")
-    )
+    return bucketed_map(ds, key_cols, first_per_key,
+                        num_partitions=num_partitions, schema=out_schema)
 
 
 _COMBINABLE = {"min", "max", "sum"}
@@ -137,11 +151,11 @@ def bucketed_aggregate(ds, key_cols: list[str],
     Ray's native ``groupby(key).min/sum`` sort-shuffles by the full key
     domain — measured **180 s** for a 3e7-row min over 1e7 distinct
     int64 keys, where this helper runs the identical fold in **2.2 s**
-    (tools cc profile, 32 cpus): the ``_part`` column has only P
-    distinct values so the shuffle sort is trivial, and each of the P
-    ``map_groups`` calls folds its whole bucket with ONE Arrow C++
-    hash-aggregate.  Keys never split across buckets, so results are
-    exact and need no second fold.
+    (tools cc profile, 32 cpus): ``bucketed_map``'s bucket tag has only
+    P distinct values so the shuffle sort is trivial, and each of the P
+    calls folds its whole bucket with ONE Arrow C++ hash-aggregate.
+    Keys never split across buckets, so results are exact and need no
+    second fold.
 
     ``aggs`` are arrow-style ``(col, fn)`` pairs (``("label", "min")``,
     ``([], "count_all")``).  Output columns are ``key_cols`` + the arrow
@@ -163,12 +177,12 @@ def bucketed_aggregate(ds, key_cols: list[str],
         return [(f"{c}_{f}" if c else f) for c, f in pairs]
 
     out_names = key_cols + agg_names(aggs)
+    arrow_aggs = [(c if c else [], f) for c, f in aggs]
 
     # output schema: run the aggregate once over an empty table (lookup
     # by generated NAME, not position — arrow's key/agg column order has
     # varied across versions)
-    probe = in_schema.empty_table().group_by(key_cols).aggregate(
-        [(c if c else [], f) for c, f in aggs])
+    probe = in_schema.empty_table().group_by(key_cols).aggregate(arrow_aggs)
     out_schema = pa.schema(
         [pa.field(n, probe.schema.field(n).type) for n in out_names])
 
@@ -180,32 +194,19 @@ def bucketed_aggregate(ds, key_cols: list[str],
 
     if combine:
         # partial fold per batch; count_all becomes a summable count col
-        partial_aggs = [(c if c else [], f if f != "count_all" else f)
-                        for c, f in aggs]
         pnames = agg_names(aggs)
         final_aggs = [(p, f if f in _COMBINABLE else "sum")
                       for p, (c, f) in zip(pnames, aggs)]
+        final_names = key_cols + [f"{p}_{f}" for p, f in final_aggs]
 
-        def tag(b: pa.Table) -> pa.Table:
+        def prep(b: pa.Table) -> pa.Table:
             if b.num_rows == 0 or key_cols[0] not in b.schema.names:
-                b = pa.Table.from_arrays(
-                    [pa.array([], fld.type) for fld in out_schema],
-                    schema=out_schema)
-            else:
-                b = (b.combine_chunks().group_by(key_cols)
-                     .aggregate(partial_aggs).select(out_names))
-            return b.append_column(
-                "_part", hash_partition_cols(b, key_cols, num_partitions))
-
-        final_names = key_cols + [
-            f"{p}_{f}" for p, f in
-            zip(pnames, (f if f in _COMBINABLE else "sum"
-                         for _, f in aggs))]
+                return out_schema.empty_table()
+            return (b.combine_chunks().group_by(key_cols)
+                    .aggregate(arrow_aggs).select(out_names))
 
         def fold(g: pa.Table) -> pa.Table:
-            if g.num_rows == 0 or key_cols[0] not in g.schema.names:
-                return finish(out_schema.empty_table())
-            t = (g.select(out_names).combine_chunks().group_by(key_cols)
+            t = (g.combine_chunks().group_by(key_cols)
                  .aggregate(final_aggs).select(final_names)
                  .rename_columns(out_names))
             return finish(t.cast(out_schema))
@@ -213,24 +214,18 @@ def bucketed_aggregate(ds, key_cols: list[str],
         val_cols = key_cols + sorted(
             {c for c, _ in aggs if c} - set(key_cols))
 
-        def tag(b: pa.Table) -> pa.Table:
+        def prep(b: pa.Table) -> pa.Table:
             if b.num_rows == 0 or key_cols[0] not in b.schema.names:
-                b = pa.table({c: pa.array([], in_schema.field(c).type)
-                              for c in val_cols})
-            else:
-                b = b.select(val_cols)
-            return b.append_column(
-                "_part", hash_partition_cols(b, key_cols, num_partitions))
+                return pa.table({c: pa.array([], in_schema.field(c).type)
+                                 for c in val_cols})
+            return b.select(val_cols)
 
         def fold(g: pa.Table) -> pa.Table:
-            if g.num_rows == 0 or key_cols[0] not in g.schema.names:
-                return finish(out_schema.empty_table())
-            t = (g.select(val_cols).combine_chunks().group_by(key_cols)
-                 .aggregate([(c if c else [], f) for c, f in aggs]))
+            t = g.combine_chunks().group_by(key_cols).aggregate(arrow_aggs)
             return finish(t.select(out_names).cast(out_schema))
 
-    return (ds.map_batches(tag, batch_format="pyarrow")
-            .groupby("_part").map_groups(fold, batch_format="pyarrow"))
+    return bucketed_map(ds.map_batches(prep, batch_format="pyarrow"),
+                        key_cols, fold, num_partitions=num_partitions)
 
 
 def popcount64(x: np.ndarray) -> np.ndarray:

@@ -322,13 +322,9 @@ def finalize_nodes(mentions, *, num_partitions: int = 64):
     but the per-group task/slice/table overhead (the SURVEY §7.4 cost
     that dominates above ~400k groups) is gone; one sorted pass over the
     partition walks the node runs in plain Python."""
-    from docling_graph_ray.stages.bucketing import add_part, run_starts
+    from docling_graph_ray.stages.bucketing import bucketed_map, run_starts
 
     def fold_partition(g: pa.Table) -> pa.Table:
-        if g.num_rows == 0 or "attrs" not in g.schema.names:
-            return NODE_SCHEMA.empty_table()
-        if "_part" in g.schema.names:
-            g = g.drop_columns(["_part"])
         order = pa.compute.sort_indices(g, sort_keys=[
             ("node_id", "ascending"), ("doc_key", "ascending"),
             ("seq", "ascending")])
@@ -349,9 +345,5 @@ def finalize_nodes(mentions, *, num_partitions: int = 64):
             })
         return pa.Table.from_pylist(rows, schema=NODE_SCHEMA)
 
-    return (
-        mentions.map_batches(add_part(["node_id"], num_partitions),
-                             batch_format="pyarrow")
-        .groupby("_part")
-        .map_groups(fold_partition, batch_format="pyarrow")
-    )
+    return bucketed_map(mentions, ["node_id"], fold_partition,
+                        num_partitions=num_partitions)

@@ -32,7 +32,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from docling_graph_ray.stages.bucketing import bucketed_aggregate
+from docling_graph_ray.stages.bucketing import (
+    bucketed_aggregate, bucketed_first, bucketed_map, popcount64, run_starts)
 from docling_graph_ray.stages.text_analysis import explode_tokens
 
 _MERSENNE_PRIME = np.uint64((1 << 61) - 1)
@@ -154,18 +155,12 @@ def segment_exact_dedup(docs, *, text_col: str = "text",
             "keep": pa.array([], pa.bool_()),
         }))
 
-    from docling_graph_ray.stages.bucketing import add_part
-
     out_schema = pa.schema([
         (id_col, pa.int64()), ("seg_idx", pa.int64()),
         ("seg_hash", pa.string()), ("keep", pa.bool_()),
     ])
 
     def flag_partition(g: pa.Table) -> pa.Table:
-        if g.num_rows == 0 or "seg_hash" not in g.schema.names:
-            return out_schema.empty_table()
-        if "_part" in g.schema.names:
-            g = g.drop_columns(["_part"])
         sub = g.select(["seg_hash", "_packed"]).combine_chunks()
         mins = sub.group_by("seg_hash").aggregate([("_packed", "min")])
         pos = pc.index_in(sub.column("seg_hash"),
@@ -178,12 +173,7 @@ def segment_exact_dedup(docs, *, text_col: str = "text",
             "keep": pc.equal(g.column("_packed"), minp),
         }).cast(out_schema)
 
-    return (
-        packed.map_batches(add_part(["seg_hash"], 64),
-                           batch_format="pyarrow")
-        .groupby("_part")
-        .map_groups(flag_partition, batch_format="pyarrow")
-    )
+    return bucketed_map(packed, ["seg_hash"], flag_partition)
 
 
 # ---------------------------------------------------------------------------
@@ -343,8 +333,6 @@ def _bucket_rep_pairs(candidates, id_col: str, *, num_partitions: int = 64):
     spin-up per join at small scale — the round-2 sf0.1 regression —
     and crashes on schema-less empty partitions).  Returns None for an
     all-wordless corpus (no candidate rows)."""
-    from docling_graph_ray.stages.bucketing import hash_partition_cols
-
     # the guard below needs a count, and candidate rows are tiny
     # (16 bytes/row): materialize once
     candidates = candidates.materialize()
@@ -356,14 +344,7 @@ def _bucket_rep_pairs(candidates, id_col: str, *, num_partitions: int = 64):
 
     band_cols = ["band_idx", "band_key"]
 
-    def bucket(b: pa.Table) -> pa.Table:
-        return b.append_column(
-            "_part", hash_partition_cols(b, band_cols, num_partitions))
-
     def attach_rep(g: pa.Table) -> pa.Table:
-        if g.num_rows == 0 or id_col not in g.schema.names:
-            return pa.table({id_col: pa.array([], pa.int64()),
-                             "rep_id": pa.array([], pa.int64())})
         sub = g.select(band_cols + [id_col]).combine_chunks()
         mins = sub.group_by(band_cols).aggregate([(id_col, "min")])
 
@@ -381,11 +362,8 @@ def _bucket_rep_pairs(candidates, id_col: str, *, num_partitions: int = 64):
         rep = mins.column(id_col + "_min").combine_chunks().take(pos)
         return pa.table({id_col: sub.column(id_col), "rep_id": rep})
 
-    return (
-        candidates.map_batches(bucket, batch_format="pyarrow")
-        .groupby("_part")
-        .map_groups(attach_rep, batch_format="pyarrow")
-    )
+    return bucketed_map(candidates, band_cols, attach_rep,
+                        num_partitions=num_partitions)
 
 
 def _resolve_reps(candidates, id_col: str, *, num_partitions: int = 64):
@@ -630,15 +608,7 @@ def simhash_dedup(
             }
         )
 
-    from docling_graph_ray.stages.bucketing import (
-        add_part, popcount64, run_starts)
-
     def verify_partition(g: pa.Table) -> pa.Table:
-        if g.num_rows == 0 or id_col not in g.schema.names:
-            return pa.table({id_col: pa.array([], pa.int64()),
-                             "rep_id": pa.array([], pa.int64())})
-        if "_part" in g.schema.names:
-            g = g.drop_columns(["_part"])
         idx = pc.sort_indices(g, sort_keys=[
             ("band_idx", "ascending"), ("band_key", "ascending"),
             (id_col, "ascending")])
@@ -653,13 +623,8 @@ def simhash_dedup(
                          "rep_id": pa.array(np.where(ok, rep_row, ids))})
 
     candidates = ds.map_batches(emit, batch_format="pyarrow")
-    pairs = (
-        candidates.map_batches(
-            add_part(["band_idx", "band_key"], num_partitions),
-            batch_format="pyarrow")
-        .groupby("_part")
-        .map_groups(verify_partition, batch_format="pyarrow")
-    )
+    pairs = bucketed_map(candidates, ["band_idx", "band_key"],
+                         verify_partition, num_partitions=num_partitions)
     reps = bucketed_aggregate(
         pairs, [id_col], [("rep_id", "min")],
         rename=[id_col, "rep_id"], combine=True,
@@ -749,15 +714,7 @@ def ngram_jaccard_dedup(
     # Partition-bucketed (one vectorized call per hash bucket, never one
     # per band bucket): rep per run via sorted run boundaries, pairs
     # pre-deduped inside the partition with a C-path group_by.
-    from docling_graph_ray.stages.bucketing import (
-        add_part, bucketed_first, run_starts)
-
     def pairs_partition(g: pa.Table) -> pa.Table:
-        if g.num_rows == 0 or id_col not in g.schema.names:
-            return pa.table({id_col: pa.array([], pa.int64()),
-                             "rep_id": pa.array([], pa.int64())})
-        if "_part" in g.schema.names:
-            g = g.drop_columns(["_part"])
         idx = pc.sort_indices(g, sort_keys=[
             ("band_idx", "ascending"), ("band_key", "ascending"),
             (id_col, "ascending")])
@@ -773,12 +730,8 @@ def ngram_jaccard_dedup(
         return t.group_by([id_col, "rep_id"]).aggregate([])
 
     candidates = ds.map_batches(emit, batch_format="pyarrow")
-    raw_pairs = (
-        candidates.map_batches(
-            add_part(["band_idx", "band_key"], 64), batch_format="pyarrow")
-        .groupby("_part")
-        .map_groups(pairs_partition, batch_format="pyarrow")
-    )
+    raw_pairs = bucketed_map(candidates, ["band_idx", "band_key"],
+                             pairs_partition)
 
     # distinct pairs (the same pair arises from several bands) — a
     # partition-bucketed distinct, one vectorized call per hash bucket
@@ -894,14 +847,7 @@ def embedding_near_dedup(
             }
         )
 
-    from docling_graph_ray.stages.bucketing import add_part, run_starts
-
     def verify_partition(g: pa.Table) -> pa.Table:
-        if g.num_rows == 0 or id_col not in g.schema.names:
-            return pa.table({id_col: pa.array([], pa.int64()),
-                             "rep_id": pa.array([], pa.int64())})
-        if "_part" in g.schema.names:
-            g = g.drop_columns(["_part"])
         idx = pc.sort_indices(g, sort_keys=[
             ("band_idx", "ascending"), ("band_key", "ascending"),
             (id_col, "ascending")])
@@ -925,13 +871,8 @@ def embedding_near_dedup(
                          "rep_id": pa.array(np.where(ok, rep_row, ids))})
 
     candidates = ds.map_batches(emit, batch_format="pyarrow")
-    pairs = (
-        candidates.map_batches(
-            add_part(["band_idx", "band_key"], num_partitions),
-            batch_format="pyarrow")
-        .groupby("_part")
-        .map_groups(verify_partition, batch_format="pyarrow")
-    )
+    pairs = bucketed_map(candidates, ["band_idx", "band_key"],
+                         verify_partition, num_partitions=num_partitions)
     reps = bucketed_aggregate(
         pairs, [id_col], [("rep_id", "min")],
         rename=[id_col, "rep_id"], combine=True,
@@ -1160,14 +1101,10 @@ def source_overlap(ds, *, text_col: str = "text",
     contract, so the final grouped count is tiny."""
     import pandas as pd
 
-    from docling_graph_ray.stages.bucketing import hash_partition_cols
-
     hashed = ds.map_batches(add_text_hash(text_col), batch_format="pyarrow")
 
     def project(b: pa.Table) -> pa.Table:
-        t = b.select(["text_hash", source_col])
-        return t.append_column(
-            "_part", hash_partition_cols(t, ["text_hash"], num_partitions))
+        return b.select(["text_hash", source_col])
 
     def pairs_partition(g: pa.Table) -> pa.Table:
         empty = pa.table({
@@ -1175,8 +1112,6 @@ def source_overlap(ds, *, text_col: str = "text",
             "src_b": pa.array([], pa.string()),
             "n_texts": pa.array([], pa.int64()),
         })
-        if g.num_rows == 0 or "text_hash" not in g.schema.names:
-            return empty
         # distinct (hash, source), keep only hashes seen in >= 2 sources
         d = g.select(["text_hash", source_col]).combine_chunks() \
             .group_by(["text_hash", source_col]).aggregate([])
@@ -1200,11 +1135,9 @@ def source_overlap(ds, *, text_col: str = "text",
             "n_texts": pa.array(out["n_texts"], pa.int64()),
         })
 
-    part_counts = (
-        hashed.map_batches(project, batch_format="pyarrow")
-        .groupby("_part")
-        .map_groups(pairs_partition, batch_format="pyarrow")
-    )
+    part_counts = bucketed_map(
+        hashed.map_batches(project, batch_format="pyarrow"), ["text_hash"],
+        pairs_partition, num_partitions=num_partitions)
     return bucketed_aggregate(
         part_counts, ["src_a", "src_b"], [("n_texts", "sum")],
         rename=["src_a", "src_b", "n_texts"], combine=True,

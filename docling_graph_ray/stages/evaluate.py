@@ -480,13 +480,9 @@ def evaluate_graphs(tagged, *, structural: str = "auto",
     §7.4) — the matching ladder is inherent per-doc Python, but the
     per-group task/slice/table overhead is gone; one sorted pass walks
     the doc runs as zero-copy slices."""
-    from docling_graph_ray.stages.bucketing import add_part, run_starts
+    from docling_graph_ray.stages.bucketing import bucketed_map, run_starts
 
     def eval_partition(g: pa.Table) -> pa.Table:
-        if g.num_rows == 0 or "doc_id" not in g.schema.names:
-            return COUNT_SCHEMA.empty_table()
-        if "_part" in g.schema.names:
-            g = g.drop_columns(["_part"])
         idx = pa.compute.sort_indices(
             g, sort_keys=[("doc_id", "ascending")])
         g = g.take(idx).combine_chunks()
@@ -498,8 +494,4 @@ def evaluate_graphs(tagged, *, structural: str = "auto",
         return (pa.concat_tables(outs) if outs
                 else COUNT_SCHEMA.empty_table())
 
-    return (
-        tagged.map_batches(add_part(["doc_id"], 64), batch_format="pyarrow")
-        .groupby("_part")
-        .map_groups(eval_partition, batch_format="pyarrow")
-    )
+    return bucketed_map(tagged, ["doc_id"], eval_partition)

@@ -42,6 +42,8 @@ import pyarrow.compute as pc
 import ray
 
 from docling_graph_ray.functions.hashing import blake2b_hex
+from docling_graph_ray.stages.bucketing import (
+    bucketed_aggregate, bucketed_first, bucketed_map, run_starts)
 
 
 def dedup_nodes(nodes, *, key_col: str, order_col: str, attr_cols: list[str]):
@@ -59,24 +61,7 @@ def dedup_nodes(nodes, *, key_col: str, order_col: str, attr_cols: list[str]):
     # whole fold is run-boundary numpy over the (key, order)-sorted
     # rows: ``np.minimum.reduceat`` finds every group's first valid
     # attr index in one C call.
-    _P = 64
-
-    def bucket(b: pa.Table) -> pa.Table:
-        import pandas as pd
-
-        if pa.types.is_integer(b.schema.field(key_col).type):
-            # vectorized uint64 hash path — dtype=object would push
-            # every int through the per-element str-fallback hash
-            keys = b.column(key_col).to_numpy(zero_copy_only=False)
-            part = (pd.util.hash_array(keys.astype(np.int64)) % _P)
-        else:
-            keys = b.column(key_col).to_pandas().to_numpy(dtype=object)
-            part = pd.util.hash_array(keys) % _P
-        return b.append_column("_part", pa.array(part.astype(np.int64)))
-
     def enrich_partition(g: pa.Table) -> pa.Table:
-        if "_part" in g.schema.names:
-            g = g.drop_columns(["_part"])
         idx = pc.sort_indices(
             g, sort_keys=[(key_col, "ascending"), (order_col, "ascending")]
         )
@@ -110,11 +95,7 @@ def dedup_nodes(nodes, *, key_col: str, order_col: str, attr_cols: list[str]):
         names.append("n_mentions")
         return pa.Table.from_arrays(arrays, names=names)
 
-    return (
-        nodes.map_batches(bucket, batch_format="pyarrow")
-        .groupby("_part")
-        .map_groups(enrich_partition, batch_format="pyarrow")
-    )
+    return bucketed_map(nodes, [key_col], enrich_partition)
 
 
 def clean_edges(edges, node_ids_ref, *, src_col: str = "src", dst_col: str = "dst",
@@ -143,8 +124,6 @@ def clean_edges(edges, node_ids_ref, *, src_col: str = "src", dst_col: str = "ds
 
     # global distinct, partition-bucketed (stages/bucketing.py): one
     # vectorized map_groups call per hash bucket, never one per triple
-    from docling_graph_ray.stages.bucketing import bucketed_first
-
     return bucketed_first(deduped, [src_col, dst_col, label_col])
 
 
@@ -208,8 +187,6 @@ def _redirect_join(edges, redirects, col: str, num_partitions: int,
     Skew: a bucket holds ~1/P of the edges; a pathologically hot node
     concentrates its edges in one bucket, the same skew a hash join
     would see — but the per-member cost stays O(1) vectorized."""
-    from docling_graph_ray.stages.joins import hash_partition
-
     names = list(out_schema.names)
 
     def edge_side(b: pa.Table) -> pa.Table:
@@ -225,7 +202,6 @@ def _redirect_join(edges, redirects, col: str, num_partitions: int,
                         pa.nulls(0, out_schema.field(nm).type))
         cols["_canon"] = pa.nulls(n, pa.string())
         cols["_is_red"] = pa.array(np.zeros(n, dtype=bool))
-        cols["_part"] = hash_partition(key, num_partitions)
         return pa.table(cols)
 
     def red_side(b: pa.Table) -> pa.Table:
@@ -242,7 +218,6 @@ def _redirect_join(edges, redirects, col: str, num_partitions: int,
             cols[nm] = pa.nulls(n, out_schema.field(nm).type)
         cols["_canon"] = canon
         cols["_is_red"] = pa.array(np.ones(n, dtype=bool))
-        cols["_part"] = hash_partition(key, num_partitions)
         return pa.table(cols)
 
     tagged = edges.map_batches(edge_side, batch_format="pyarrow").union(
@@ -250,8 +225,6 @@ def _redirect_join(edges, redirects, col: str, num_partitions: int,
     )
 
     def regroup(g: pa.Table) -> pa.Table:
-        if g.num_rows == 0 or "_is_red" not in g.schema.names:
-            return out_schema.empty_table()
         is_red = g.column("_is_red")
         e = g.filter(pc.invert(is_red))
         if e.num_rows == 0:
@@ -270,7 +243,8 @@ def _redirect_join(edges, redirects, col: str, num_partitions: int,
             )
         return t.cast(out_schema)
 
-    return tagged.groupby("_part").map_groups(regroup, batch_format="pyarrow")
+    return bucketed_map(tagged, ["_key"], regroup,
+                        num_partitions=num_partitions)
 
 
 def content_hash_dedup(nodes, edges, *, key_col: str, attr_cols: list[str],
@@ -299,22 +273,12 @@ def content_hash_dedup(nodes, edges, *, key_col: str, attr_cols: list[str],
     # map_groups call per hash bucket (never one per distinct content
     # hash — SURVEY.md §7.4); inside, sorted run boundaries mark the
     # canonical (min key) row of every hash run
-    from docling_graph_ray.stages.bucketing import (
-        add_part, run_starts)
-
     hashed_schema = pa.schema(
         list(_as_arrow_schema(nodes.schema()))
         + [pa.field("_content_hash", pa.string())]
     )
 
     def tag_canon_partition(g: pa.Table) -> pa.Table:
-        if g.num_rows == 0 or "_content_hash" not in g.schema.names:
-            return pa.schema(
-                list(hashed_schema)
-                + [pa.field("_keep", pa.bool_()), pa.field("_canon", pa.string())]
-            ).empty_table()
-        if "_part" in g.schema.names:
-            g = g.drop_columns(["_part"])
         idx = pc.sort_indices(g, sort_keys=[
             ("_content_hash", "ascending"), (key_col, "ascending")])
         g = g.take(idx).combine_chunks()
@@ -327,14 +291,9 @@ def content_hash_dedup(nodes, edges, *, key_col: str, attr_cols: list[str],
         return g.append_column("_keep", pa.array(keep)).append_column(
             "_canon", canon)
 
-    merged = (
-        hashed.map_batches(
-            add_part(["_content_hash"], max(num_partitions, 64),
-                     hashed_schema),
-            batch_format="pyarrow")
-        .groupby("_part")
-        .map_groups(tag_canon_partition, batch_format="pyarrow")
-    )
+    merged = bucketed_map(hashed, ["_content_hash"], tag_canon_partition,
+                          num_partitions=max(num_partitions, 64),
+                          schema=hashed_schema)
 
     # Empty input blocks pass through map_groups without the fn running,
     # so downstream batches may LACK the helper columns (the round-1
@@ -591,8 +550,6 @@ def clean_edges_dataset(edges, node_ids, *, src_col: str = "src",
                      out_schema=triple_schema)
 
     # global distinct, partition-bucketed (stages/bucketing.py)
-    from docling_graph_ray.stages.bucketing import bucketed_first
-
     return bucketed_first(kept, [src_col, dst_col, label_col],
                           out_schema=triple_schema)
 
@@ -646,8 +603,6 @@ def enforce_closed_catalogs(nodes, edges, *,
         })
         g = t.group_by("_dst").aggregate([("n_in", "sum"), ("n_marked", "sum")])
         return g.rename_columns(["_dst", "n_in", "n_marked"]).cast(in_schema)
-
-    from docling_graph_ray.stages.bucketing import bucketed_aggregate
 
     stats = bucketed_aggregate(
         edges.map_batches(in_stats, batch_format="pyarrow"),

@@ -16,7 +16,8 @@ Now ``map_groups`` runs exactly P times and each call resolves its whole
 bucket with Arrow C++ hash kernels (``is_in`` for semi/anti,
 ``group_by(min)`` + ``index_in`` + ``take`` for the lookup attach) — the
 ``dedup_nodes`` shape (stages/graph.py).  Shuffle payload is unchanged
-(left rows + key rows move once, plus one int64 ``_part`` column).
+(left rows + key rows move once, plus ``bucketed_map``'s int64 bucket
+tag).
 
 Scale notes (SURVEY.md §7.4): the key side rides the shuffle as
 ``(_key,)`` rows only — never a driver-side set, so the "small" side may
@@ -53,6 +54,8 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
+
+from docling_graph_ray.stages.bucketing import bucketed_map
 
 # Measured shuffle-join crossover on this class of box (SURVEY §7.4):
 # below ~400k keys the two-sided shuffle's fixed stage costs exceed a
@@ -100,36 +103,16 @@ def as_arrow_schema(schema) -> pa.Schema:
     return base
 
 
-def hash_partition(key, num_partitions: int) -> pa.Array:
-    """Deterministic ``hash(key) % P`` partition ids (int64) for an Arrow
-    array/chunked-array.  Integer keys hash on the vectorized int64 path;
-    everything else hashes as object strings (both via pandas' siphash,
-    which is keyed with a fixed default — stable across processes)."""
-    import pandas as pd
-
-    if isinstance(key, pa.ChunkedArray):
-        key = key.combine_chunks()
-    n = len(key)
-    if n == 0:
-        return pa.array([], pa.int64())
-    if pa.types.is_integer(key.type):
-        h = pd.util.hash_array(
-            key.cast(pa.int64()).to_numpy(zero_copy_only=False))
-    else:
-        h = pd.util.hash_array(key.to_pandas().to_numpy(dtype=object))
-    return pa.array((h % num_partitions).astype(np.int64))
-
-
 def _key_type(out_schema: pa.Schema, on: str) -> pa.DataType:
     t = out_schema.field(on).type
     return pa.int64() if pa.types.is_integer(t) else pa.string()
 
 
 def _left_rows(b: pa.Table, on: str, names: list[str], out_schema: pa.Schema,
-               flag: str, key_type: pa.DataType, P: int) -> pa.Table:
-    """Tag a left-side batch with its join key + partition id; schema-
-    guarded so empty pass-through blocks (no columns) become empty tagged
-    tables."""
+               flag: str, key_type: pa.DataType) -> pa.Table:
+    """Project a left-side batch onto the co-group schema (its join key,
+    payload columns and a false side flag); schema-guarded so empty
+    pass-through blocks (no columns) become empty projected tables."""
     if b.num_rows == 0 or on not in b.schema.names:
         n = 0
         key = pa.array([], key_type)
@@ -140,13 +123,12 @@ def _left_rows(b: pa.Table, on: str, names: list[str], out_schema: pa.Schema,
     for nm in names:
         cols[nm] = b.column(nm) if n else pa.nulls(0, out_schema.field(nm).type)
     cols[flag] = pa.array(np.zeros(n, dtype=bool))
-    cols["_part"] = hash_partition(key, P)
     return pa.table(cols)
 
 
 def _key_rows(b: pa.Table, key_col: str, names: list[str],
-              out_schema: pa.Schema, flag: str, key_type: pa.DataType,
-              P: int) -> pa.Table:
+              out_schema: pa.Schema, flag: str,
+              key_type: pa.DataType) -> pa.Table:
     if b.num_rows == 0 or key_col not in b.schema.names:
         n = 0
         key = pa.array([], key_type)
@@ -157,7 +139,6 @@ def _key_rows(b: pa.Table, key_col: str, names: list[str],
     for nm in names:
         cols[nm] = pa.nulls(n, out_schema.field(nm).type)
     cols[flag] = pa.array(np.ones(n, dtype=bool))
-    cols["_part"] = hash_partition(key, P)
     return pa.table(cols)
 
 
@@ -176,18 +157,14 @@ def semi_join(left, keys, *, on: str, key_col: str | None = None,
     kt = _key_type(out_schema, on)
 
     tagged = left.map_batches(
-        lambda b: _left_rows(b, on, names, out_schema, "_is_key", kt,
-                             num_partitions),
+        lambda b: _left_rows(b, on, names, out_schema, "_is_key", kt),
         batch_format="pyarrow",
     ).union(keys.map_batches(
-        lambda b: _key_rows(b, key_col, names, out_schema, "_is_key", kt,
-                            num_partitions),
+        lambda b: _key_rows(b, key_col, names, out_schema, "_is_key", kt),
         batch_format="pyarrow",
     ))
 
     def regroup(g: pa.Table) -> pa.Table:
-        if g.num_rows == 0 or "_is_key" not in g.schema.names:
-            return out_schema.empty_table()
         is_key = g.column("_is_key")
         e = g.filter(pc.invert(is_key))
         if e.num_rows == 0:
@@ -204,7 +181,8 @@ def semi_join(left, keys, *, on: str, key_col: str | None = None,
             return out_schema.empty_table()
         return pa.table({nm: e.column(nm) for nm in names}).cast(out_schema)
 
-    return tagged.groupby("_part").map_groups(regroup, batch_format="pyarrow")
+    return bucketed_map(tagged, ["_key"], regroup,
+                        num_partitions=num_partitions)
 
 
 def lookup_join(left, lookup, *, on: str, key_col: str | None = None,
@@ -234,15 +212,13 @@ def lookup_join(left, lookup, *, on: str, key_col: str | None = None,
     kt = _key_type(left_schema, on)
 
     def left_side(b: pa.Table) -> pa.Table:
-        t = _left_rows(b, on, names, left_schema, "_is_lk", kt,
-                       num_partitions)
+        t = _left_rows(b, on, names, left_schema, "_is_lk", kt)
         for c, typ in val_fields:
             t = t.append_column("_v_" + c, pa.nulls(t.num_rows, typ))
         return t
 
     def lookup_side(b: pa.Table) -> pa.Table:
-        t = _key_rows(b, key_col, names, left_schema, "_is_lk", kt,
-                      num_partitions)
+        t = _key_rows(b, key_col, names, left_schema, "_is_lk", kt)
         n = t.num_rows
         for c, typ in val_fields:
             t = t.append_column(
@@ -256,8 +232,6 @@ def lookup_join(left, lookup, *, on: str, key_col: str | None = None,
     )
 
     def regroup(g: pa.Table) -> pa.Table:
-        if g.num_rows == 0 or "_is_lk" not in g.schema.names:
-            return full_schema.empty_table()
         is_lk = g.column("_is_lk")
         e = g.filter(pc.invert(is_lk))
         if e.num_rows == 0:
@@ -281,7 +255,8 @@ def lookup_join(left, lookup, *, on: str, key_col: str | None = None,
             cols[c] = agg_vals.take(pos)
         return pa.table(cols).cast(full_schema)
 
-    return tagged.groupby("_part").map_groups(regroup, batch_format="pyarrow")
+    return bucketed_map(tagged, ["_key"], regroup,
+                        num_partitions=num_partitions)
 
 
 def _collect_small(ds, cols: list[str]) -> pa.Table:

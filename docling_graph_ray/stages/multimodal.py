@@ -239,22 +239,15 @@ def media_phash_clusters(ds, *, concurrency=(1, 4),
     decode memory), then one bucketed fold keyed by hash emitting
     ``(phash, n_members, member_ids)`` with members comma-joined in
     id order (deterministic)."""
-    from docling_graph_ray.stages.bucketing import add_part, run_starts
+    from docling_graph_ray.stages.bucketing import bucketed_map, run_starts
 
     hashed = ds.map_batches(MediaPHashActor, batch_format="pyarrow",
                             batch_size=batch_size,
                             concurrency=concurrency)
     in_schema = pa.schema([("media_id", pa.int64()),
                            ("phash", pa.int64())])
-    out_schema = pa.schema([("phash", pa.int64()),
-                            ("n_members", pa.int64()),
-                            ("member_ids", pa.string())])
 
     def fold(g: pa.Table) -> pa.Table:
-        if g.num_rows == 0 or "phash" not in g.schema.names:
-            return out_schema.empty_table()
-        if "_part" in g.schema.names:
-            g = g.drop_columns(["_part"])
         idx = pc.sort_indices(g, sort_keys=[
             ("phash", "ascending"), ("media_id", "ascending")])
         g = g.take(idx).combine_chunks()
@@ -270,11 +263,8 @@ def media_phash_clusters(ds, *, concurrency=(1, 4),
                 pa.string()),
         })
 
-    return (hashed.map_batches(add_part(["phash"], num_partitions,
-                                        in_schema),
-                               batch_format="pyarrow")
-            .groupby("_part")
-            .map_groups(fold, batch_format="pyarrow"))
+    return bucketed_map(hashed, ["phash"], fold,
+                        num_partitions=num_partitions, schema=in_schema)
 
 
 def make_media_dup_table(n: int, seed: int = 42) -> pa.Table:

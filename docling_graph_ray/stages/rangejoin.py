@@ -11,7 +11,7 @@ Architecture (bounded-replication bucket join):
    ``horizon`` overlaps AT MOST TWO buckets — each left row is emitted
    once per overlapped bucket (≤2 rows), right rows exactly once;
 2. ONE hash shuffle on ``hash(key, bucket) % P`` co-locates every
-   candidate pair (``groupby("_part").map_groups`` — exactly P Python
+   candidate pair (``bucketing.bucketed_map`` — exactly P Python
    calls, never one per (key, bucket) group, SURVEY §7.4); neither side
    is broadcast or collected, both stream through the shuffle;
 3. inside each partition the exact predicate ``t0 <= t <= t0 + horizon``
@@ -129,7 +129,7 @@ def range_join(
     # O(L x R) broadcast) and one final concat + take materializes every
     # pair.  Per-run cost is a few microseconds of loop overhead, not a
     # map_groups task.
-    from docling_graph_ray.stages.bucketing import add_part, run_starts
+    from docling_graph_ray.stages.bucketing import bucketed_map, run_starts
 
     def _empty_out() -> pa.Table:
         return pa.table(
@@ -138,10 +138,6 @@ def range_join(
         )
 
     def match_partition(g: pa.Table) -> pa.Table:
-        if g.num_rows == 0 or "_side" not in g.schema.names:
-            return _empty_out()
-        if "_part" in g.schema.names:
-            g = g.drop_columns(["_part"])
         g = g.take(pc.sort_indices(g, sort_keys=[
             ("_key", "ascending"), ("_bucket", "ascending"),
             ("_side", "ascending"), ("_time", "ascending"),
@@ -183,9 +179,4 @@ def range_join(
             cols[c] = g.column(c).combine_chunks().take(ri_a)
         return pa.table(cols)
 
-    return (
-        unioned.map_batches(add_part(["_key", "_bucket"], 64),
-                            batch_format="pyarrow")
-        .groupby("_part")
-        .map_groups(match_partition, batch_format="pyarrow")
-    )
+    return bucketed_map(unioned, ["_key", "_bucket"], match_partition)

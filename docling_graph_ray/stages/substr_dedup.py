@@ -42,7 +42,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from docling_graph_ray.stages.bucketing import DEFAULT_PARTITIONS
+from docling_graph_ray.stages.bucketing import (
+    DEFAULT_PARTITIONS, bucketed_map, run_starts)
 
 _B = np.uint64(0x100000001B3)  # FNV-ish odd multiplier (public constant)
 
@@ -109,13 +110,9 @@ def duplicated_windows(windows, *, num_partitions: int = DEFAULT_PARTITIONS):
     ≥2 times corpus-wide.  One bucketed co-group; inside each call a
     single Arrow ``value_counts`` + ``is_in`` — O(1) vectorized work per
     row, hot windows included."""
-    from docling_graph_ray.stages.bucketing import add_part
-
     out_schema = pa.schema([("doc_id", pa.int64()), ("pos", pa.int64())])
 
     def dups(g: pa.Table) -> pa.Table:
-        if g.num_rows == 0 or "whash" not in g.schema.names:
-            return out_schema.empty_table()
         h = g.column("whash").combine_chunks()
         vc = pc.value_counts(h)
         dup_vals = vc.field("values").filter(
@@ -125,13 +122,8 @@ def duplicated_windows(windows, *, num_partitions: int = DEFAULT_PARTITIONS):
         keep = pc.is_in(h, value_set=dup_vals)
         return g.select(["doc_id", "pos"]).filter(keep).cast(out_schema)
 
-    return (
-        windows.map_batches(
-            add_part(["whash"], num_partitions, _WIN_SCHEMA),
-            batch_format="pyarrow")
-        .groupby("_part")
-        .map_groups(dups, batch_format="pyarrow")
-    )
+    return bucketed_map(windows, ["whash"], dups,
+                        num_partitions=num_partitions, schema=_WIN_SCHEMA)
 
 
 OUT_SCHEMA = pa.schema(
@@ -156,8 +148,6 @@ def substring_exact_dedup(docs, *, text_col: str = "text",
     ``window`` tokens pass through whole.  Reference scope note: the
     reference engine has no substring dedup; this is part of the
     training-data operator set the north rule adds."""
-    from docling_graph_ray.stages.bucketing import add_part, run_starts
-
     doc_side = pa.schema(
         [("doc_id", pa.int64()), ("pos", pa.int64()), ("text", pa.string())]
     )
@@ -192,10 +182,6 @@ def substring_exact_dedup(docs, *, text_col: str = "text",
     )
 
     def rebuild(g: pa.Table) -> pa.Table:
-        if g.num_rows == 0 or "doc_id" not in g.schema.names:
-            return OUT_SCHEMA.empty_table()
-        if "_part" in g.schema.names:
-            g = g.drop_columns(["_part"])
         idx = pc.sort_indices(
             g, sort_keys=[("doc_id", "ascending"), ("pos", "ascending")])
         g = g.take(idx).combine_chunks()
@@ -232,10 +218,5 @@ def substring_exact_dedup(docs, *, text_col: str = "text",
             "n_removed": pa.array(out_rm, pa.int64()),
         }).cast(OUT_SCHEMA)
 
-    return (
-        tagged.map_batches(
-            add_part(["doc_id"], num_partitions, doc_side),
-            batch_format="pyarrow")
-        .groupby("_part")
-        .map_groups(rebuild, batch_format="pyarrow")
-    )
+    return bucketed_map(tagged, ["doc_id"], rebuild,
+                        num_partitions=num_partitions, schema=doc_side)

@@ -19,6 +19,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from docling_graph_ray.functions.hashing import rolling_fingerprint
+from docling_graph_ray.stages.bucketing import bucketed_aggregate, bucketed_map
 
 # ---------------------------------------------------------------------------
 # token counting
@@ -412,8 +413,6 @@ def tfidf_topk(docs, *, k: int = 5, text_col: str = "text",
                              "df": pa.array([int(nn)], pa.int64())})
         return pa.concat_tables([g.cast(_DF_SCHEMA), sentinel])
 
-    from docling_graph_ray.stages.bucketing import bucketed_aggregate
-
     # barrier: df is (token, int64) only — pinning it is bounded by the
     # corpus vocabulary (spillable), and makes count() metadata-only:
     # the probe for the broadcast-vs-shuffle attach selection below.
@@ -477,23 +476,9 @@ def tfidf_topk(docs, *, k: int = 5, text_col: str = "text",
     # n_buckets so corpus_rows/n_buckets fits a worker — the per-task
     # working set is one bucket, not one doc.
 
-    def bucket(b: pa.Table) -> pa.Table:
-        if b.num_rows == 0 or "score" not in b.schema.names:
-            return out_schema.empty_table().append_column(
-                "_part", pa.array([], pa.int64()))
-        import numpy as np
-
-        ids = b.column("doc_id").to_numpy(zero_copy_only=False)
-        return b.append_column(
-            "_part", pa.array((ids % n_buckets).astype(np.int64)))
-
     def topk_partition(g: pa.Table) -> pa.Table:
-        if g.num_rows == 0 or "score" not in g.schema.names:
-            return out_schema.empty_table()
         import numpy as np
 
-        if "_part" in g.schema.names:
-            g = g.drop_columns(["_part"])
         idx = pc.sort_indices(g, sort_keys=[
             ("doc_id", "ascending"), ("score", "descending"),
             ("token", "ascending"),
@@ -506,11 +491,8 @@ def tfidf_topk(docs, *, k: int = 5, text_col: str = "text",
         return g.filter(pa.array(rank < k)).select(
             list(out_schema.names)).cast(out_schema)
 
-    return (
-        scored.map_batches(bucket, batch_format="pyarrow")
-        .groupby("_part")
-        .map_groups(topk_partition, batch_format="pyarrow")
-    )
+    return bucketed_map(scored, ["doc_id"], topk_partition,
+                        num_partitions=n_buckets, schema=out_schema)
 
 
 # ---------------------------------------------------------------------------
@@ -531,8 +513,6 @@ def value_quantiles(ds, col: str, qs: list[float]):
 
     Returns a small pyarrow table ``(q, value)``."""
     import math
-
-    from docling_graph_ray.stages.bucketing import bucketed_aggregate
 
     def partial(b: pa.Table) -> pa.Table:
         if b.num_rows == 0 or col not in b.schema.names:
@@ -595,8 +575,6 @@ def word_freq_dataset(ds, *, text_col: str = "text"):
             "word": vc.field("values"),
             "n": vc.field("counts").cast(pa.int64()),
         })
-
-    from docling_graph_ray.stages.bucketing import bucketed_aggregate
 
     return bucketed_aggregate(
         ds.map_batches(partial, batch_format="pyarrow"),
@@ -665,8 +643,6 @@ def bpe_train(ds, *, text_col: str = "text", merges: int = 20):
 
     out: list[tuple[int, str, str, int]] = []
     for rank in range(merges):
-        from docling_graph_ray.stages.bucketing import bucketed_aggregate
-
         # materialized so bucketed_aggregate's schema() reads block
         # metadata: on a lazy dataset it runs a limit(1) job whose task
         # cancellation has aborted the driver inside Ray 2.49
