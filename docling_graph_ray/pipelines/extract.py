@@ -2,8 +2,9 @@
 
 Ray-Data-first shape (SURVEY.md §7) — a LINEAR chain, one source scan:
 
-    read pages, one task per Parquet file, or per row-group bin when
-    there are fewer files than CPUs      (url, warc_ts, html, text, lang)
+    read pages, one task per Parquet file, or, with fewer files than
+    CPUs, per bin of row groups cut by html bytes
+                                         (url, warc_ts, html, text, lang)
       → classify: lane + part_id                      (cheap, vectorized)
       → map_batches(ExtractActor stage)               (plain task UDF)
           - read, classify and extract are all task UDFs, so Ray FUSES
@@ -42,8 +43,11 @@ Design notes for 100 TB:
   task at a time.  The object store has to hold all the extract output
   before the reduce in any case, so the reservation only idled CPUs;
 - the read makes enough tasks for the CPUs: with fewer Parquet files
-  than CPUs it reads contiguous bins of row groups, one task each
-  (``read_pages_parquet``), so a one-file input is not one task;
+  than CPUs it reads contiguous bins of row groups, one task each, and
+  cuts a row group holding more than a CPU's share of the html bytes
+  (the footer records them) into pieces of near-equal bytes that
+  re-read it (``read_pages_parquet``), so neither a one-file input nor
+  one giant row group is one task;
 - the single wide op is the url-hash groupby, and the same key drives
   dedup, lineage, checkpoint layout and resume (SURVEY.md §7.4);
 - ``html`` is projected away inside the extract stage, so the shuffle
@@ -60,6 +64,7 @@ import zlib
 from collections.abc import Iterator
 from functools import partial
 
+import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
@@ -553,26 +558,74 @@ def _lanes(classified, shuffle_codec: str | None = None, parser_cls=None,
     return classified.map_batches(stage, batch_format="pyarrow")
 
 
-def _read_row_groups(row_groups: list[tuple[str, int]]):
-    """Read task body: one table per row group, so a task holds one row
-    group at a time whatever the bin's size."""
+def _row_group_piece(table: pa.Table, j: int, k: int) -> pa.Table:
+    """Piece ``j`` of ``k`` of a row group: the rows whose html starts in
+    the ``j``-th of ``k`` equal cuts of the row group's html bytes,
+    ``before * k // total == j`` with ``before`` the html bytes of the
+    rows ahead of it (null html counts 0).  ``before`` never
+    decreases, so each piece is one contiguous zero-copy slice and the
+    pieces, in order, give back the row group row for row; a row larger
+    than a cut stays whole in the piece it starts in, and a row group
+    with no html bytes is all piece 0."""
+    nbytes = (pc.fill_null(pc.binary_length(table.column("html")), 0)
+              .cast(pa.int64()).to_numpy())
+    before = np.cumsum(nbytes) - nbytes
+    cut = before * k // max(int(nbytes.sum()), 1)
+    lo, hi = np.searchsorted(cut, [j, j + 1])
+    return table.slice(lo, hi - lo)
+
+
+def _read_row_groups(pieces: list[tuple[str, int, int, int]]):
+    """Read task body: one table per ``(path, row group, j, k)``, piece
+    ``j`` of ``k`` of the row group (the whole of it when ``k`` is 1), so
+    a task holds one row group at a time whatever the bin's size."""
     files: dict[str, pq.ParquetFile] = {}
-    for path, index in row_groups:
+    for path, index, j, k in pieces:
         if path not in files:
             files[path] = pq.ParquetFile(path)
-        yield files[path].read_row_group(index, use_threads=False)
+        table = files[path].read_row_group(index, use_threads=False)
+        yield table if k == 1 else _row_group_piece(table, j, k)
+
+
+def _plan_pieces(files: list[str], metas: list, cpus: int) -> list[tuple]:
+    """Row groups of ``files``, in file order, as read pieces
+    ``(path, row group, j, k, num_rows, size_bytes)``: piece ``j`` of ``k``.
+
+    Planned from the footer's html bytes: a row group of ``b`` bytes
+    against a per-CPU share of ``total / cpus`` is cut into
+    ``max(1, min(round(b / share), b // DEFAULT_GIANT_BYTES))`` pieces
+    (``_row_group_piece``), so a row group holding several CPUs' share
+    of the html is read by as many tasks, while one under the giant-row
+    threshold stays whole.  A split piece's row count is
+    unknown until it is read (``None``)."""
+    row_groups = []
+    for f, m in zip(files, metas):
+        html = m.schema.names.index("html")
+        for i in range(m.num_row_groups):
+            rg = m.row_group(i)
+            row_groups.append((f, i, rg.num_rows, rg.total_byte_size,
+                               rg.column(html).total_uncompressed_size))
+    share = sum(rg[4] for rg in row_groups) / cpus
+    planned = []
+    for f, i, num_rows, size, html_bytes in row_groups:
+        k = (max(1, min(round(html_bytes / share),
+                        html_bytes // DEFAULT_GIANT_BYTES))
+             if html_bytes else 1)
+        planned.extend((f, i, j, k, num_rows if k == 1 else None, size // k)
+                       for j in range(k))
+    return planned
 
 
 class _RowGroupBinsDatasource(Datasource):
-    """Parquet row groups read as contiguous bins of near-equal row-group
-    count, one read task per bin.
+    """Parquet row-group pieces (``_plan_pieces``) read as contiguous bins
+    of near-equal piece count, one read task per bin.
 
     Named ``Parquet`` so the fused operator keeps the name
     ``ReadParquet->MapBatches(classify)->MapBatches(ExtractActor)``."""
 
-    def __init__(self, row_groups: list[tuple[str, int, int, int]]) -> None:
-        # (path, row-group index, num_rows, total_byte_size), in file order
-        self._row_groups = row_groups
+    def __init__(self, pieces: list[tuple]) -> None:
+        # (path, row group, j, k, num_rows, size_bytes), in read order
+        self._pieces = pieces
 
     def get_name(self) -> str:
         return "Parquet"
@@ -583,19 +636,19 @@ class _RowGroupBinsDatasource(Datasource):
         return None
 
     def get_read_tasks(self, parallelism: int) -> list[ReadTask]:
-        rgs = self._row_groups
-        n, k = len(rgs), min(parallelism, len(rgs))
+        ps = self._pieces
+        n, k = len(ps), min(parallelism, len(ps))
         tasks = []
-        for part in (rgs[i * n // k:(i + 1) * n // k] for i in range(k)):
+        for part in (ps[i * n // k:(i + 1) * n // k] for i in range(k)):
+            rows = [p[4] for p in part]
             meta = BlockMetadata(
-                num_rows=sum(rg[2] for rg in part),
-                size_bytes=sum(rg[3] for rg in part),
-                input_files=sorted({rg[0] for rg in part}),
+                num_rows=None if None in rows else sum(rows),
+                size_bytes=sum(p[5] for p in part),
+                input_files=sorted({p[0] for p in part}),
                 exec_stats=None,
             )
             tasks.append(ReadTask(
-                partial(_read_row_groups, [(rg[0], rg[1]) for rg in part]),
-                meta,
+                partial(_read_row_groups, [p[:4] for p in part]), meta,
             ))
         return tasks
 
@@ -603,7 +656,7 @@ class _RowGroupBinsDatasource(Datasource):
 def read_pages_parquet(path: str):
     """Read a pages Parquet directory: one read task per file, or, when the
     directory has fewer files than the cluster has CPUs, one task per bin
-    of row groups.
+    of row-group pieces planned from the footers' html bytes.
 
     Each read task is one task of the fused read → classify → extract
     operator (``_lanes``), so the read's task count is the extract
@@ -617,15 +670,18 @@ def read_pages_parquet(path: str):
     16.4 s vs 3.7 s for the identical sf0.1 flagship run).
 
     With fewer files than CPUs, one task per file leaves CPUs idle (a
-    single-file input extracted on 1 of 4 CPUs), so the row groups of all
-    files, in file order, are cut into ``min(row groups, CPUs)``
-    contiguous bins of near-equal row-group count, one read task each: a
-    file of at most as many row groups as CPUs (perfbench's
-    ``giant_skew``: one file, two row groups) gets a task per row group.
-    Only the files < CPUs case splits: one task per row
-    group on a 4-file, 8-row-group input with 4 CPUs (perfbench's
-    ``resume_half``) ran slower than one task per file, 1589–1668 vs
-    1705–1820 docs/s over three interleaved pairs.
+    single-file input extracted on 1 of 4 CPUs).  So each row group with
+    more html bytes than about one CPU's share of the input is cut into
+    contiguous pieces of near-equal html bytes, each re-reading the row
+    group (``_plan_pieces``), and the pieces of all files, in file order,
+    are cut into ``min(pieces, CPUs)`` contiguous bins of near-equal
+    piece count, one read task each: perfbench's ``giant_skew``, one file
+    of two row groups of ~23 MB of html, reads as four tasks, one per
+    half row group.  Only the files < CPUs case is planned this way: one
+    task per row group on a 4-file, 8-row-group input with 4 CPUs
+    (perfbench's ``resume_half``) ran slower than one task per file,
+    1589–1668 vs 1705–1820 docs/s over three interleaved pairs, and none
+    of its row groups holds more than a CPU's share of html.
 
     Falls back to Ray's default planning for non-local paths (no cheap
     listing) and for a directory with no top-level ``.parquet`` file, and
@@ -648,14 +704,10 @@ def read_pages_parquet(path: str):
     if 0 < len(files) < cpus:
         metas = [pq.read_metadata(f) for f in files]
         if all(m.num_row_groups for m in metas):
-            row_groups = [
-                (f, i, m.row_group(i).num_rows, m.row_group(i).total_byte_size)
-                for f, m in zip(files, metas)
-                for i in range(m.num_row_groups)
-            ]
+            pieces = _plan_pieces(files, metas, int(cpus))
             return ray.data.read_datasource(
-                _RowGroupBinsDatasource(row_groups),
-                override_num_blocks=min(len(row_groups), int(cpus)),
+                _RowGroupBinsDatasource(pieces),
+                override_num_blocks=min(len(pieces), int(cpus)),
             )
     return ray.data.read_parquet(path, override_num_blocks=len(files) or None)
 

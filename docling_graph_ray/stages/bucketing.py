@@ -145,7 +145,8 @@ def bucketed_aggregate(ds, key_cols: list[str],
                        aggs: list[tuple[str, str]], *,
                        num_partitions: int = DEFAULT_PARTITIONS,
                        rename: list[str] | None = None,
-                       combine: bool = False):
+                       combine: bool = False,
+                       in_schema: pa.Schema | None = None):
     """Grouped aggregate keyed by hash BUCKET instead of the key domain.
 
     Ray's native ``groupby(key).min/sum`` sort-shuffles by the full key
@@ -165,10 +166,15 @@ def bucketed_aggregate(ds, key_cols: list[str],
     ``combine=True`` additionally pre-folds EVERY input batch with the
     same aggregate before the shuffle — the map-side combiner; valid
     when every fn is min/max/sum (``count_all`` is remapped to a partial
-    count + final sum automatically)."""
+    count + final sum automatically).
+
+    ``in_schema`` is ``ds``'s schema when the caller knows it: without
+    it, ``ds.schema()`` runs the unexecuted part of the plan as a job
+    and cancels the tasks it did not need."""
     from docling_graph_ray.stages.joins import as_arrow_schema
 
-    in_schema = as_arrow_schema(ds.schema())
+    if in_schema is None:
+        in_schema = as_arrow_schema(ds.schema())
     for col, fn in aggs:
         if combine and fn not in _COMBINABLE and fn != "count_all":
             raise ValueError(f"combine=True cannot pre-fold {fn!r}")

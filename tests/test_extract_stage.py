@@ -1,7 +1,8 @@
 """The flagship's extract stage runs as a task fused into the Parquet read,
-one task per file or, with fewer files than CPUs, per bin of row groups;
-its tasks run side by side, and the parser classes it is handed are built
-only inside the workers."""
+one task per file or, with fewer files than CPUs, per bin of row groups,
+a row group with more than a CPU's share of the html bytes cut into
+pieces that each re-read it; its tasks run side by side, and the parser
+classes it is handed are built only inside the workers."""
 
 import os
 import shutil
@@ -9,17 +10,21 @@ import time
 import uuid
 
 import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.parquet as pq
 import ray
 
 from docling_graph_ray.fixtures.pages import make_pages_table
 from docling_graph_ray.pipelines.extract import (
     ExtractActor,
+    _read_row_groups,
     _RowGroupBinsDatasource,
     extract_pages_dataset,
     read_pages_parquet,
     run_extract_pipeline,
 )
+from docling_graph_ray.pipelines.golden import golden_extract
+from docling_graph_ray.state.manifest import read_lineage
 
 FUSED = "ReadParquet->MapBatches(classify)->MapBatches(ExtractActor)"
 P = 4
@@ -176,6 +181,116 @@ def test_read_splits_row_groups_into_contiguous_bins(ray_session, tmp_path):
     _write_file(few / "part-00000.parquet", range(30), row_group_size=10)
     assert [t.metadata.num_rows
             for t in _read_tasks(read_pages_parquet(str(few)))] == [10] * 3
+
+
+def _html_file(path, sizes, row_group_size=None):
+    """A Parquet file of rows with ``sizes[i]`` html bytes (``None``: null
+    html), each row's bytes its own."""
+    html = [None if n is None else (b"%07d " % i * (n // 8 + 1))[:n]
+            for i, n in enumerate(sizes)]
+    pq.write_table(pa.table({"url": [f"u{i}" for i in range(len(sizes))],
+                             "html": pa.array(html, pa.binary())}),
+                   path, row_group_size=row_group_size)
+
+
+def test_row_group_pieces_give_back_the_row_group(tmp_path):
+    """Piece j of k keeps the rows whose html starts in the j-th of k
+    equal cuts of the row group's html bytes (nulls count 0): for k = 2..4
+    the pieces, in order, are the row group row for row.  A row larger
+    than a cut leaves the pieces it spans empty, and a row group with no
+    html bytes is all piece 0."""
+    cases = {
+        "mixed": [300, None, 5000, 0, 120, 2000, None, 800, 40, 3000],
+        "one_giant": [10, 50_000, 10],
+        "all_empty": [0, None, 0, 0],
+    }
+    sizes_of = {}
+    for name, sizes in cases.items():
+        path = str(tmp_path / f"{name}.parquet")
+        _html_file(path, sizes)
+        whole = pq.read_table(path)
+        total = sum(n or 0 for n in sizes)
+        for k in range(2, 5):
+            pieces = list(_read_row_groups([(path, 0, j, k)
+                                            for j in range(k)]))
+            assert len(pieces) == k
+            assert pa.concat_tables(pieces).equals(whole), (name, k)
+            want, before = [], 0
+            for n in sizes:
+                want.append(before * k // max(total, 1))
+                before += n or 0
+            assert [j for j, p in enumerate(pieces)
+                    for _ in range(p.num_rows)] == want, (name, k)
+            sizes_of[name, k] = [p.num_rows for p in pieces]
+    assert sizes_of["one_giant", 4] == [2, 0, 0, 1]
+    assert sizes_of["all_empty", 3] == [4, 0, 0]
+
+
+def test_read_splits_row_groups_by_html_bytes(ray_session, tmp_path):
+    """One file of two row groups, each ~3 MB of html with its giant rows
+    together (``giant_skew``'s shape): each row group holds two CPUs'
+    share, so the read plans 4 tasks on 4 CPUs, one per half row group,
+    each within 1.5x of the mean html bytes; split pieces report no row
+    count.  A row group under the 1 MB giant-row threshold never splits,
+    however large its share."""
+    d = tmp_path / "giant"
+    d.mkdir()
+    group = [2_000] * 12 + [600_000] * 5 + [2_000] * 3
+    _html_file(d / "part-00000.parquet", group * 2, row_group_size=20)
+    ds = read_pages_parquet(str(d))
+    assert ds._logical_plan.dag.name == "ReadParquet"
+    tasks = _read_tasks(ds)
+    assert len(tasks) == CPUS == ds._logical_plan.dag._parallelism
+    assert [t.metadata.num_rows for t in tasks] == [None] * CPUS
+    blocks = [pa.concat_tables(list(t())) for t in tasks]
+    shares = [pc.sum(pc.binary_length(b.column("html"))).as_py()
+              for b in blocks]
+    mean = sum(shares) / len(shares)
+    assert all(mean / 1.5 <= b <= 1.5 * mean for b in shares), shares
+    assert pa.concat_tables(blocks).equals(
+        pq.read_table(d / "part-00000.parquet"))
+
+    small = tmp_path / "small"
+    small.mkdir()
+    _html_file(small / "part-00000.parquet", [900_000] + [1_000] * 9,
+               row_group_size=5)
+    tasks = _read_tasks(read_pages_parquet(str(small)))
+    assert [t.metadata.num_rows for t in tasks] == [5, 5]
+
+
+def test_split_row_groups_extract_golden_fresh_and_resumed(ray_session,
+                                                          tmp_path):
+    """A one-file input whose giant-row row group splits across tasks
+    runs as the one fused operator with no ``SplitBlocks`` and commits
+    exactly the eager golden's text digests and lineage, fresh and after
+    half its partitions are uncommitted."""
+    n, seed, profile = 100, 3, "bench"  # rows 90-99 are the giant ones
+    d = tmp_path / "pages"
+    d.mkdir()
+    pq.write_table(make_pages_table(list(range(n)), seed, profile),
+                   d / "part-00000.parquet", row_group_size=50)
+    golden, golden_lineage = golden_extract(n, seed, profile, P)
+    want = sorted(zip(golden.column("url").to_pylist(),
+                      golden.column("text_sha256").to_pylist()))
+    out = str(tmp_path / "out")
+    for resumed in (False, True):
+        pages = read_pages_parquet(str(d))
+        assert None in [t.metadata.num_rows for t in _read_tasks(pages)]
+        ds = run_extract_pipeline(pages, out_dir=out, num_partitions=P)
+        lineage = sorted(ds.take_all(), key=lambda r: r["part_id"])
+        names = _operator_names(ds)
+        assert FUSED in names, names
+        assert not any("SplitBlocks" in name for name in names), names
+        committed = pq.read_table(out, columns=["url", "text_sha256"])
+        assert sorted(zip(committed.column("url").to_pylist(),
+                          committed.column("text_sha256").to_pylist())) \
+            == want
+        assert read_lineage(out) == golden_lineage.to_pylist()
+        redone = range(0, P, 2) if resumed else range(P)
+        assert lineage == [golden_lineage.to_pylist()[p] for p in redone]
+        for pid in range(0, P, 2):  # uncommit half the partitions
+            os.remove(os.path.join(out, "_manifests", f"part-{pid:05d}.json"))
+            shutil.rmtree(os.path.join(out, f"part_id={pid}"))
 
 
 def test_read_falls_back_to_read_parquet(ray_session, tmp_path, monkeypatch):
