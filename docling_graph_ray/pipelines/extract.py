@@ -2,20 +2,22 @@
 
 Ray-Data-first shape (SURVEY.md §7) — a LINEAR chain, one source scan:
 
-    read pages, one task per Parquet file, or, with fewer files than
-    CPUs, per bin of row groups cut by html bytes
-                                         (url, warc_ts, html, text, lang)
+    read pages, one task per bin of row groups planned from the footers
+    (one file per task with as many files as CPUs), crawler text left on
+    disk                  (url, warc_ts, html, lang, _src_file, _src_row)
       → classify: lane + part_id                      (cheap, vectorized)
       → map_batches(ExtractActor stage)               (plain task UDF)
           - read, classify and extract are all task UDFs, so Ray FUSES
             them into one operator,
             ReadParquet->MapBatches(classify)->MapBatches(ExtractActor):
-            each task reads a file (or a bin), classifies and extracts it
+            each task reads a bin, classifies and extracts it
           - the parser (ExtractActor) is built inside that task once per
-            block and called on 32-row windows: HTML rows (any size)
-            decode → parse → score → text+spans, giant rows handled by
-            sub-batch yields; PDF/binary rows parsed with the parser's
-            warm state (__init__)
+            block (a task's row groups reach it as one block) and called
+            on 32-row windows: HTML rows (any size) decode → parse →
+            score → text+spans, giant rows handled by sub-batch yields;
+            PDF/binary rows parsed with the parser's warm state
+            (__init__); a row that fails to parse reads its crawler text
+            from disk (``crawler_text``)
       → groupby(part_id).map_groups(PartitionFinalizer)   # the ONE shuffle
           - latest-wins url dedup (url-hash partitioning makes it global)
           - per-partition lineage + metrics
@@ -42,12 +44,16 @@ Design notes for 100 TB:
   all-to-all barrier), and left the extract operator 1.44 of 4 CPUs: one
   task at a time.  The object store has to hold all the extract output
   before the reduce in any case, so the reservation only idled CPUs;
-- the read makes enough tasks for the CPUs: with fewer Parquet files
-  than CPUs it reads contiguous bins of row groups, one task each, and
-  cuts a row group holding more than a CPU's share of the html bytes
-  (the footer records them) into pieces of near-equal bytes that
-  re-read it (``read_pages_parquet``), so neither a one-file input nor
-  one giant row group is one task;
+- the read makes enough tasks for the CPUs: it reads contiguous bins of
+  row groups, one task each, as many as the CPUs or the files if more
+  (never more than the pieces), and cuts a row group
+  holding more than a CPU's share of the html bytes (the footer records
+  them) into pieces of near-equal bytes that re-read it
+  (``read_pages_parquet``), so neither a one-file input nor one giant
+  row group is one task;
+- the read skips the crawler ``text`` column, which only a row that
+  fails to parse needs: each row carries its source file and row, and
+  ``crawler_text`` reads the text of such a row from its row group;
 - the single wide op is the url-hash groupby, and the same key drives
   dedup, lineage, checkpoint layout and resume (SURVEY.md §7.4);
 - ``html`` is projected away inside the extract stage, so the shuffle
@@ -171,6 +177,10 @@ class ExtractActor(PdfParseActor):
     The flagship builds it inside the fused read task, once per input
     block, and calls it on that block's 32-row windows (``_lanes``); the
     name stays ``ExtractActor`` because the stage's operator takes it.
+    A block holds all the rows a read task yields, several row groups
+    or files' worth, so anything taken per row, such as the crawler
+    text of a row that fails to parse (``crawler_text``), is taken from
+    that row's own columns, never once per block.
     Warm parser state (the PDF/layout stack stand-in) comes from
     ``PdfParseActor.__init__`` and is reused across the block's windows
     (reference analogue: DocumentProcessor's model stack,
@@ -198,6 +208,9 @@ class ExtractActor(PdfParseActor):
         if shuffle_codec not in (None, "zlib"):
             raise ValueError(f"unknown shuffle_codec: {shuffle_codec!r}")
         self.shuffle_codec = shuffle_codec
+        # the crawler text of the last row group a failed row read
+        # (``crawler_text``): the failed rows of a block come in row order
+        self.source_text: dict = {}
         # ``ocr_backend`` is a CLASS (OcrBackend protocol) instantiated
         # here so the OCR model loads once per parser alongside the warm
         # parser stack — image_only rows route through it while the raw
@@ -210,9 +223,6 @@ class ExtractActor(PdfParseActor):
         langs = batch.column("lang")
         parts = batch.column("part_id")
         lanes = batch.column("lane").to_pylist()
-        # the crawler text is only the fallback of a failed row: read it
-        # per failed row, never as a whole column of Python strings
-        texts = batch.column("text")
 
         def new_acc():
             return {
@@ -307,7 +317,8 @@ class ExtractActor(PdfParseActor):
                     r = extract_html_doc(body, None)
                 if capped and r["parse_status"] == "ok":
                     r["parse_status"] = "salvaged"
-                if r["parse_status"] == "failed" and (fb := texts[i].as_py()):
+                if (r["parse_status"] == "failed"
+                        and (fb := crawler_text(batch, i, self.source_text))):
                     r = {"extracted_text": fb,
                          "spans": [{"span_id": 0, "start": 0, "end": len(fb),
                                     "kind": "fallback", "path": "text",
@@ -575,16 +586,74 @@ def _row_group_piece(table: pa.Table, j: int, k: int) -> pa.Table:
     return table.slice(lo, hi - lo)
 
 
+#: per-row source columns of a local Parquet read: the file (dictionary
+#: string) and the row within it, so ``crawler_text`` can read a failed
+#: row's crawler text from disk
+_SRC_FILE, _SRC_ROW = "_src_file", "_src_row"
+
+
+def _row_group_starts(meta) -> np.ndarray:
+    """First row of each row group of a Parquet file, then its row count."""
+    return np.cumsum([0] + [meta.row_group(i).num_rows
+                            for i in range(meta.num_row_groups)])
+
+
 def _read_row_groups(pieces: list[tuple[str, int, int, int]]):
     """Read task body: one table per ``(path, row group, j, k)``, piece
-    ``j`` of ``k`` of the row group (the whole of it when ``k`` is 1), so
-    a task holds one row group at a time whatever the bin's size."""
-    files: dict[str, pq.ParquetFile] = {}
+    ``j`` of ``k`` of the row group (the whole of it when ``k`` is 1).
+
+    The crawler ``text`` column is not read: each row carries its source
+    instead (``_src_file``, ``_src_row``), and ``crawler_text`` reads the
+    text of the rare row that fails to parse.  The rows are tagged one
+    by one because the tables of one task reach the extract stage as one
+    block: Ray's read concatenates a task's tables up to its target block
+    size, so a bin of two row groups is one block of both."""
+    files: dict[str, tuple] = {}
     for path, index, j, k in pieces:
         if path not in files:
-            files[path] = pq.ParquetFile(path)
-        table = files[path].read_row_group(index, use_threads=False)
+            f = pq.ParquetFile(path)
+            files[path] = (f, [c for c in f.schema_arrow.names if c != "text"],
+                           _row_group_starts(f.metadata))
+        f, columns, starts = files[path]
+        table = f.read_row_group(index, columns=columns, use_threads=False)
+        n = table.num_rows
+        table = table.append_column(_SRC_FILE, pa.DictionaryArray.from_arrays(
+            pa.array(np.zeros(n, np.int32)), pa.array([path]),
+        )).append_column(_SRC_ROW, pa.array(
+            np.arange(starts[index], starts[index] + n, dtype=np.int64)))
         yield table if k == 1 else _row_group_piece(table, j, k)
+
+
+def crawler_text(batch: pa.Table, i: int,
+                 cache: dict | None = None) -> str | None:
+    """The crawler ``text`` of row ``i`` of a pages batch: the fallback of
+    a row whose html fails to parse.
+
+    In-memory, JSONL and WARC pages carry the ``text`` column.  A local
+    Parquet read (``read_pages_parquet``) leaves it on disk and tags each
+    row with its source file and row; the text is then read from that
+    row's row group, so a read in which no row fails never decodes the
+    column.  ``cache``, a dict the caller keeps (``ExtractActor`` keeps
+    one per parser), holds the last row group's text, so the failed rows
+    of one row group read it once.  ``None`` when the batch has
+    neither."""
+    names = batch.column_names
+    if "text" in names:
+        return batch.column("text")[i].as_py()
+    if _SRC_FILE not in names:
+        return None
+    path = batch.column(_SRC_FILE)[i].as_py()
+    row = batch.column(_SRC_ROW)[i].as_py()
+    cache = {} if cache is None else cache
+    hit = cache.get(path)
+    if hit is None or not hit[0] <= row < hit[0] + len(hit[1]):
+        f = pq.ParquetFile(path)
+        starts = _row_group_starts(f.metadata)
+        index = int(np.searchsorted(starts, row, side="right")) - 1
+        cache.clear()
+        cache[path] = hit = (int(starts[index]), f.read_row_group(
+            index, columns=["text"], use_threads=False).column("text"))
+    return hit[1][row - hit[0]].as_py()
 
 
 def _plan_pieces(files: list[str], metas: list, cpus: int) -> list[tuple]:
@@ -596,16 +665,21 @@ def _plan_pieces(files: list[str], metas: list, cpus: int) -> list[tuple]:
     ``max(1, min(round(b / share), b // DEFAULT_GIANT_BYTES))`` pieces
     (``_row_group_piece``), so a row group holding several CPUs' share
     of the html is read by as many tasks, while one under the giant-row
-    threshold stays whole.  A split piece's row count is
-    unknown until it is read (``None``)."""
+    threshold stays whole.  A file with no row group gives no piece.  A
+    split piece's row count is unknown until it is read (``None``);
+    ``size_bytes`` leaves out the crawler text, which the read skips."""
     row_groups = []
     for f, m in zip(files, metas):
-        html = m.schema.names.index("html")
+        names = m.schema.names
+        html = names.index("html")
+        text = names.index("text") if "text" in names else None
         for i in range(m.num_row_groups):
             rg = m.row_group(i)
-            row_groups.append((f, i, rg.num_rows, rg.total_byte_size,
+            size = rg.total_byte_size - (
+                0 if text is None else rg.column(text).total_uncompressed_size)
+            row_groups.append((f, i, rg.num_rows, size,
                                rg.column(html).total_uncompressed_size))
-    share = sum(rg[4] for rg in row_groups) / cpus
+    share = sum(rg[4] for rg in row_groups) / max(cpus, 1)
     planned = []
     for f, i, num_rows, size, html_bytes in row_groups:
         k = (max(1, min(round(html_bytes / share),
@@ -654,39 +728,37 @@ class _RowGroupBinsDatasource(Datasource):
 
 
 def read_pages_parquet(path: str):
-    """Read a pages Parquet directory: one read task per file, or, when the
-    directory has fewer files than the cluster has CPUs, one task per bin
-    of row-group pieces planned from the footers' html bytes.
+    """Read a pages Parquet directory as bins of row-group pieces planned
+    from the files' footers, ``min(pieces, max(CPUs, files))`` read
+    tasks, without the crawler ``text`` column.
 
     Each read task is one task of the fused read → classify → extract
     operator (``_lanes``), so the read's task count is the extract
-    stage's parallelism.  With as many files as CPUs or more, it reads
-    ``read_parquet(override_num_blocks=n_files)``: one task per file.  A
-    read planned with more blocks than tasks splits its output
-    (``SplitBlocks``), and a split read does not fuse; and Ray's default
-    planning targets ~200 blocks whatever the input size, so a
-    bench-scale input fanned into ~180 blocks of a few dozen rows and the
-    url-hash groupby became an O(blocks²) tiny-object shuffle (measured
-    16.4 s vs 3.7 s for the identical sf0.1 flagship run).
+    stage's parallelism.  Each row group with more html bytes than about
+    one CPU's share of the input is cut into contiguous pieces of
+    near-equal html bytes, each re-reading the row group
+    (``_plan_pieces``), and the pieces of all files, in file order, are
+    cut into contiguous bins of near-equal piece count, one read task
+    each.  perfbench's ``giant_skew``, one file of two row groups of
+    ~23 MB of html, reads as four tasks, one per half row group; its
+    ``resume_half``, 4 files of 2 row groups on 4 CPUs, as one task per
+    file.  The task count is fixed here: a read planned with more blocks
+    than tasks splits its output (``SplitBlocks``), and a split read
+    does not fuse; and Ray's default planning targets ~200 blocks
+    whatever the input size, so a bench-scale input fanned into ~180
+    blocks of a few dozen rows and the url-hash groupby became an
+    O(blocks²) tiny-object shuffle (measured 16.4 s vs 3.7 s for the
+    identical sf0.1 flagship run).
 
-    With fewer files than CPUs, one task per file leaves CPUs idle (a
-    single-file input extracted on 1 of 4 CPUs).  So each row group with
-    more html bytes than about one CPU's share of the input is cut into
-    contiguous pieces of near-equal html bytes, each re-reading the row
-    group (``_plan_pieces``), and the pieces of all files, in file order,
-    are cut into ``min(pieces, CPUs)`` contiguous bins of near-equal
-    piece count, one read task each: perfbench's ``giant_skew``, one file
-    of two row groups of ~23 MB of html, reads as four tasks, one per
-    half row group.  Only the files < CPUs case is planned this way: one
-    task per row group on a 4-file, 8-row-group input with 4 CPUs
-    (perfbench's ``resume_half``) ran slower than one task per file,
-    1589–1668 vs 1705–1820 docs/s over three interleaved pairs, and none
-    of its row groups holds more than a CPU's share of html.
+    The crawler ``text`` is only the fallback of a row whose html fails
+    to parse, so the read leaves it on disk (on ``giant_skew`` it is 20.7
+    of the 48.7 MB of each row group) and tags every row with its source
+    file and row; ``crawler_text`` reads a failed row's text from there.
 
-    Falls back to Ray's default planning for non-local paths (no cheap
-    listing) and for a directory with no top-level ``.parquet`` file, and
-    to one task per file when a file has no row group or no Ray session
-    is up yet (no CPU count to plan for).
+    A path that lists no top-level ``.parquet`` file (a non-local path,
+    a nested layout) keeps Ray's default planning.  Without a Ray
+    session (no CPU count to plan for) a directory reads as many bins as
+    it has files, and no row group is split.
     """
     import os
 
@@ -699,17 +771,16 @@ def read_pages_parquet(path: str):
             if e.is_file() and e.name.endswith(".parquet")
         )
     except OSError:
+        files = []
+    if not files:
         return ray.data.read_parquet(path)
-    cpus = ray.cluster_resources().get("CPU", 0) if ray.is_initialized() else 0
-    if 0 < len(files) < cpus:
-        metas = [pq.read_metadata(f) for f in files]
-        if all(m.num_row_groups for m in metas):
-            pieces = _plan_pieces(files, metas, int(cpus))
-            return ray.data.read_datasource(
-                _RowGroupBinsDatasource(pieces),
-                override_num_blocks=min(len(pieces), int(cpus)),
-            )
-    return ray.data.read_parquet(path, override_num_blocks=len(files) or None)
+    cpus = (int(ray.cluster_resources().get("CPU", 0))
+            if ray.is_initialized() else 0)
+    pieces = _plan_pieces(files, [pq.read_metadata(f) for f in files], cpus)
+    return ray.data.read_datasource(
+        _RowGroupBinsDatasource(pieces),
+        override_num_blocks=max(1, min(len(pieces), max(cpus, len(files)))),
+    )
 
 
 def extract_pages_dataset(

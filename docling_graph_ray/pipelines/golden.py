@@ -28,7 +28,13 @@ def golden_extract(
     n: int, seed: int = 42, profile: str = "t2", num_partitions: int = 16
 ) -> tuple[pa.Table, pa.Table]:
     """→ (deduped extracted table sorted by url, lineage table by part_id)."""
-    pages = make_pages_table(list(range(n)), seed, profile)
+    return golden_extract_pages(make_pages_table(list(range(n)), seed, profile),
+                                num_partitions)
+
+
+def golden_extract_pages(pages: pa.Table, num_partitions: int = 16
+                         ) -> tuple[pa.Table, pa.Table]:
+    """``golden_extract`` of a given pages table."""
     htmls = pages.column("html").to_pylist()
     is_pdf = pa.array([(h or b"")[: len(PDF_MAGIC)] == PDF_MAGIC for h in htmls])
     # NOTE: rows above ExtractActor.giant_parse_cap (8 MB) would parse

@@ -345,6 +345,13 @@ def graph_merge_runs(sf_dir: str):
 # content-hash dedup with edge redirect (rows-only)
 
 
+_CUST_NODE_SCHEMA = pa.schema([("node_id", pa.string()),
+                               ("nationkey", pa.int64()),
+                               ("segment", pa.string())])
+_CUST_EDGE_SCHEMA = pa.schema([("src", pa.string()), ("dst", pa.string()),
+                               ("label", pa.string())])
+
+
 def graph_content_dedup(sf_dir: str):
     """Customer nodes collapsed by content hash of (nationkey, segment);
     customer→nation edges redirected to the surviving node
@@ -360,7 +367,7 @@ def graph_content_dedup(sf_dir: str):
             ),
             "nationkey": b.column("c_nationkey").cast(pa.int64()),
             "segment": b.column("c_mktsegment"),
-        })
+        }, schema=_CUST_NODE_SCHEMA)
 
     def to_edges(b: pa.Table) -> pa.Table:
         return pa.table({
@@ -373,12 +380,15 @@ def graph_content_dedup(sf_dir: str):
                 b.column("c_nationkey").cast(pa.string()), "",
             ),
             "label": pa.array(["in_nation"] * b.num_rows),
-        })
+        }, schema=_CUST_EDGE_SCHEMA)
 
     nodes = cust.map_batches(to_nodes, batch_format="pyarrow")
     edges = cust.map_batches(to_edges, batch_format="pyarrow")
+    # the schemas are known here: no ``Dataset.schema()`` job on the lazy
+    # read → map plans (see ``content_hash_dedup``)
     nodes_out, edges_out, _ = content_hash_dedup(
-        nodes, edges, key_col="node_id", attr_cols=["nationkey", "segment"]
+        nodes, edges, key_col="node_id", attr_cols=["nationkey", "segment"],
+        node_schema=_CUST_NODE_SCHEMA, edge_schema=_CUST_EDGE_SCHEMA,
     )
 
     def distinct(b: pa.Table) -> pa.Table:
@@ -390,7 +400,7 @@ def graph_content_dedup(sf_dir: str):
 
     return bucketed_first(
         edges_out.map_batches(distinct, batch_format="pyarrow"),
-        ["src", "dst", "label"],
+        ["src", "dst", "label"], out_schema=_CUST_EDGE_SCHEMA,
     )
 
 

@@ -249,7 +249,9 @@ def _redirect_join(edges, redirects, col: str, num_partitions: int,
 
 def content_hash_dedup(nodes, edges, *, key_col: str, attr_cols: list[str],
                        src_col: str = "src", dst_col: str = "dst",
-                       num_partitions: int = 8):
+                       num_partitions: int = 8,
+                       node_schema: pa.Schema | None = None,
+                       edge_schema: pa.Schema | None = None):
     """Merge nodes with identical content hash; redirect edges to the
     surviving node (graph_cleaner.py:273-317,366-391).
 
@@ -260,7 +262,13 @@ def content_hash_dedup(nodes, edges, *, key_col: str, attr_cols: list[str],
     O(corpus) (a dedup-heavy web crawl) without OOMing anything.  The
     redirect dataset is materialized once (it is bounded by the number of
     DUPLICATE nodes; the object store spills if it is ever huge) so the
-    two endpoint joins don't re-execute the node pipeline."""
+    two endpoint joins don't re-execute the node pipeline.
+
+    ``node_schema`` / ``edge_schema`` are the input schemas when the
+    caller knows them; without one, ``Dataset.schema()`` runs the lazy
+    input plan as a job and cancels the tasks it did not need, the path
+    on which Ray 2.49 has aborted the calling process
+    (``task_manager.cc:930``)."""
 
     def add_hash(batch: pa.Table) -> pa.Table:
         cols = [batch.column(c).to_pylist() for c in attr_cols]
@@ -273,9 +281,10 @@ def content_hash_dedup(nodes, edges, *, key_col: str, attr_cols: list[str],
     # map_groups call per hash bucket (never one per distinct content
     # hash — SURVEY.md §7.4); inside, sorted run boundaries mark the
     # canonical (min key) row of every hash run
+    if node_schema is None:
+        node_schema = _as_arrow_schema(nodes.schema())
     hashed_schema = pa.schema(
-        list(_as_arrow_schema(nodes.schema()))
-        + [pa.field("_content_hash", pa.string())]
+        list(node_schema) + [pa.field("_content_hash", pa.string())]
     )
 
     def tag_canon_partition(g: pa.Table) -> pa.Table:
@@ -321,7 +330,8 @@ def content_hash_dedup(nodes, edges, *, key_col: str, attr_cols: list[str],
         to_redirects, batch_format="pyarrow"
     ).materialize()
 
-    edge_schema = _as_arrow_schema(edges.schema())
+    if edge_schema is None:
+        edge_schema = _as_arrow_schema(edges.schema())
     edges_out = _redirect_join(edges, redirects, src_col, num_partitions,
                                edge_schema)
     edges_out = _redirect_join(edges_out, redirects, dst_col, num_partitions,

@@ -24,7 +24,18 @@ import pyarrow as pa
 @runtime_checkable
 class BatchStage(Protocol):
     """A warm-actor batch stage: construct once per actor (load models,
-    compile patterns, build indexes), then transform Arrow batches."""
+    compile patterns, build indexes), then transform Arrow batches.
+
+    As the flagship's extraction backend (``parser_cls``) it gets
+    classified pages batches.  A batch read from local Parquet
+    (``read_pages_parquet``) has no crawler ``text`` column: each row
+    names its source file and row instead (``_src_file``,
+    ``_src_row``).  A parser that falls back to the crawler text for a
+    row it cannot parse takes it with
+    ``pipelines.extract.crawler_text(batch, i)``, which reads the
+    column where the batch has it (in-memory, JSONL and WARC pages) and
+    the row's source otherwise.  The output names its columns: the
+    source columns are not for the shuffle."""
 
     def __call__(self, batch: pa.Table) -> pa.Table: ...
 

@@ -19,3 +19,23 @@ def ray_session():
     )
     yield
     ray.shutdown()
+
+
+@pytest.fixture
+def schema_jobs(monkeypatch):
+    """The Datasets whose ``schema()`` was asked to fetch a missing schema,
+    that is, to run the unexecuted part of the plan as a job (which
+    cancels the tasks it did not need).  Ray's own ``groupby`` asks with
+    ``fetch_if_missing=False``, which runs nothing, and is not counted."""
+    from ray.data import Dataset
+
+    calls = []
+    schema = Dataset.schema
+
+    def counting_schema(self, fetch_if_missing=True):
+        if fetch_if_missing:
+            calls.append(self)
+        return schema(self, fetch_if_missing)
+
+    monkeypatch.setattr(Dataset, "schema", counting_schema)
+    return calls

@@ -1,8 +1,10 @@
 """The flagship's extract stage runs as a task fused into the Parquet read,
-one task per file or, with fewer files than CPUs, per bin of row groups,
-a row group with more than a CPU's share of the html bytes cut into
-pieces that each re-read it; its tasks run side by side, and the parser
-classes it is handed are built only inside the workers."""
+one task per bin of row groups (one file per task with as many files as
+CPUs), a row group with more than a CPU's share of the html bytes cut
+into pieces that each re-read it; the read leaves the crawler text on
+disk, and a row that fails to parse gets its own crawler text from
+there; the tasks run side by side, and the parser classes the stage is
+handed are built only inside the workers."""
 
 import os
 import shutil
@@ -12,29 +14,35 @@ import uuid
 import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
+import pytest
 import ray
 
 from docling_graph_ray.fixtures.pages import make_pages_table
+from docling_graph_ray.functions.hashing import url_part_ids
 from docling_graph_ray.pipelines.extract import (
     ExtractActor,
     _read_row_groups,
     _RowGroupBinsDatasource,
+    crawler_text,
     extract_pages_dataset,
+    make_classifier,
     read_pages_parquet,
     run_extract_pipeline,
 )
-from docling_graph_ray.pipelines.golden import golden_extract
+from docling_graph_ray.pipelines.golden import (
+    golden_extract,
+    golden_extract_pages,
+)
 from docling_graph_ray.state.manifest import read_lineage
 
 FUSED = "ReadParquet->MapBatches(classify)->MapBatches(ExtractActor)"
 P = 4
 CPUS = 4  # the ray_session fixture's
+SRC = ["_src_file", "_src_row"]  # the read's per-row source columns
 
 
 def _pages_dir(root, n_files=3, rows_per_file=40) -> str:
-    """A pages Parquet directory of ``n_files`` one-row-group files; the
-    default, fewer files than the session's CPUs, reads as row-group
-    bins."""
+    """A pages Parquet directory of ``n_files`` one-row-group files."""
     d = root / "pages"
     d.mkdir()
     for k in range(n_files):
@@ -57,10 +65,9 @@ def _operator_names(ds) -> list[str]:
 
 def test_read_classify_extract_fuse_into_one_task(ray_session, tmp_path):
     """Fresh and resumed runs plan read → classify → extract as ONE task
-    operator that never splits the read's blocks, through either read:
-    row-group bins for fewer files than CPUs, ``read_parquet`` one task
-    per file for as many (large inputs, ``resume_half``).  Raw html stays
-    inside the task that read it."""
+    operator that never splits the read's blocks, with fewer files than
+    CPUs and with as many (``resume_half``): both read row-group bins.
+    Raw html stays inside the task that read it."""
     for n_files in (3, CPUS):
         root = tmp_path / str(n_files)
         root.mkdir()
@@ -69,8 +76,7 @@ def test_read_classify_extract_fuse_into_one_task(ray_session, tmp_path):
         for resumed in (False, True):
             pages = read_pages_parquet(src)
             read = pages._logical_plan.dag._datasource_or_legacy_reader
-            binned = isinstance(read, _RowGroupBinsDatasource)
-            assert binned == (n_files < CPUS)
+            assert isinstance(read, _RowGroupBinsDatasource)
             ds = run_extract_pipeline(pages, out_dir=out, num_partitions=P)
             lineage = ds.take_all()
             names = _operator_names(ds)
@@ -141,19 +147,29 @@ def _write_file(path, rows, row_group_size):
 
 def test_read_plans_one_task_per_file_with_files_ge_cpus(ray_session,
                                                         tmp_path):
-    """As many files as CPUs or more: one read task per file, whatever
-    their row groups."""
-    d = tmp_path / "pages"
-    d.mkdir()
-    for k in range(CPUS):
-        _write_file(d / f"part-{k:05d}.parquet", range(k * 20, k * 20 + 20),
-                    row_group_size=5)
-    ds = read_pages_parquet(str(d))
-    assert ds._logical_plan.dag.name == "ReadParquet"
-    tasks = _read_tasks(ds)
-    assert len(tasks) == CPUS
-    assert sorted(len(t.metadata.input_files) for t in tasks) == [1] * CPUS
-    assert ds.count() == CPUS * 20
+    """As many files as CPUs or more, each of four row groups: the same
+    row-group bins as fewer files, one read task per file, each task the
+    file's rows in order."""
+    for n_files in (CPUS, CPUS + 2):
+        d = tmp_path / str(n_files)
+        d.mkdir()
+        for k in range(n_files):
+            _write_file(d / f"part-{k:05d}.parquet",
+                        range(k * 20, k * 20 + 20), row_group_size=5)
+        ds = read_pages_parquet(str(d))
+        assert ds._logical_plan.dag.name == "ReadParquet"
+        assert isinstance(ds._logical_plan.dag._datasource_or_legacy_reader,
+                          _RowGroupBinsDatasource)
+        tasks = _read_tasks(ds)
+        files = sorted(str(f) for f in d.iterdir())
+        assert [t.metadata.input_files for t in tasks] == [[f] for f in files]
+        assert [t.metadata.num_rows for t in tasks] == [20] * n_files
+        for t, f in zip(tasks, files):
+            got = pa.concat_tables(list(t()))
+            assert got.drop_columns(SRC).equals(
+                pq.read_table(f).drop_columns(["text"]))
+            assert got.column("_src_row").to_pylist() == list(range(20))
+        assert ds.count() == n_files * 20
 
 
 def test_read_splits_row_groups_into_contiguous_bins(ray_session, tmp_path):
@@ -170,10 +186,15 @@ def test_read_splits_row_groups_into_contiguous_bins(ray_session, tmp_path):
     # 6 row groups of 10 rows in 4 bins: 1, 2, 1, 2 row groups
     assert [t.metadata.num_rows for t in tasks] == [10, 20, 10, 20]
     assert [len(t.metadata.input_files) for t in tasks] == [1, 2, 1, 1]
-    # read in order, the bins give back the files row for row
+    # read in order, the bins give back the files row for row, but for
+    # the crawler text, and each row names its file and row in it
     got = pa.concat_tables(b for t in tasks for b in t())
-    assert got.equals(pa.concat_tables(pq.read_table(f)
-                                       for f in sorted(d.iterdir())))
+    assert got.drop_columns(SRC).equals(pa.concat_tables(
+        pq.read_table(f).drop_columns(["text"]) for f in sorted(d.iterdir())))
+    assert [(r["_src_file"], r["_src_row"])
+            for r in got.select(SRC).to_pylist()] == (
+        [(str(d / "part-00000.parquet"), i) for i in range(20)]
+        + [(str(d / "part-00001.parquet"), i) for i in range(40)])
     assert ds.count() == 60
 
     few = tmp_path / "few"
@@ -198,7 +219,8 @@ def test_row_group_pieces_give_back_the_row_group(tmp_path):
     equal cuts of the row group's html bytes (nulls count 0): for k = 2..4
     the pieces, in order, are the row group row for row.  A row larger
     than a cut leaves the pieces it spans empty, and a row group with no
-    html bytes is all piece 0."""
+    html bytes is all piece 0.  Each row keeps its row number in the
+    file."""
     cases = {
         "mixed": [300, None, 5000, 0, 120, 2000, None, 800, 40, 3000],
         "one_giant": [10, 50_000, 10],
@@ -214,7 +236,9 @@ def test_row_group_pieces_give_back_the_row_group(tmp_path):
             pieces = list(_read_row_groups([(path, 0, j, k)
                                             for j in range(k)]))
             assert len(pieces) == k
-            assert pa.concat_tables(pieces).equals(whole), (name, k)
+            got = pa.concat_tables(pieces)
+            assert got.drop_columns(SRC).equals(whole), (name, k)
+            assert got.column("_src_row").to_pylist() == list(range(len(sizes)))
             want, before = [], 0
             for n in sizes:
                 want.append(before * k // max(total, 1))
@@ -247,7 +271,7 @@ def test_read_splits_row_groups_by_html_bytes(ray_session, tmp_path):
               for b in blocks]
     mean = sum(shares) / len(shares)
     assert all(mean / 1.5 <= b <= 1.5 * mean for b in shares), shares
-    assert pa.concat_tables(blocks).equals(
+    assert pa.concat_tables(blocks).drop_columns(SRC).equals(
         pq.read_table(d / "part-00000.parquet"))
 
     small = tmp_path / "small"
@@ -294,8 +318,17 @@ def test_split_row_groups_extract_golden_fresh_and_resumed(ray_session,
 
 
 def test_read_falls_back_to_read_parquet(ray_session, tmp_path, monkeypatch):
-    """A file with no row group and a non-local path both go to
-    ``ray.data.read_parquet``."""
+    """Only a path that lists no top-level Parquet file (a non-local path,
+    a nested layout) goes to ``ray.data.read_parquet``; a local file with
+    no row group gives no read piece."""
+    d = tmp_path / "pages"
+    d.mkdir()
+    _write_file(d / "part-00000.parquet", range(20), row_group_size=10)
+    pq.ParquetWriter(d / "part-00001.parquet",
+                     pq.read_schema(d / "part-00000.parquet")).close()
+    (d / "nested").mkdir()
+    _write_file(d / "nested" / "part-00000.parquet", range(20, 30),
+                row_group_size=10)
     calls = []
 
     def fake_read_parquet(path, **kw):
@@ -303,16 +336,131 @@ def test_read_falls_back_to_read_parquet(ray_session, tmp_path, monkeypatch):
         return "read_parquet"
 
     monkeypatch.setattr(ray.data, "read_parquet", fake_read_parquet)
-    d = tmp_path / "pages"
-    d.mkdir()
-    _write_file(d / "part-00000.parquet", range(20), row_group_size=10)
-    pq.ParquetWriter(d / "part-00001.parquet",
-                     pq.read_schema(d / "part-00000.parquet")).close()
-    assert read_pages_parquet(str(d)) == "read_parquet"
-    assert calls == [(str(d), {"override_num_blocks": 2})]
-    calls.clear()
+    tasks = _read_tasks(read_pages_parquet(str(d)))
+    assert [t.metadata.input_files for t in tasks] == [
+        [str(d / "part-00000.parquet")]] * 2
+    assert calls == []
     assert read_pages_parquet("s3://bucket/pages") == "read_parquet"
-    assert calls == [("s3://bucket/pages", {})]
+    assert read_pages_parquet(str(tmp_path)) == "read_parquet"
+    assert calls == [("s3://bucket/pages", {}), (str(tmp_path), {})]
+
+
+CORRUPT = b"\x1f\x8b\x00\x00 not a gzip stream"  # gzip magic, no stream
+
+
+def _write_pages(d, pages: pa.Table, files: int, row_group_size: int):
+    """``pages`` cut into ``files`` equal Parquet files in ``d``."""
+    d.mkdir()
+    n = pages.num_rows // files
+    for k in range(files):
+        pq.write_table(pages.slice(k * n, n), d / f"part-{k:05d}.parquet",
+                       row_group_size=row_group_size)
+
+
+def _corrupt(pages: pa.Table, rows) -> pa.Table:
+    """``pages`` with the html of ``rows`` a broken gzip stream, which
+    fails to decode, so those rows fall back to their crawler text."""
+    html = pages.column("html").to_pylist()
+    for r in rows:
+        html[r] = CORRUPT
+    return pages.set_column(pages.schema.get_field_index("html"), "html",
+                            pa.array(html, pa.binary()))
+
+
+# (profile, seed, rows, files, row group size, corrupt rows): where the
+# read puts the corrupt rows
+CORRUPT_CASES = {
+    # 5 row groups in 4 bins: the last bin is rows 30-49, one block
+    "second_row_group_of_a_bin": ("t1", 42, 50, 1, 10, [33, 43]),
+    # rows 90-99 are giants: row group 50-99 is cut into 4 pieces
+    "later_piece_of_a_split_row_group": ("bench", 3, 100, 1, 50, [92, 96]),
+    # one task per file, each of two row groups
+    "files_ge_cpus": ("t1", 42, 80, CPUS, 10, [56, 78]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CORRUPT_CASES))
+def test_failed_rows_get_their_own_crawler_text(ray_session, tmp_path, case):
+    """A row whose html fails to parse gets its own crawler text, which
+    the read left on disk, wherever the read puts it; the committed
+    text digests and lineage equal the eager golden's, fresh and after
+    half the partitions are uncommitted."""
+    profile, seed, n, files, rg_size, bad = CORRUPT_CASES[case]
+    pages = _corrupt(make_pages_table(list(range(n)), seed, profile), bad)
+    urls = pages.column("url").to_pylist()
+    assert all(urls.count(urls[r]) == 1 for r in bad)
+    # both rows are in partitions the resumed run redoes
+    assert all(p % 2 == 0 for p in url_part_ids([urls[r] for r in bad], P))
+    d = tmp_path / "pages"
+    _write_pages(d, pages, files, rg_size)
+    read = read_pages_parquet(str(d))
+    blocks = [pa.concat_tables(list(t())) for t in _read_tasks(read)]
+    for r in bad:
+        block = next(b for b in blocks if urls[r] in b.column("url").to_pylist())
+        if case == "second_row_group_of_a_bin":
+            assert block.num_rows == 2 * rg_size
+        elif case == "later_piece_of_a_split_row_group":
+            # the block does not start at the row group's first row
+            assert block.column("_src_row")[0].as_py() % rg_size
+        else:  # the file's second row group
+            assert block.num_rows == n // files and r % (n // files) >= rg_size
+    golden, golden_lineage = golden_extract_pages(pages, P)
+    assert sum(golden_lineage.column("n_fallback").to_pylist()) == len(bad)
+    want = sorted(zip(golden.column("url").to_pylist(),
+                      golden.column("text_sha256").to_pylist()))
+    out = str(tmp_path / "out")
+    for resumed in (False, True):
+        ds = run_extract_pipeline(read_pages_parquet(str(d)), out_dir=out,
+                                  num_partitions=P)
+        lineage = sorted(ds.take_all(), key=lambda r: r["part_id"])
+        redone = range(0, P, 2) if resumed else range(P)
+        assert lineage == [golden_lineage.to_pylist()[p] for p in redone]
+        committed = pq.read_table(out)
+        assert sorted(zip(committed.column("url").to_pylist(),
+                          committed.column("text_sha256").to_pylist())) == want
+        assert read_lineage(out) == golden_lineage.to_pylist()
+        rows = {r["url"]: r for r in committed.to_pylist()}
+        for r in bad:
+            assert rows[urls[r]]["parse_status"] == "fallback_text"
+            assert (rows[urls[r]]["extracted_text"]
+                    == pages.column("text")[r].as_py())
+        for pid in range(0, P, 2):  # uncommit half the partitions
+            os.remove(os.path.join(out, "_manifests", f"part-{pid:05d}.json"))
+            shutil.rmtree(os.path.join(out, f"part_id={pid}"))
+
+
+def test_read_decodes_crawler_text_only_for_failed_rows(tmp_path,
+                                                        monkeypatch):
+    """Read tasks never decode the crawler ``text`` column, and the
+    extract stage reads it only for rows that fail to parse: one
+    ``text`` read of each such row's row group, whichever block it is
+    in.  In-process, so every ``read_row_group`` call is seen."""
+    reads = []
+    read_row_group = pq.ParquetFile.read_row_group
+
+    def recording(self, i, columns=None, **kw):
+        reads.append((i, "text" in (columns or ["text"])))
+        return read_row_group(self, i, columns=columns, **kw)
+
+    monkeypatch.setattr(pq.ParquetFile, "read_row_group", recording)
+    pages = make_pages_table(list(range(50)), 42, "t1")
+    classify = make_classifier(P)
+    for name, bad in (("clean", []), ("corrupt", [13, 33, 36, 43])):
+        d = tmp_path / name
+        _write_pages(d, _corrupt(pages, bad), 1, 10)
+        tasks = _read_tasks(read_pages_parquet(str(d)))
+        block = pa.concat_tables([b for t in tasks for b in t()])
+        assert "text" not in block.column_names
+        assert reads == [(i, False) for i in range(5)]
+        reads.clear()
+        out = pa.concat_tables(list(ExtractActor()(classify(block))))
+        assert reads == [(g, True) for g in sorted({r // 10 for r in bad})]
+        reads.clear()
+        status = out.column("parse_status").to_pylist()
+        assert [i for i, st in enumerate(status)
+                if st == "fallback_text"] == bad
+        assert [crawler_text(block, r) for r in bad] == [
+            pages.column("text")[r].as_py() for r in bad]
 
 
 def test_row_group_tasks_of_one_file_run_side_by_side(ray_session, tmp_path):

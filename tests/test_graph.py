@@ -169,6 +169,35 @@ def test_content_hash_dedup_redirects_edges(ray_session):
     ]
 
 
+def test_graph_content_dedup_runs_no_schema_job(ray_session, tmp_path,
+                                                schema_jobs):
+    """``graph_content_dedup`` hands ``content_hash_dedup`` and its
+    distinct the node and edge schemas it builds, so no
+    ``Dataset.schema()`` runs (and cancels) a job on the lazy
+    read → map plans; each customer's edge goes to the least node id of
+    its (nation, segment) content."""
+    import pyarrow.parquet as pq
+
+    from docling_graph_ray.pipelines.graph import graph_content_dedup
+
+    custs = [(1, 3, "AUTO"), (2, 3, "AUTO"), (3, 4, "AUTO"), (10, 3, "AUTO"),
+             (11, 4, "BUILDING"), (12, 4, "BUILDING"), (13, 5, "MACHINERY")]
+    pq.write_table(pa.table({
+        "c_custkey": pa.array([c[0] for c in custs], pa.int64()),
+        "c_nationkey": pa.array([c[1] for c in custs], pa.int32()),
+        "c_mktsegment": [c[2] for c in custs],
+    }), tmp_path / "customer.parquet")
+    got = {(r["src"], r["dst"], r["label"])
+           for r in graph_content_dedup(str(tmp_path)).take_all()}
+    assert schema_jobs == []
+    canon = {}
+    for key, nation, segment in custs:
+        canon.setdefault((nation, segment), []).append(f"C{key}")
+    assert got == {(min(canon[n, s]), f"N{n}", "in_nation")
+                   for _, n, s in custs}
+    assert len(got) == 4
+
+
 def test_graph_stats(ray_session):
     nodes = _nodes_ds([
         {"class": "A", "node_id": "1"},

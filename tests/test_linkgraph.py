@@ -1,7 +1,6 @@
 """Host link-graph harvest (stages/linkgraph.py)."""
 
 import pyarrow as pa
-from ray.data import Dataset
 
 from docling_graph_ray.stages.linkgraph import (
     decode_pages_batch,
@@ -48,28 +47,17 @@ def test_linked_profile_produces_cross_host_edges(ray_session, tmp_path):
 
 
 def test_host_link_graph_runs_no_schema_job(ray_session, tmp_path,
-                                            monkeypatch):
+                                            schema_jobs):
     """``host_link_graph`` hands its aggregate the harvest's schema, so no
     ``Dataset.schema()`` runs (and cancels) a job on the lazy
-    read → harvest plan; the edges equal one eager harvest of the pages.
-    Ray's own ``groupby`` asks with ``fetch_if_missing=False``, which
-    runs nothing."""
+    read → harvest plan; the edges equal one eager harvest of the pages."""
     from docling_graph_ray.fixtures.pages import make_pages_table, pages_dataset
 
-    calls = []
-    schema = Dataset.schema
-
-    def counting_schema(self, fetch_if_missing=True):
-        if fetch_if_missing:
-            calls.append(self)
-        return schema(self, fetch_if_missing)
-
-    monkeypatch.setattr(Dataset, "schema", counting_schema)
     edges = host_link_graph(pages_dataset(120, profile="linked"),
                             str(tmp_path / "decoded"), num_partitions=8)
     got = {(r["src_host"], r["dst_host"]): r["n_links"]
            for r in edges.take_all()}
-    assert calls == []
+    assert schema_jobs == []
     eager = harvest_batch(decode_pages_batch(
         make_pages_table(list(range(120)), profile="linked")))
     want = {}
