@@ -46,7 +46,7 @@ out: ./extract_run          # run output dir (partitioned parquet + manifests)
 partitions: 64              # url-hash partitions (resume granularity)
 num_cpus: null              # null = let ray size the local session
 resume: true                # skip partitions with committed manifests
-shuffle_codec: zlib         # zlib | null — text payload through the shuffle
+shuffle_codec: zstd         # zstd | null — text payload through the shuffle
 """
 
 
@@ -121,7 +121,7 @@ def _apply_config(args: argparse.Namespace) -> None:
         args.num_cpus = int(cfg["num_cpus"])
     if not args.no_resume and cfg.get("resume") is False:
         args.no_resume = True
-    if not args.no_shuffle_codec and cfg.get("shuffle_codec", "zlib") in (
+    if not args.no_shuffle_codec and cfg.get("shuffle_codec", "zstd") in (
             None, "null", "none"):
         args.no_shuffle_codec = True
     if not args.input or not args.out:
@@ -149,7 +149,7 @@ def cmd_extract(args: argparse.Namespace) -> int:
     lineage = run_extract_pipeline(
         pages, out_dir=args.out, num_partitions=args.partitions,
         resume=not args.no_resume,
-        shuffle_codec=None if args.no_shuffle_codec else "zlib",
+        shuffle_codec=None if args.no_shuffle_codec else "zstd",
     )
     n = lineage.count()
     write_run_manifest(args.out, {
@@ -483,7 +483,7 @@ def main(argv: list[str] | None = None) -> int:
     ex.add_argument("--no-resume", action="store_true")
     ex.add_argument("--no-shuffle-codec", action="store_true",
                     dest="no_shuffle_codec",
-                    help="disable zlib compression of the text payload "
+                    help="disable zstd compression of the text payload "
                          "through the url-hash shuffle")
     ex.add_argument("--num-cpus", type=int, default=None, dest="num_cpus")
     ex.set_defaults(fn=cmd_extract)

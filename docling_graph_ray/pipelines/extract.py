@@ -66,7 +66,6 @@ Design notes for 100 TB:
 
 from __future__ import annotations
 
-import zlib
 from collections.abc import Iterator
 from functools import partial
 
@@ -145,7 +144,7 @@ def make_classifier(num_partitions: int, giant_bytes: int = DEFAULT_GIANT_BYTES)
 
 # EXTRACT_SCHEMA + the partition id that drives the downstream groupby
 _STAGE_SCHEMA = EXTRACT_SCHEMA.append(pa.field("part_id", pa.int32()))
-# codec variant: extracted_text rides as zlib large_binary (see
+# codec variant: extracted_text rides as zstd large_binary (see
 # compress_shuffle_payload) — produced when the parser compresses at flush
 _STAGE_SCHEMA_Z = pa.schema(
     [
@@ -193,7 +192,9 @@ class ExtractActor(PdfParseActor):
 
     def __init__(self, shuffle_codec: str | None = None,
                  ocr_backend: type | None = None) -> None:
-        """``shuffle_codec="zlib"`` compresses ``extracted_text`` AT FLUSH,
+        """``shuffle_codec="zstd"`` (the one codec; ``None`` for plain
+        text) compresses each row's ``extracted_text`` to one zstd frame
+        AT FLUSH, with the same helper as ``compress_shuffle_payload``,
         inside the extract stage, so the uncompressed text never enters
         the object store.  A separate compress ``map_batches`` stage
         downstream is NOT equivalent at scale: once total uncompressed
@@ -205,8 +206,7 @@ class ExtractActor(PdfParseActor):
         docs/s with every operator backpressured and load ~1, vs ~860
         docs/s at 48k where the uncompressed output still fit)."""
         super().__init__()
-        if shuffle_codec not in (None, "zlib"):
-            raise ValueError(f"unknown shuffle_codec: {shuffle_codec!r}")
+        _check_codec(shuffle_codec)
         self.shuffle_codec = shuffle_codec
         # the crawler text of the last row group a failed row read
         # (``crawler_text``): the failed rows of a block come in row order
@@ -239,17 +239,11 @@ class ExtractActor(PdfParseActor):
                 acc["extracted_text"]
             )
             schema = _STAGE_SCHEMA
-            if self.shuffle_codec == "zlib":
+            if self.shuffle_codec == "zstd":
                 # sha256/bytes_out above come from the uncompressed
                 # buffers, so the byte-identity invariant still rides
                 # alongside the compressed payload
-                text_arr = pa.array(
-                    [
-                        zlib.compress(s.as_buffer(), _SHUFFLE_ZLIB_LEVEL)
-                        for s in text_arr.cast(pa.large_binary())
-                    ],
-                    pa.large_binary(),
-                )
+                text_arr = _zstd_frames(text_arr)
                 schema = _STAGE_SCHEMA_Z
             return pa.Table.from_arrays(
                 [
@@ -396,21 +390,59 @@ def _lineage_record(part_id: int, deduped: pa.Table) -> dict:
 
 
 # Shuffle-payload compression for the single wide op.  The extracted text
-# is ~40% of input bytes and utterly dominates what the url-hash groupby
-# moves; ds.stats() at 3x bench volume shows the sort-reduce merge costing
-# 1117 s remote wall vs 788 s for extraction itself.  zlib level 1 (~3:1
-# on text) turns that byte-bound merge back into a row-bound one —
-# measured 48k-row runs go 374-520 -> 620 docs/s, restoring flat
-# throughput vs the 16k level.  On a real multi-node cluster the same
-# trade (cheap CPU for shuffle bytes) pays on the network instead of the
-# memory bus.  sha256/bytes_out are computed BEFORE compression and ride
+# dominates what the url-hash groupby moves, and the sort-reduce merge is
+# byte-bound, so the text crosses the shuffle compressed: one zstd frame
+# per row (Arrow's own codec, its default level 1).  Measured in one
+# process on one core of a 4-CPU box, best of 5, over perfbench's seed-3
+# inputs: the 42 MB of ``giant_skew`` text compresses in 0.019 s and is
+# restored in 0.059 s at 122:1, where zlib level 1 took 0.112 s and
+# 0.137 s at 51:1; the 38 MB of ``resume_half`` text takes 0.039 s and
+# 0.069 s at 30:1 (zlib: 0.140 s and 0.113 s at 23:1).  On a multi-node
+# cluster the same trade (cheap CPU for shuffle bytes) pays on the
+# network.  sha256/bytes_out are computed BEFORE compression and ride
 # alongside, so the invariant "byte-identical extracted text per url"
 # is checked end-to-end by the golden tests over the compressed path.
-_SHUFFLE_ZLIB_LEVEL = 1
+_SHUFFLE_CODEC = "zstd"
+_ZSTD_MAGIC = b"\x28\xb5\x2f\xfd"
+
+
+def _check_codec(shuffle_codec: str | None) -> None:
+    if shuffle_codec not in (None, _SHUFFLE_CODEC):
+        raise ValueError(f"unknown shuffle_codec: {shuffle_codec!r} "
+                         f"(use {_SHUFFLE_CODEC!r} or None)")
+
+
+def _zstd_content_size(frame) -> int:
+    """The decompressed size a zstd frame header records (RFC 8878
+    §3.1.1.1), so each frame decodes without a size stored beside it.
+    Arrow writes it on every frame; a header without one, or cut short,
+    raises."""
+    head = bytes(memoryview(frame)[:18])
+    if len(head) < 6 or head[:4] != _ZSTD_MAGIC:
+        raise ValueError("not a zstd frame")
+    desc = head[4]
+    single_segment = desc >> 5 & 1
+    pos = 5 + (not single_segment) + (0, 1, 2, 4)[desc & 3]
+    width = (single_segment, 2, 4, 8)[desc >> 6]
+    if not width:
+        raise ValueError("zstd frame without a content size")
+    if len(head) < pos + width:
+        raise ValueError("truncated zstd frame header")
+    size = int.from_bytes(head[pos:pos + width], "little")
+    return size + 256 if width == 2 else size
+
+
+def _zstd_frames(texts) -> pa.Array:
+    """String array → one zstd frame per row, as large_binary."""
+    return pa.array(
+        [pa.compress(s.as_buffer(), codec=_SHUFFLE_CODEC, asbytes=True)
+         for s in texts.cast(pa.large_binary())],  # zero-copy views
+        pa.large_binary(),
+    )
 
 
 def compress_shuffle_payload(batch: pa.Table) -> pa.Table:
-    """extracted_text: large_string → zlib large_binary (idempotent).
+    """extracted_text: large_string → zstd large_binary (idempotent).
 
     The flagship path compresses inside ``ExtractActor`` at flush (so the
     object store never holds uncompressed text); this standalone form
@@ -419,13 +451,8 @@ def compress_shuffle_payload(batch: pa.Table) -> pa.Table:
     col = batch.column("extracted_text")
     if pa.types.is_large_binary(col.type):
         return batch
-    bin_arr = col.cast(pa.large_binary()).combine_chunks()  # zero-copy view
-    comp = pa.array(
-        [zlib.compress(s.as_buffer(), _SHUFFLE_ZLIB_LEVEL) for s in bin_arr],
-        pa.large_binary(),
-    )
     i = batch.schema.get_field_index("extracted_text")
-    return batch.set_column(i, "extracted_text", comp)
+    return batch.set_column(i, "extracted_text", _zstd_frames(col))
 
 
 def decompress_shuffle_payload(tbl: pa.Table) -> pa.Table:
@@ -434,9 +461,18 @@ def decompress_shuffle_payload(tbl: pa.Table) -> pa.Table:
     col = tbl.column("extracted_text")
     if not pa.types.is_large_binary(col.type):
         return tbl
-    texts = pa.array(
-        [zlib.decompress(c.as_buffer()) for c in col.combine_chunks()],
-        pa.large_binary(),
+    frames = [c.as_buffer() for c in col.combine_chunks()]
+    sizes = [_zstd_content_size(f) for f in frames]
+    # one join into the column's data buffer: building the array from
+    # per-row bytes objects costs twice as much on giant rows
+    data = b"".join([
+        pa.decompress(f, n, codec=_SHUFFLE_CODEC, asbytes=True)
+        for f, n in zip(frames, sizes)
+    ])
+    offsets = np.cumsum([0, *sizes], dtype=np.int64)
+    texts = pa.Array.from_buffers(
+        pa.large_binary(), len(sizes),
+        [None, pa.py_buffer(offsets), pa.py_buffer(data)],
     ).cast(pa.large_string())
     i = tbl.schema.get_field_index("extracted_text")
     return tbl.set_column(i, "extracted_text", texts)
@@ -487,6 +523,8 @@ def _resolve_parser(parser_cls, shuffle_codec: str | None,
         ocr_backend_class_defines_recognize,
         stage_class_defines_call,
     )
+
+    _check_codec(shuffle_codec)
 
     if ocr_backend is not None and not ocr_backend_class_defines_recognize(
             ocr_backend):
@@ -795,7 +833,7 @@ def extract_pages_dataset(
     """pages Dataset → extracted Dataset (NOT deduped; no shuffle).
 
     The narrow part of the pipeline, for callers that want the extracted
-    rows themselves (queries, tests).  Pass ``shuffle_codec="zlib"`` when
+    rows themselves (queries, tests).  Pass ``shuffle_codec="zstd"`` when
     the result feeds a wide op (``dedup_extracted`` detects it and skips
     its own compress pass).  ``parser_cls`` injects a custom extraction
     backend (duck-typed, ``state.protocols.BatchStage``) in place of
@@ -815,7 +853,7 @@ def run_extract_pipeline(
     num_partitions: int = 16,
     giant_bytes: int = DEFAULT_GIANT_BYTES,
     resume: bool = True,
-    shuffle_codec: str | None = "zlib",
+    shuffle_codec: str | None = "zstd",
     parser_cls=None,
     ocr_backend: type | None = None,
 ):
@@ -824,15 +862,13 @@ def run_extract_pipeline(
     With ``out_dir`` set, each partition's Parquet + manifest is committed
     atomically inside the groupby; on a re-run with ``resume=True``,
     already-committed partitions are filtered out BEFORE the parse.
-    ``shuffle_codec="zlib"`` (default) compresses the extracted-text
+    ``shuffle_codec="zstd"`` (default) compresses the extracted-text
     payload INSIDE the extract stage (see ``ExtractActor.__init__``), so
     the object store and the wide op only ever hold compressed text."""
     classified = pages.map_batches(
         make_classifier(num_partitions, giant_bytes), batch_format="pyarrow"
     )
     done = completed_parts(out_dir) if out_dir and resume else None
-    if shuffle_codec not in (None, "zlib"):
-        raise ValueError(f"unknown shuffle_codec: {shuffle_codec!r}")
     extracted = _lanes(classified, shuffle_codec, parser_cls, ocr_backend,
                        pa.array(sorted(done), pa.int32()) if done else None)
     finalizer = PartitionFinalizer(out_dir)
@@ -852,12 +888,13 @@ def run_extract_pipeline(
     return lineage
 
 
-def dedup_extracted(extracted, shuffle_codec: str | None = "zlib"):
+def dedup_extracted(extracted, shuffle_codec: str | None = "zstd"):
     """Deduped extracted rows (latest-wins per url) via the same url-hash
     groupby, without writing — used by queries/tests.  Applies the same
     shuffle-payload compression as ``run_extract_pipeline`` (text is not
     a sort key; only surviving rows pay the decompress)."""
-    if shuffle_codec == "zlib":
+    _check_codec(shuffle_codec)
+    if shuffle_codec:
         extracted = extracted.map_batches(
             compress_shuffle_payload, batch_format="pyarrow"
         )

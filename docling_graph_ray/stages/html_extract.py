@@ -2,11 +2,12 @@
 
 The flagship per-batch operator (SURVEY.md §7.1-7.2).  Each page is
 tokenized by one ``re.split`` (stdlib ``html.parser`` is the verified
-reference tokenizer, emitting the same token list) and one loop turns the
-tokens into text blocks at block-level tag boundaries; each block carries
-text length, link-char count, inline-tag count and a boilerplate-scope
-flag; a boilerpipe/trafilatura-style classifier (text density + link
-density + neighbor smoothing) keeps content blocks and drops chrome.
+reference tokenizer, emitting token lists of the same shape) and one loop
+turns the tokens into text blocks at block-level tag boundaries; each
+block carries text length, link-char count, inline-tag count and a
+boilerplate-scope flag; a boilerpipe/trafilatura-style classifier (text
+density + link density + neighbor smoothing) keeps content blocks and
+drops chrome.
 
 Analogue of the reference's chunk/span machinery: blocks ≙ chunks with
 metadata (reference: docling_graph/core/extractors/document_processor.py:
@@ -137,23 +138,42 @@ _PATH_TAGS = frozenset("body article section main table ul ol nav aside header f
 _HEADINGS = frozenset(("h1", "h2", "h3", "h4", "h5", "h6"))
 
 
+#: every code point ``str.isspace()`` accepts but U+0020, split at ASCII
+#: (a test rebuilds the set by a scan of all code points)
+_ASCII_WS = ("\t", "\n", "\x0b", "\x0c", "\r", "\x1c", "\x1d", "\x1e", "\x1f")
+_WIDE_WS = (
+    "\x85", "\xa0", "\u1680", "\u2000", "\u2001", "\u2002", "\u2003",
+    "\u2004", "\u2005", "\u2006", "\u2007", "\u2008", "\u2009", "\u200a",
+    "\u2028", "\u2029", "\u202f", "\u205f", "\u3000",
+)
+
+
 def normalize_ws(text: str) -> str:
     """Collapse every whitespace run to one space and strip the ends.
 
     Equal to ``re.sub(r"\\s+", " ", text).strip()`` for every code point
     (``re``'s ``\\s`` is ``str.isspace()``, the set ``split`` and ``strip``
     use; tested exhaustively).  Clean text -- no double space and no
-    non-printable character, and U+0020 is the only printable whitespace
-    -- needs only ``strip``; both branches run at C speed."""
-    if "  " not in text and text.isprintable():
-        return text.strip()
-    return " ".join(text.split())
+    whitespace but U+0020 -- needs only ``strip``.  Each ``in`` below is a
+    memchr-speed scan, and the wide code points are looked for only in
+    non-ASCII text."""
+    if "  " in text:
+        return " ".join(text.split())
+    for c in _ASCII_WS:
+        if c in text:
+            return " ".join(text.split())
+    if not text.isascii():
+        for c in _WIDE_WS:
+            if c in text:
+                return " ".join(text.split())
+    return text.strip()
 
 
 # ---------------------------------------------------------------------------
-# tokenizers: page -> flat token list [data, end_name, start_name, data, ...]
+# tokenizers: page -> flat token list
+# [data, end_name, anchor_text, start_name, data, ...]
 #
-# Both engines emit the same flat list and feed the same block-building
+# Both engines emit quads of that shape and feed the same block-building
 # loop (_build_blocks), so the block model exists once.  The fast engine is
 # one C-level re.split per page: HTMLParser spends most of its time in its
 # own per-token Python machinery (parse_starttag / goahead), and so did a
@@ -193,7 +213,11 @@ _TOKEN_RE = re.compile(
     r"|<[!?][^>]*+>"                                      # doctype / PI
     rf"|</\s*+([a-zA-Z]{_NAME_CHAR}*+)[^>]*+>"            # 1: end tag
     rf"|{_rawtext('script')}|{_rawtext('style')}"
-    # 2: start tag; <br/> and <hr/> are start tags too (they flush as
+    # 2: a text-only anchor, <a ...>text</a>, as ONE token whose text is
+    # the slot: most tokens of a link-heavy page, taken in one loop step.
+    # An anchor holding any '<' falls through to the tags below
+    rf"|<[aA](?!{_NAME_CHAR}){_ATTRS}>([^<]*+)</\s*+[aA](?!{_NAME_CHAR})[^>]*+>"
+    # 3: start tag; <br/> and <hr/> are start tags too (they flush as
     # <br> does), checked by a look-behind at the name just matched
     rf"|<([a-zA-Z]{_NAME_CHAR}*+)(?:(?<=<[bBhH][rR]){_ATTRS}/?|{_ATTRS})>"
     # any other start-end tag is a no-op (stdlib's handle_startendtag)
@@ -203,44 +227,46 @@ _TOKEN_RE = re.compile(
 
 
 def _split_tokens(html_text: str) -> list:
-    """The fast tokenizer: one ``re.split`` (from C: data slots, end names
-    and start names interleaved), character references resolved per data
-    slot, and a closing empty tag slot so the list is whole triples."""
+    """The fast tokenizer: one ``re.split`` (from C: data slots, end names,
+    anchor texts and start names interleaved), character references
+    resolved per data and anchor-text slot, and closing empty slots so the
+    list is whole quads."""
     toks = _TOKEN_RE.split(html_text)
     if "&" in html_text:
-        for i in range(0, len(toks), 3):
-            data = toks[i]
-            if "&" in data:
-                toks[i] = unescape(data)
-    toks += (None, None)
+        for i in range(0, len(toks), 2):  # data and anchor-text slots
+            text = toks[i]
+            if text and "&" in text:
+                toks[i] = unescape(text)
+    toks += (None, None, None)
     return toks
 
 
 class _TokenRecorder(HTMLParser):
-    """The stdlib tokenizer: HTMLParser's callbacks recorded as the same
-    ``(data, end_name, start_name)`` triples (data arrives unescaped,
-    ``convert_charrefs=True``)."""
+    """The stdlib tokenizer: HTMLParser's callbacks recorded as
+    ``(data, end_name, None, start_name)`` quads (data arrives unescaped,
+    ``convert_charrefs=True``); an anchor's start tag, text and end tag
+    stay three quads."""
 
     def __init__(self) -> None:
         super().__init__(convert_charrefs=True)
         self.toks: list = []
 
     def handle_data(self, data: str) -> None:
-        self.toks += (data, None, None)
+        self.toks += (data, None, None, None)
 
     def handle_starttag(self, tag: str, attrs) -> None:
-        self.toks += ("", None, tag)
+        self.toks += ("", None, None, tag)
 
     def handle_endtag(self, tag: str) -> None:
-        self.toks += ("", tag, None)
+        self.toks += ("", tag, None, None)
 
     def handle_startendtag(self, tag: str, attrs) -> None:
         if tag in ("br", "hr"):  # the only start-end tags with an effect
-            self.toks += ("", None, tag)
+            self.toks += ("", None, None, tag)
 
 
 # ---------------------------------------------------------------------------
-# block model: one fused loop over the token triples
+# block model: one fused loop over the token quads
 
 _INLINE, _ANCHOR, _SKIP, _FLOW = range(4)
 # lower-case tag name -> (action, name); any other tag is inline
@@ -269,13 +295,15 @@ def _emit(out, parts, link_chars, n_tags, tag_class, boiler, path) -> None:
 
 
 def _build_blocks(toks: list) -> list[dict]:
-    """Token triples → normalized block dicts (whitespace-collapsed text).
+    """Token quads → normalized block dicts (whitespace-collapsed text).
 
     The page is cut into text blocks at block-level tag boundaries; each
     block records its text, link-char count, inline-tag count, the block
     tag it opened under, whether it sits inside page chrome, and its
     container path.  Content inside skip tags is invisible; whitespace-only
-    data adds nothing.  The open block's state lives in locals."""
+    data adds nothing.  A text-only anchor is one quad whose three effects
+    (start tag, text, end tag) are taken in one step.  The open block's
+    state lives in locals."""
     out: list[dict] = []
     parts: list[str] = []     # open block's text (empty: no open block)
     add = parts.append
@@ -285,7 +313,7 @@ def _build_blocks(toks: list) -> list[dict]:
     stack: list[str] = []     # open _PATH_TAGS containers
     cur_tag = "body"          # class a block opened now would get
     it = iter(toks)
-    for data, end, start in zip(it, it, it):
+    for data, end, anchor, start in zip(it, it, it, it):
         if data and not skip_depth and not data.isspace():
             if not parts:
                 tag_class = cur_tag
@@ -295,6 +323,20 @@ def _build_blocks(toks: list) -> list[dict]:
             add(data)
             if a_depth:
                 link_chars += len(data)
+        if anchor is not None:
+            # <a ...>anchor</a>: the start tag counts in an open block, the
+            # text is link text, and a_depth ends where it began
+            if parts:
+                n_tags += 1
+            if anchor and not skip_depth and not anchor.isspace():
+                if not parts:
+                    tag_class = cur_tag
+                    boiler = boiler_depth > 0
+                    path = "/".join(stack) or "body"
+                    link_chars = n_tags = 0
+                add(anchor)
+                link_chars += len(anchor)
+            continue
         if start is not None:
             kind, tag = _TAG_ACTION.get(start.lower(), _INLINE_ACTION)
             if kind == _ANCHOR:

@@ -30,7 +30,7 @@ def test_extract_consumes_config(tmp_path, ray_session):
     cfg = tmp_path / "cfg.yaml"
     cfg.write_text(
         f"input: {src}\nout: {tmp_path / 'run'}\npartitions: 4\n"
-        "resume: true\nshuffle_codec: zlib\n")
+        "resume: true\nshuffle_codec: zstd\n")
     assert main(["extract", "--config", str(cfg)]) == 0
     out = tmp_path / "run"
     parts = [p for p in os.listdir(out) if p.startswith("part_id=")]
@@ -42,6 +42,23 @@ def test_extract_consumes_config(tmp_path, ray_session):
     parts2 = [p for p in os.listdir(tmp_path / "run2")
               if p.startswith("part_id=")]
     assert len(parts2) == 2
+
+
+def test_config_codec_value_is_checked_only_for_null(tmp_path):
+    """A config from before the codec became zstd says ``zlib``: it still
+    means "compress", since only a null value turns the codec off."""
+    import argparse
+
+    from docling_graph_ray.__main__ import _apply_config
+
+    for value, off in (("zlib", False), ("zstd", False), ("null", True)):
+        cfg = tmp_path / f"{value}.yaml"
+        cfg.write_text(f"input: in\nout: out\nshuffle_codec: {value}\n")
+        args = argparse.Namespace(
+            config=str(cfg), input=None, out=None, partitions=None,
+            num_cpus=None, no_resume=False, no_shuffle_codec=False)
+        _apply_config(args)
+        assert args.no_shuffle_codec is off, value
 
 
 def test_extract_without_input_errors(tmp_path):

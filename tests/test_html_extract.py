@@ -241,6 +241,20 @@ def test_fast_scanner_edge_cases():
         (1, "p"), (0, "article")]
 
 
+def test_normalize_ws_whitespace_tuples_are_isspace_minus_space():
+    """normalize_ws looks for each of these code points; together they
+    are every code point ``str.isspace()`` accepts but U+0020, once each,
+    split at ASCII."""
+    from docling_graph_ray.stages.html_extract import _ASCII_WS, _WIDE_WS
+
+    listed = _ASCII_WS + _WIDE_WS
+    assert len(set(listed)) == len(listed)
+    assert set(listed) == {chr(c) for c in range(sys.maxunicode + 1)
+                           if chr(c).isspace()} - {" "}
+    assert all(c.isascii() for c in _ASCII_WS)
+    assert not any(c.isascii() for c in _WIDE_WS)
+
+
 def test_normalize_ws_matches_regex_on_every_code_point():
     """normalize_ws == the regex collapse for every code point, alone,
     between letters, between spaces and doubled -- so both of its
@@ -416,6 +430,11 @@ _FUZZ_ALPHABET = (
     + "p div li td h1 br hr nav footer article body ul".split()  # block
     + "noscript title head textarea".split()                     # skip
     + "a A b span em img".split()                                # inline
+    # anchors: text-only ones are one token, the rest fall through
+    + ["<a>", "<A HREF='x>y'>", "</a>", "</a >", "</ a>", "</A>", "<a/>",
+       "<a href=x/>", "<abbr>", "</abbr>", "<a><a>x</a></a>",
+       "<title><a>x</a></title>", "<a>x &amp; y</a>", "<a>3 < 5</a>",
+       "</a", "<a href='/x'>some words</a>"]
 )
 
 
@@ -438,15 +457,25 @@ def test_split_tokenizer_matches_frozen_scanner_fuzz():
 
 # XHTML-style tag pieces: names (block, skip, inline, br/hr in any case,
 # raw-text), attributes with quoted and unquoted values, '/' in every
-# position, and the tag ends '>', '/>', ' />', '/ >'.  Left out: an
-# attribute name that starts with '=' and a quote inside an unquoted value,
-# where the fast tokenizer's attribute run differs from stdlib's
-# (<p =x/> and <p k=a"b/>).
-_SC_NAMES = "p div li br hr BR Hr nav article img input a b span script style title".split()
+# position, the tag ends '>', '/>', ' />', '/ >', and anchors.  Left out:
+# an attribute name that starts with '=' and a quote inside an unquoted
+# value, where the fast tokenizer's attribute run differs from stdlib's
+# (<p =x/> and <p k=a"b/>); an end tag name followed by a character that
+# may not follow it, which stdlib takes into the name (</a<b> ends a tag
+# named 'a<b'); and an end tag left open at the end of the input, where
+# stdlib splits the data before it and drops a whitespace-only piece
+# ('y\n</a' gives 'y</a').  The frozen-scanner fuzz above has '</a'.
+_SC_NAMES = ("p div li br hr BR Hr nav article img input a A abbr b span "
+             "script style title".split())
 _SC_ATTRS = [" k", " k=v", ' k="v w"', " k='v'", " k=/v/", ' k = "a/>b"',
              " k=v/", "/", " /", " k= v", " disabled"]
 _SC_ENDS = [">", "/>", " />", "/ >", "/>"]
-_SC_TEXT = ["some words", "x", " ", "\n", "&amp;", "\xa0", "more text here"]
+_SC_TEXT = ["some words", "x", " ", "\n", "&amp;", "\xa0", "more text here",
+            # anchor pieces
+            "<a>", "<A HREF='x>y'>", "</a >", "</ a>", "<a/>", "<a href=x/>",
+            "<abbr>", "<a><a>x</a></a>", "<title><a>x</a></title>",
+            "<a>x &amp; y</a>", "<a>3 < 5</a>",
+            "<a href='/x'>link words</a>"]
 
 
 def _sc_piece(rng: random.Random) -> str:

@@ -148,25 +148,63 @@ def test_shuffle_payload_codec_roundtrip():
     )
 
     texts = ["", "plain ascii", "unicode — héllo wörld ✓", "x" * 100_000]
+    # no bytes_out or any other size column: each value decodes alone
     t = pa.table({
         "url": pa.array([f"u{i}" for i in range(len(texts))]),
         "extracted_text": pa.array(texts, pa.large_string()),
     })
     comp = compress_shuffle_payload(t)
     assert pa.types.is_large_binary(comp.column("extracted_text").type)
+    # one zstd frame per row
+    frames = comp.column("extracted_text").to_pylist()
+    assert all(f[:4] == b"\x28\xb5\x2f\xfd" for f in frames)
     # compression actually shrinks the repetitive payload
-    assert len(comp.column("extracted_text")[3].as_py()) < 1000
+    assert len(frames[3]) < 1000
     # idempotent both directions; byte-identical round-trip
     comp2 = compress_shuffle_payload(comp)
+    assert comp2.equals(comp)
     back = decompress_shuffle_payload(comp2)
     assert back.column("extracted_text").to_pylist() == texts
-    assert decompress_shuffle_payload(back).column("extracted_text").to_pylist() == texts
+    assert decompress_shuffle_payload(back).equals(back)
     # schema position and names unchanged
     assert back.schema.names == t.schema.names
+    # any subset in any order decodes (the finalizer decodes the rows
+    # that survive its dedup, re-sorted)
+    sub = decompress_shuffle_payload(comp.take([3, 0, 2]))
+    assert sub.column("extracted_text").to_pylist() == [texts[3], texts[0],
+                                                         texts[2]]
+    # a truncated frame raises; it never decodes to some other text
+    for row in (0, 2, 3):
+        frame = frames[row]
+        for cut in sorted({1, 4, 5, 6, len(frame) // 2, len(frame) - 1}):
+            cut_tbl = pa.table({"extracted_text": pa.array(
+                [frame[:cut]], pa.large_binary())})
+            with pytest.raises((ValueError, OSError)):
+                decompress_shuffle_payload(cut_tbl)
+
+
+def test_zstd_is_the_only_shuffle_codec():
+    """The codec value is checked on the driver: ``"zlib"``, the codec's
+    old name, is refused by the parser, the pipeline's parser resolution
+    and ``dedup_extracted``, with no alias."""
+    from docling_graph_ray.pipelines.extract import (
+        ExtractActor,
+        _resolve_parser,
+        dedup_extracted,
+    )
+
+    assert ExtractActor(shuffle_codec="zstd").shuffle_codec == "zstd"
+    for bad in ("zlib", "gzip"):
+        with pytest.raises(ValueError, match="shuffle_codec"):
+            ExtractActor(shuffle_codec=bad)
+        with pytest.raises(ValueError, match="shuffle_codec"):
+            _resolve_parser(None, bad)
+        with pytest.raises(ValueError, match="shuffle_codec"):
+            dedup_extracted(None, shuffle_codec=bad)
 
 
 def test_in_actor_codec_emits_compressed_blocks(ray_session):
-    """The extract actor compresses AT FLUSH (shuffle_codec='zlib'), so
+    """The extract actor compresses AT FLUSH (shuffle_codec='zstd'), so
     downstream blocks — what the object store holds — carry large_binary
     text; without a codec they carry large_string.  The object store must
     never hold uncompressed text on the codec path: a downstream compress
@@ -178,7 +216,7 @@ def test_in_actor_codec_emits_compressed_blocks(ray_session):
     from docling_graph_ray.pipelines.extract import extract_pages_dataset
 
     for codec, expect in ((None, pa.types.is_large_string),
-                          ("zlib", pa.types.is_large_binary)):
+                          ("zstd", pa.types.is_large_binary)):
         ds = extract_pages_dataset(
             pages_dataset(64, profile="t1"), num_partitions=4,
             shuffle_codec=codec,
@@ -187,13 +225,13 @@ def test_in_actor_codec_emits_compressed_blocks(ray_session):
 
 
 def test_codec_and_plain_paths_write_identical_partitions(ray_session, tmp_path):
-    """run_extract_pipeline(shuffle_codec='zlib') and (=None) commit
+    """run_extract_pipeline(shuffle_codec='zstd') and (=None) commit
     byte-identical partition Parquet — the codec is a transport detail,
     invisible to consumers."""
     import pyarrow.parquet as pq
 
     outs = {}
-    for codec in ("zlib", None):
+    for codec in ("zstd", None):
         out = str(tmp_path / f"out_{codec}")
         run_extract_pipeline(
             pages_dataset(96, profile="t1"), out_dir=out,
@@ -201,11 +239,11 @@ def test_codec_and_plain_paths_write_identical_partitions(ray_session, tmp_path)
         ).materialize()
         t = pq.read_table(out).sort_by("url")
         outs[codec] = t
-    assert outs["zlib"].schema == outs[None].schema
-    assert outs["zlib"].equals(outs[None])
+    assert outs["zstd"].schema == outs[None].schema
+    assert outs["zstd"].equals(outs[None])
     import pyarrow as pa
 
-    assert pa.types.is_large_string(outs["zlib"].schema.field("extracted_text").type)
+    assert pa.types.is_large_string(outs["zstd"].schema.field("extracted_text").type)
 
 
 def _ocr_pages_table():

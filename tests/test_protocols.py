@@ -131,7 +131,7 @@ def test_custom_parser_injection(ray_session):
     nonempty = [s for s in decoded if s.strip()]
     assert nonempty and all(s == s.upper() for s in nonempty)
 
-    # full pipeline: custom parser without codec support + zlib → clear error
+    # full pipeline: custom parser without codec support + zstd → clear error
     with pytest.raises(TypeError, match="shuffle_codec"):
         class NoCodec:
             def __call__(self, batch):
