@@ -113,15 +113,7 @@ def bind_node_provenance(nodes, chunks, *,
 
     ``nodes``: rows ``(node_id, url, id_value)`` (one per identity
     value); ``chunks``: rows ``(url, chunk_id, chunk_text)``."""
-    union_schema = pa.schema([
-        ("_key", pa.string()), ("node_id", pa.string()),
-        ("value", pa.string()), ("chunk_id", pa.int32()),
-        ("text", pa.large_string()), ("_is_chunk", pa.bool_()),
-    ])
-
     def node_side(b: pa.Table) -> pa.Table:
-        if b.num_rows == 0 or url_col not in b.schema.names:
-            return union_schema.empty_table()
         n = b.num_rows
         return pa.table({
             "_key": b.column(url_col).cast(pa.string()),
@@ -133,8 +125,6 @@ def bind_node_provenance(nodes, chunks, *,
         })
 
     def chunk_side(b: pa.Table) -> pa.Table:
-        if b.num_rows == 0 or text_col not in b.schema.names:
-            return union_schema.empty_table()
         n = b.num_rows
         return pa.table({
             "_key": b.column(url_col).cast(pa.string()),

@@ -257,10 +257,6 @@ def merge_partial_records(
     share a bucket."""
     from docling_graph_ray.stages.bucketing import bucketed_map, run_starts
 
-    from docling_graph_ray.stages.joins import as_arrow_schema
-
-    doc_type = as_arrow_schema(ds.schema()).field(doc_col).type
-
     def merge_partition(g: pa.Table) -> pa.Table:
         # json_col as tiebreak: order_col alone is not a total order when
         # two partials share a page (observed: duplicate l_linenumber per
@@ -286,7 +282,7 @@ def merge_partial_records(
             out_rec.append(
                 json.dumps(merged, sort_keys=True, ensure_ascii=False))
         return pa.table({
-            doc_col: pa.array(out_doc, doc_type),
+            doc_col: pa.array(out_doc, g.column(doc_col).type),
             "n_partials": pa.array(out_n, pa.int64()),
             "record": pa.array(out_rec, pa.string()),
         })

@@ -275,11 +275,6 @@ def graph_merge_runs(sf_dir: str):
     # against it in tests.
     from docling_graph_ray.stages.bucketing import bucketed_map, run_starts
 
-    in_schema = pa.schema([
-        ("suppkey", pa.int64()), ("run", pa.string()),
-        ("order_in_run", pa.int64()), ("ln", pa.int64()),
-        ("returnflag", pa.string()), ("linestatus", pa.string()),
-    ])
     out_schema = pa.schema([
         ("suppkey", pa.int64()), ("returnflag", pa.string()),
         ("linestatus", pa.string()), ("n_conflicts", pa.int64()),
@@ -317,7 +312,7 @@ def graph_merge_runs(sf_dir: str):
                 empty |= codes == ec
             # first non-empty row index per segment (n = none)
             posv = np.where(empty, n, pos)
-            first_idx = np.minimum.reduceat(posv, starts) if n else posv
+            first_idx = np.minimum.reduceat(posv, starts)
             f_rows = first_idx[seg]
             held = codes[np.minimum(f_rows, n - 1)]
             conflict = (~empty) & (pos > f_rows) & (f_rows < n) \
@@ -338,7 +333,7 @@ def graph_merge_runs(sf_dir: str):
             "n_mentions": pa.array(lens, pa.int64()),
         }).cast(out_schema)
 
-    return bucketed_map(ds, ["suppkey"], fold_partition, schema=in_schema)
+    return bucketed_map(ds, ["suppkey"], fold_partition)
 
 
 # ---------------------------------------------------------------------------
@@ -384,11 +379,11 @@ def graph_content_dedup(sf_dir: str):
 
     nodes = cust.map_batches(to_nodes, batch_format="pyarrow")
     edges = cust.map_batches(to_edges, batch_format="pyarrow")
-    # the schemas are known here: no ``Dataset.schema()`` job on the lazy
-    # read → map plans (see ``content_hash_dedup``)
+    # the edge schema is known here: no ``Dataset.schema()`` job on the
+    # lazy read → map plan (see ``content_hash_dedup``)
     nodes_out, edges_out, _ = content_hash_dedup(
         nodes, edges, key_col="node_id", attr_cols=["nationkey", "segment"],
-        node_schema=_CUST_NODE_SCHEMA, edge_schema=_CUST_EDGE_SCHEMA,
+        edge_schema=_CUST_EDGE_SCHEMA,
     )
 
     def distinct(b: pa.Table) -> pa.Table:
@@ -400,7 +395,7 @@ def graph_content_dedup(sf_dir: str):
 
     return bucketed_first(
         edges_out.map_batches(distinct, batch_format="pyarrow"),
-        ["src", "dst", "label"], out_schema=_CUST_EDGE_SCHEMA,
+        ["src", "dst", "label"],
     )
 
 
@@ -668,8 +663,6 @@ def graph_records_convert(sf_dir: str):
     ])
 
     def order_rows(b: pa.Table) -> pa.Table:
-        if b.num_rows == 0 or "class" not in b.schema.names:
-            return order_schema.empty_table()
         o = b.filter(pc.equal(b.column("class"), "Order"))
         rows = []
         for nid, a in zip(o.column("node_id").to_pylist(),
@@ -686,8 +679,6 @@ def graph_records_convert(sf_dir: str):
     cust_schema = pa.schema([("node_id", pa.string()), ("cust_id", pa.int64())])
 
     def cust_rows(b: pa.Table) -> pa.Table:
-        if b.num_rows == 0 or "class" not in b.schema.names:
-            return cust_schema.empty_table()
         c = b.filter(pc.equal(b.column("class"), "Customer"))
         rows = [
             {"node_id": nid, "cust_id": json.loads(a)["cust_id"]}
@@ -700,13 +691,8 @@ def graph_records_convert(sf_dir: str):
     custs_side = nodes.map_batches(cust_rows, batch_format="pyarrow")
 
     edge_cust = lookup_join(
-        edges.map_batches(
-            lambda b: (pa.table({
-                "src": b.column("src"), "dst": b.column("dst"),
-            }) if b.num_rows and "src" in b.schema.names
-               else pa.schema([("src", pa.string()),
-                               ("dst", pa.string())]).empty_table()),
-            batch_format="pyarrow"),
+        edges.map_batches(lambda b: b.select(["src", "dst"]),
+                          batch_format="pyarrow"),
         custs_side, on="dst", key_col="node_id", value_cols=["cust_id"],
     )
     joined = lookup_join(
@@ -744,9 +730,6 @@ def graph_connected_components(sf_dir: str):
     # customers get a self-edge.
     from docling_graph_ray.stages.bucketing import bucketed_map, run_starts
 
-    in_schema = pa.schema([("o_orderkey", pa.int64()),
-                           ("o_custkey", pa.int64())])
-
     def chain_partition(g: pa.Table) -> pa.Table:
         idx = pc.sort_indices(g, sort_keys=[
             ("o_custkey", "ascending"), ("o_orderkey", "ascending")])
@@ -761,8 +744,7 @@ def graph_connected_components(sf_dir: str):
         return pa.table({"src": pa.array(src, pa.int64()),
                          "dst": pa.array(dst, pa.int64())})
 
-    edges = bucketed_map(orders, ["o_custkey"], chain_partition,
-                         schema=in_schema)
+    edges = bucketed_map(orders, ["o_custkey"], chain_partition)
     return connected_components(edges, label_blocks=8)
 
 

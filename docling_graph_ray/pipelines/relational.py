@@ -216,13 +216,9 @@ def orderpriority_lineitem_counts(sf_dir: str, num_partitions: int = 8):
 
 def _nation_counts(cust_subset):
     """Per-nation customer counts with batch-local partials before the
-    tiny groupby.  Batches downstream of a join may be empty pass-through
-    blocks with no columns — guard, never assume schema."""
+    tiny groupby."""
 
     def partial(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0 or "c_nationkey" not in batch.schema.names:
-            return pa.table({"c_nationkey": pa.array([], pa.int64()),
-                             "n_customers": pa.array([], pa.int64())})
         t = pa.table({"c_nationkey": batch.column("c_nationkey").cast(pa.int64())})
         g = t.group_by("c_nationkey").aggregate([([], "count_all")])
         return g.rename_columns(["c_nationkey", "n_customers"])

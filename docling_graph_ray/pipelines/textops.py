@@ -691,9 +691,6 @@ def _host_edge_ids(sf_dir: str):
     host_re = r"^site([0-9]+)\.example$"
 
     def to_ids(b: pa.Table) -> pa.Table:
-        if b.num_rows == 0 or "src_host" not in b.schema.names:
-            return pa.schema([("a", pa.int64()),
-                              ("b", pa.int64())]).empty_table()
         a = pc.replace_substring_regex(
             b.column("src_host"), host_re, r"\1").cast(pa.int64())
         d = pc.replace_substring_regex(

@@ -15,6 +15,15 @@ the tag column and the shuffle are decided here and nowhere else — a
 switch to Ray's native hash shuffle, once it plans within memory (ROADMAP
 direction 3), is a change to ``bucketed_map`` alone.
 
+Two Ray 2.49 contracts, both pinned by ``tests/test_bucketing.py``, make
+empty input a non-case for every UDF here and for every fn passed in:
+``map_groups`` never calls its fn on an empty group, and ``map_batches``
+never calls its UDF on an empty block (``Batcher.add`` drops 0-row
+blocks: filter-emptied blocks, zero-column blocks a UDF returned, the
+sort shuffle's schema-less empty reduce partitions).  So nothing here
+guards on, or asks ``Dataset.schema()`` for, the types of an empty
+block: output types come from the rows themselves.
+
 Rows of one key always share a bucket, so per-key results are exact.
 Skew: a partition holds ~1/P of the rows; a pathologically hot key
 concentrates its rows in one partition, exactly as any hash shuffle
@@ -41,10 +50,7 @@ def hash_partition_cols(b: pa.Table, cols: list[str],
     fixed default key — stable across processes and rounds)."""
     import pandas as pd
 
-    n = b.num_rows
-    if n == 0:
-        return pa.array([], pa.int64())
-    acc = np.zeros(n, dtype=np.uint64)
+    acc = np.zeros(b.num_rows, dtype=np.uint64)
     for c in cols:
         col = b.column(c).combine_chunks()
         if pa.types.is_integer(col.type):
@@ -59,25 +65,19 @@ def hash_partition_cols(b: pa.Table, cols: list[str],
 
 
 def bucketed_map(ds, key_cols: list[str], fn, *,
-                 num_partitions: int = DEFAULT_PARTITIONS,
-                 schema: pa.Schema | None = None):
+                 num_partitions: int = DEFAULT_PARTITIONS):
     """Co-locate rows by ``hash(key_cols) % num_partitions`` and run
     ``fn(bucket) -> pa.Table`` once per non-empty bucket — the package's
     one partitioning decision.
 
     Rows are tagged with a ``_part`` column (``hash_partition_cols``),
     sort-shuffled by it and handed to ``fn`` with the tag already
-    dropped; every row of a key is in the same call.  ``fn`` never sees
-    an empty table: Ray 2.49's ``map_groups`` skips empty blocks (pinned
-    by ``tests/test_bucketing.py``).  ``schema`` coerces empty
-    pass-through blocks that lack the key columns into empty tables of
-    that schema before tagging, so every shuffled block carries the same
-    columns."""
+    dropped; every row of a key is in the same call.  Neither the tag
+    UDF nor ``fn`` ever sees an empty table: Ray 2.49's ``map_batches``
+    drops empty blocks and its ``map_groups`` skips empty groups (both
+    pinned by ``tests/test_bucketing.py``)."""
 
     def tag(b: pa.Table) -> pa.Table:
-        if (b.num_rows == 0 and schema is not None
-                and key_cols[0] not in b.schema.names):
-            b = schema.empty_table()
         return b.append_column("_part", hash_partition_cols(
             b, key_cols, num_partitions))
 
@@ -113,29 +113,25 @@ def run_starts(g: pa.Table, cols: list[str]) -> tuple[np.ndarray, np.ndarray]:
 
 def bucketed_first(ds, key_cols: list[str],
                    order_keys: list[tuple[str, str]] | None = None, *,
-                   num_partitions: int = DEFAULT_PARTITIONS,
-                   out_schema: pa.Schema | None = None):
+                   num_partitions: int = DEFAULT_PARTITIONS):
     """First row per distinct ``key_cols`` under ``order_keys`` — the
     grouped-first / distinct / latest-wins family without per-key Python.
 
     With ``order_keys=None`` this is DISTINCT over ``key_cols`` (any
     extra columns take the values of an arbitrary-but-deterministic
     first row: keys sort ascending, ties by input order within the
-    partition sort)."""
-    from docling_graph_ray.stages.joins import as_arrow_schema
-
-    if out_schema is None:
-        out_schema = as_arrow_schema(ds.schema())
+    partition sort).  The output rows are the group's own rows, with
+    their types."""
     sort_keys = [(c, "ascending") for c in key_cols] + list(order_keys or [])
 
     def first_per_key(g: pa.Table) -> pa.Table:
         idx = pc.sort_indices(g, sort_keys=sort_keys)
         g = g.take(idx).combine_chunks()
         starts, _ = run_starts(g, key_cols)
-        return g.take(pa.array(starts, pa.int64())).cast(out_schema)
+        return g.take(pa.array(starts, pa.int64()))
 
     return bucketed_map(ds, key_cols, first_per_key,
-                        num_partitions=num_partitions, schema=out_schema)
+                        num_partitions=num_partitions)
 
 
 _COMBINABLE = {"min", "max", "sum"}
@@ -145,8 +141,7 @@ def bucketed_aggregate(ds, key_cols: list[str],
                        aggs: list[tuple[str, str]], *,
                        num_partitions: int = DEFAULT_PARTITIONS,
                        rename: list[str] | None = None,
-                       combine: bool = False,
-                       in_schema: pa.Schema | None = None):
+                       combine: bool = False):
     """Grouped aggregate keyed by hash BUCKET instead of the key domain.
 
     Ray's native ``groupby(key).min/sum`` sort-shuffles by the full key
@@ -168,13 +163,7 @@ def bucketed_aggregate(ds, key_cols: list[str],
     when every fn is min/max/sum (``count_all`` is remapped to a partial
     count + final sum automatically).
 
-    ``in_schema`` is ``ds``'s schema when the caller knows it: without
-    it, ``ds.schema()`` runs the unexecuted part of the plan as a job
-    and cancels the tasks it did not need."""
-    from docling_graph_ray.stages.joins import as_arrow_schema
-
-    if in_schema is None:
-        in_schema = as_arrow_schema(ds.schema())
+    The output types are those of the fold's own Arrow aggregate."""
     for col, fn in aggs:
         if combine and fn not in _COMBINABLE and fn != "count_all":
             raise ValueError(f"combine=True cannot pre-fold {fn!r}")
@@ -182,15 +171,10 @@ def bucketed_aggregate(ds, key_cols: list[str],
     def agg_names(pairs) -> list[str]:
         return [(f"{c}_{f}" if c else f) for c, f in pairs]
 
+    # columns are selected by generated NAME, never by position: arrow's
+    # key/agg column order has varied across versions
     out_names = key_cols + agg_names(aggs)
     arrow_aggs = [(c if c else [], f) for c, f in aggs]
-
-    # output schema: run the aggregate once over an empty table (lookup
-    # by generated NAME, not position — arrow's key/agg column order has
-    # varied across versions)
-    probe = in_schema.empty_table().group_by(key_cols).aggregate(arrow_aggs)
-    out_schema = pa.schema(
-        [pa.field(n, probe.schema.field(n).type) for n in out_names])
 
     def finish(t: pa.Table) -> pa.Table:
         t = t.rename_columns(out_names)
@@ -206,29 +190,22 @@ def bucketed_aggregate(ds, key_cols: list[str],
         final_names = key_cols + [f"{p}_{f}" for p, f in final_aggs]
 
         def prep(b: pa.Table) -> pa.Table:
-            if b.num_rows == 0 or key_cols[0] not in b.schema.names:
-                return out_schema.empty_table()
             return (b.combine_chunks().group_by(key_cols)
                     .aggregate(arrow_aggs).select(out_names))
 
         def fold(g: pa.Table) -> pa.Table:
-            t = (g.combine_chunks().group_by(key_cols)
-                 .aggregate(final_aggs).select(final_names)
-                 .rename_columns(out_names))
-            return finish(t.cast(out_schema))
+            return finish(g.combine_chunks().group_by(key_cols)
+                          .aggregate(final_aggs).select(final_names))
     else:
         val_cols = key_cols + sorted(
             {c for c, _ in aggs if c} - set(key_cols))
 
         def prep(b: pa.Table) -> pa.Table:
-            if b.num_rows == 0 or key_cols[0] not in b.schema.names:
-                return pa.table({c: pa.array([], in_schema.field(c).type)
-                                 for c in val_cols})
             return b.select(val_cols)
 
         def fold(g: pa.Table) -> pa.Table:
             t = g.combine_chunks().group_by(key_cols).aggregate(arrow_aggs)
-            return finish(t.select(out_names).cast(out_schema))
+            return finish(t.select(out_names))
 
     return bucketed_map(ds.map_batches(prep, batch_format="pyarrow"),
                         key_cols, fold, num_partitions=num_partitions)

@@ -285,8 +285,6 @@ def split_graph(tagged):
     MENTION_SCHEMA / EDGE_SCHEMA columns."""
 
     def mention_side(b: pa.Table) -> pa.Table:
-        if b.num_rows == 0 or "_is_edge" not in b.schema.names:
-            return MENTION_SCHEMA.empty_table()
         m = b.filter(pa.compute.invert(b.column("_is_edge")))
         return pa.table({
             "node_id": m.column("node_id"), "class": m.column("class"),
@@ -295,8 +293,6 @@ def split_graph(tagged):
         }).cast(MENTION_SCHEMA)
 
     def edge_side(b: pa.Table) -> pa.Table:
-        if b.num_rows == 0 or "_is_edge" not in b.schema.names:
-            return EDGE_SCHEMA.empty_table()
         e = b.filter(b.column("_is_edge"))
         return pa.table({
             "src": e.column("node_id"), "dst": e.column("dst"),

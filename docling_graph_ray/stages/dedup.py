@@ -735,9 +735,7 @@ def ngram_jaccard_dedup(
 
     # distinct pairs (the same pair arises from several bands) — a
     # partition-bucketed distinct, one vectorized call per hash bucket
-    pair_schema = pa.schema([(id_col, pa.int64()), ("rep_id", pa.int64())])
-    pairs = bucketed_first(raw_pairs, [id_col, "rep_id"],
-                           out_schema=pair_schema)
+    pairs = bucketed_first(raw_pairs, [id_col, "rep_id"])
 
     # attach both shingle sets, verify exactly
     pairs = lookup_join(pairs, shingles_ds, on=id_col, value_cols=["shingles"])
@@ -745,8 +743,6 @@ def ngram_jaccard_dedup(
                         value_cols=["rep_shingles"])
 
     def verify(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0 or "shingles" not in t.schema.names:
-            return pa.table({id_col: pa.array([]), "rep_id": pa.array([])})
         ids = t.column(id_col).to_pylist()
         reps = t.column("rep_id").to_pylist()
         sh = t.column("shingles").to_pylist()
@@ -955,14 +951,6 @@ def semantic_dedup(
         })
 
     def prune_group(g: pa.Table) -> pa.Table:
-        if g.num_rows == 0:
-            return pa.table({
-                id_col: pa.array([], pa.int64()),
-                "cluster": pa.array([], pa.int64()),
-                "rep_id": pa.array([], pa.int64()),
-                "is_dup": pa.array([], pa.bool_()),
-                "n_overflow": pa.array([], pa.int64()),
-            })
         g = g.take(pc.sort_indices(g, sort_keys=[(id_col, "ascending")]))
         g = g.combine_chunks()
         n = g.num_rows

@@ -487,11 +487,9 @@ def evaluate_graphs(tagged, *, structural: str = "auto",
             g, sort_keys=[("doc_id", "ascending")])
         g = g.take(idx).combine_chunks()
         starts, lens = run_starts(g, ["doc_id"])
-        outs = [
+        return pa.concat_tables([
             _eval_one_doc(g.slice(s, ln), structural, root_cls)
             for s, ln in zip(starts.tolist(), lens.tolist())
-        ]
-        return (pa.concat_tables(outs) if outs
-                else COUNT_SCHEMA.empty_table())
+        ])
 
     return bucketed_map(tagged, ["doc_id"], eval_partition)

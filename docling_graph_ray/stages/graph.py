@@ -44,6 +44,7 @@ import ray
 from docling_graph_ray.functions.hashing import blake2b_hex
 from docling_graph_ray.stages.bucketing import (
     bucketed_aggregate, bucketed_first, bucketed_map, run_starts)
+from docling_graph_ray.stages.joins import as_arrow_schema
 
 
 def dedup_nodes(nodes, *, key_col: str, order_col: str, attr_cols: list[str]):
@@ -154,19 +155,6 @@ def content_hash(values: list[object]) -> str:
     return blake2b_hex("\x1f".join(parts), digest_size=8)
 
 
-_REDIRECT_SCHEMA = pa.schema([("_dup", pa.string()), ("_canon", pa.string())])
-
-
-def _as_arrow_schema(schema) -> pa.Schema:
-    """ray.data.Schema → pyarrow.Schema (already-arrow passes through)."""
-    base = getattr(schema, "base_schema", schema)
-    if not isinstance(base, pa.Schema):
-        base = pa.schema(
-            [(n, t) for n, t in zip(schema.names, schema.types)]
-        )
-    return base
-
-
 def _redirect_join(edges, redirects, col: str, num_partitions: int,
                    out_schema: pa.Schema):
     """Rewrite endpoint ``col`` to its canonical id — a left-outer hash
@@ -190,33 +178,20 @@ def _redirect_join(edges, redirects, col: str, num_partitions: int,
     names = list(out_schema.names)
 
     def edge_side(b: pa.Table) -> pa.Table:
-        if b.num_rows == 0 or col not in b.schema.names:
-            n = 0
-            key = pa.array([], pa.string())
-        else:
-            n = b.num_rows
-            key = b.column(col).cast(pa.string()).combine_chunks()
-        cols = {"_key": key}
+        n = b.num_rows
+        cols = {"_key": b.column(col).cast(pa.string()).combine_chunks()}
         for nm in names:
-            cols[nm] = (b.column(nm) if n else
-                        pa.nulls(0, out_schema.field(nm).type))
+            cols[nm] = b.column(nm)
         cols["_canon"] = pa.nulls(n, pa.string())
         cols["_is_red"] = pa.array(np.zeros(n, dtype=bool))
         return pa.table(cols)
 
     def red_side(b: pa.Table) -> pa.Table:
-        if b.num_rows == 0 or "_dup" not in b.schema.names:
-            n = 0
-            key = pa.array([], pa.string())
-            canon = pa.array([], pa.string())
-        else:
-            n = b.num_rows
-            key = b.column("_dup").cast(pa.string()).combine_chunks()
-            canon = b.column("_canon").cast(pa.string())
-        cols = {"_key": key}
+        n = b.num_rows
+        cols = {"_key": b.column("_dup").cast(pa.string()).combine_chunks()}
         for nm in names:
             cols[nm] = pa.nulls(n, out_schema.field(nm).type)
-        cols["_canon"] = canon
+        cols["_canon"] = b.column("_canon").cast(pa.string())
         cols["_is_red"] = pa.array(np.ones(n, dtype=bool))
         return pa.table(cols)
 
@@ -250,7 +225,6 @@ def _redirect_join(edges, redirects, col: str, num_partitions: int,
 def content_hash_dedup(nodes, edges, *, key_col: str, attr_cols: list[str],
                        src_col: str = "src", dst_col: str = "dst",
                        num_partitions: int = 8,
-                       node_schema: pa.Schema | None = None,
                        edge_schema: pa.Schema | None = None):
     """Merge nodes with identical content hash; redirect edges to the
     surviving node (graph_cleaner.py:273-317,366-391).
@@ -264,11 +238,11 @@ def content_hash_dedup(nodes, edges, *, key_col: str, attr_cols: list[str],
     DUPLICATE nodes; the object store spills if it is ever huge) so the
     two endpoint joins don't re-execute the node pipeline.
 
-    ``node_schema`` / ``edge_schema`` are the input schemas when the
-    caller knows them; without one, ``Dataset.schema()`` runs the lazy
-    input plan as a job and cancels the tasks it did not need, the path
-    on which Ray 2.49 has aborted the calling process
-    (``task_manager.cc:930``)."""
+    ``edge_schema`` is the edges' schema when the caller knows it (the
+    redirect join unions edge rows with redirect rows on it); without
+    it, ``Dataset.schema()`` runs the lazy edge plan as a job and
+    cancels the tasks it did not need, the path on which Ray 2.49 has
+    aborted the calling process (``task_manager.cc:930``)."""
 
     def add_hash(batch: pa.Table) -> pa.Table:
         cols = [batch.column(c).to_pylist() for c in attr_cols]
@@ -281,12 +255,6 @@ def content_hash_dedup(nodes, edges, *, key_col: str, attr_cols: list[str],
     # map_groups call per hash bucket (never one per distinct content
     # hash — SURVEY.md §7.4); inside, sorted run boundaries mark the
     # canonical (min key) row of every hash run
-    if node_schema is None:
-        node_schema = _as_arrow_schema(nodes.schema())
-    hashed_schema = pa.schema(
-        list(node_schema) + [pa.field("_content_hash", pa.string())]
-    )
-
     def tag_canon_partition(g: pa.Table) -> pa.Table:
         idx = pc.sort_indices(g, sort_keys=[
             ("_content_hash", "ascending"), (key_col, "ascending")])
@@ -301,24 +269,13 @@ def content_hash_dedup(nodes, edges, *, key_col: str, attr_cols: list[str],
             "_canon", canon)
 
     merged = bucketed_map(hashed, ["_content_hash"], tag_canon_partition,
-                          num_partitions=max(num_partitions, 64),
-                          schema=hashed_schema)
+                          num_partitions=max(num_partitions, 64))
 
-    # Empty input blocks pass through map_groups without the fn running,
-    # so downstream batches may LACK the helper columns (the round-1
-    # KeyError, CORRECTNESS_r01 graph_content_dedup) — every consumer
-    # guards on schema, never assumes.
     def survivors(batch: pa.Table) -> pa.Table:
-        if batch.num_rows > 0 and "_keep" in batch.schema.names:
-            batch = batch.filter(batch.column("_keep"))
-        return batch.drop_columns(
-            [c for c in ("_content_hash", "_keep", "_canon")
-             if c in batch.schema.names]
-        )
+        return batch.filter(batch.column("_keep")).drop_columns(
+            ["_content_hash", "_keep", "_canon"])
 
     def to_redirects(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0 or "_keep" not in batch.schema.names:
-            return _REDIRECT_SCHEMA.empty_table()
         t = batch.filter(pc.invert(batch.column("_keep")))
         return pa.table({
             "_dup": t.column(key_col).cast(pa.string()),
@@ -331,7 +288,7 @@ def content_hash_dedup(nodes, edges, *, key_col: str, attr_cols: list[str],
     ).materialize()
 
     if edge_schema is None:
-        edge_schema = _as_arrow_schema(edges.schema())
+        edge_schema = as_arrow_schema(edges.schema())
     edges_out = _redirect_join(edges, redirects, src_col, num_partitions,
                                edge_schema)
     edges_out = _redirect_join(edges_out, redirects, dst_col, num_partitions,
@@ -385,8 +342,6 @@ def cardinality_bound(nodes, *, class_col: str, max_per_class: int,
     do_validate = bool(validate)
 
     def partial_topk(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return batch
         if do_validate:
             for c in key_cols:
                 if batch.column(c).null_count:
@@ -463,12 +418,7 @@ def cardinality_bound(nodes, *, class_col: str, max_per_class: int,
                 "by (richness, node_id)) or pass validate=False to accept "
                 "drop-on-tie.")
 
-    null_rank = pa.nulls(0, pa.int64())  # schema anchor
-
     def demoted_rest(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return (batch.append_column("rank", null_rank)
-                         .append_column("demoted", pa.array([], pa.bool_())))
         classes_arr, thr_cols = ray.get(thr_ref)
         ci = pc.index_in(batch.column(class_col), value_set=classes_arr)
         n = batch.num_rows
@@ -544,8 +494,6 @@ def clean_edges_dataset(edges, node_ids, *, src_col: str = "src",
     ])
 
     def pass1(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0 or src_col not in batch.schema.names:
-            return triple_schema.empty_table()
         keep = pc.invert(pc.equal(batch.column(src_col), batch.column(dst_col)))
         t = batch.filter(keep).select([src_col, dst_col, label_col])
         # batch-local pre-distinct shrinks the shuffle input
@@ -560,8 +508,7 @@ def clean_edges_dataset(edges, node_ids, *, src_col: str = "src",
                      out_schema=triple_schema)
 
     # global distinct, partition-bucketed (stages/bucketing.py)
-    return bucketed_first(kept, [src_col, dst_col, label_col],
-                          out_schema=triple_schema)
+    return bucketed_first(kept, [src_col, dst_col, label_col])
 
 
 def enforce_closed_catalogs(nodes, edges, *,
@@ -604,8 +551,6 @@ def enforce_closed_catalogs(nodes, edges, *,
     ])
 
     def in_stats(b: pa.Table) -> pa.Table:
-        if b.num_rows == 0 or dst_col not in b.schema.names:
-            return in_schema.empty_table()
         t = pa.table({
             "_dst": b.column(dst_col).cast(pa.string()),
             "n_in": pa.array([1] * b.num_rows, pa.int64()),
@@ -623,8 +568,6 @@ def enforce_closed_catalogs(nodes, edges, *,
     cand_schema = pa.schema([("_dst", pa.string())])
 
     def to_cands(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0 or "sum(n_in)" not in t.schema.names:
-            return cand_schema.empty_table()
         keep = pc.equal(t.column("sum(n_in)"), t.column("sum(n_marked)"))
         return pa.table({"_dst": t.filter(keep).column("_dst")}).cast(cand_schema)
 
@@ -649,8 +592,6 @@ def enforce_closed_catalogs(nodes, edges, *,
         skip_set = set(skipped)
 
         def drop_guarded(b: pa.Table) -> pa.Table:
-            if b.num_rows == 0 or class_col not in b.schema.names:
-                return cand_schema.empty_table()
             keep = pc.invert(pc.is_in(
                 b.column(class_col).cast(pa.string()),
                 value_set=pa.array(sorted(skip_set), pa.string()),

@@ -84,8 +84,6 @@ def connected_components(edges, *, src_col: str = "src",
     import ray  # noqa: F401  (documented dependency of materialize)
 
     def endpoints(b: pa.Table) -> pa.Table:
-        if b.num_rows == 0 or src_col not in b.schema.names:
-            return _LBL_SCHEMA.empty_table()
         s = b.column(src_col).cast(pa.int64())
         d = b.column(dst_col).cast(pa.int64())
         return pa.table({
@@ -103,9 +101,6 @@ def connected_components(edges, *, src_col: str = "src",
     from docling_graph_ray.stages.joins import lookup_join
 
     def edge_pairs(b: pa.Table) -> pa.Table:
-        if b.num_rows == 0 or src_col not in b.schema.names:
-            return pa.schema([("a", pa.int64()),
-                              ("b", pa.int64())]).empty_table()
         return pa.table({
             "a": b.column(src_col).cast(pa.int64()),
             "b": b.column(dst_col).cast(pa.int64()),
@@ -120,8 +115,6 @@ def connected_components(edges, *, src_col: str = "src",
                              value_cols=["label"])
 
         def offers(b: pa.Table) -> pa.Table:
-            if b.num_rows == 0 or "label" not in b.schema.names:
-                return _LBL_SCHEMA.empty_table()
             return pa.table({
                 "node": b.column("b").cast(pa.int64()),
                 "label": b.column("label").cast(pa.int64()),
@@ -131,8 +124,6 @@ def connected_components(edges, *, src_col: str = "src",
                              value_cols=["label"])
 
         def offers_rev(b: pa.Table) -> pa.Table:
-            if b.num_rows == 0 or "label" not in b.schema.names:
-                return _LBL_SCHEMA.empty_table()
             return pa.table({
                 "node": b.column("a").cast(pa.int64()),
                 "label": b.column("label").cast(pa.int64()),
@@ -160,8 +151,6 @@ def connected_components(edges, *, src_col: str = "src",
         )
 
         def resolve(b: pa.Table) -> pa.Table:
-            if b.num_rows == 0 or "label" not in b.schema.names:
-                return _LBL_SCHEMA.empty_table()
             lbl = pc.min_element_wise(
                 pc.coalesce(b.column("label").cast(pa.int64()),
                             b.column("ptr").cast(pa.int64())),
@@ -212,8 +201,6 @@ def pagerank(edges, *, src_col: str = "src", dst_col: str = "dst",
     rank_schema = pa.schema([("node", pa.int64()), ("rank", pa.float64())])
 
     def endpoints(b: pa.Table) -> pa.Table:
-        if b.num_rows == 0 or src_col not in b.schema.names:
-            return _LBL_SCHEMA.empty_table()
         s = b.column(src_col).cast(pa.int64())
         d = b.column(dst_col).cast(pa.int64())
         return pa.table({
@@ -236,8 +223,6 @@ def pagerank(edges, *, src_col: str = "src", dst_col: str = "dst",
     pair_schema = pa.schema([("a", pa.int64()), ("b", pa.int64())])
 
     def pairs(b: pa.Table) -> pa.Table:
-        if b.num_rows == 0 or src_col not in b.schema.names:
-            return pair_schema.empty_table()
         return pa.table({"a": b.column(src_col).cast(pa.int64()),
                          "b": b.column(dst_col).cast(pa.int64())})
 
@@ -245,9 +230,6 @@ def pagerank(edges, *, src_col: str = "src", dst_col: str = "dst",
 
     # out-degree per source (static across iterations)
     def deg_partial(b: pa.Table) -> pa.Table:
-        if b.num_rows == 0 or "a" not in b.schema.names:
-            return pa.schema([("node", pa.int64()),
-                              ("deg", pa.int64())]).empty_table()
         g = b.group_by("a").aggregate([([], "count_all")])
         return g.rename_columns(["node", "deg"])
 
@@ -294,8 +276,6 @@ def pagerank(edges, *, src_col: str = "src", dst_col: str = "dst",
                                     ("m", pa.float64())])
 
         def contribs(b: pa.Table) -> pa.Table:
-            if b.num_rows == 0 or "rank" not in b.schema.names:
-                return contrib_schema.empty_table()
             m = pc.divide(b.column("rank").cast(pa.float64()),
                           b.column("deg").cast(pa.float64()))
             t = pa.table({"node": b.column("b").cast(pa.int64()), "m": m})
@@ -324,8 +304,6 @@ def pagerank(edges, *, src_col: str = "src", dst_col: str = "dst",
                              value_cols=["m"])
 
         def update(b: pa.Table) -> pa.Table:
-            if b.num_rows == 0 or "node" not in b.schema.names:
-                return rank_schema.empty_table()
             m = pc.fill_null(b.column("m").cast(pa.float64()), 0.0)
             r = pc.add(pc.multiply(pc.add(m, pa.scalar(dangling)),
                                    pa.scalar(damping)),

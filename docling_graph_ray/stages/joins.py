@@ -108,34 +108,22 @@ def _key_type(out_schema: pa.Schema, on: str) -> pa.DataType:
     return pa.int64() if pa.types.is_integer(t) else pa.string()
 
 
-def _left_rows(b: pa.Table, on: str, names: list[str], out_schema: pa.Schema,
-               flag: str, key_type: pa.DataType) -> pa.Table:
+def _left_rows(b: pa.Table, on: str, names: list[str], flag: str,
+               key_type: pa.DataType) -> pa.Table:
     """Project a left-side batch onto the co-group schema (its join key,
-    payload columns and a false side flag); schema-guarded so empty
-    pass-through blocks (no columns) become empty projected tables."""
-    if b.num_rows == 0 or on not in b.schema.names:
-        n = 0
-        key = pa.array([], key_type)
-    else:
-        n = b.num_rows
-        key = b.column(on).cast(key_type).combine_chunks()
-    cols = {"_key": key}
+    payload columns and a false side flag)."""
+    cols = {"_key": b.column(on).cast(key_type).combine_chunks()}
     for nm in names:
-        cols[nm] = b.column(nm) if n else pa.nulls(0, out_schema.field(nm).type)
-    cols[flag] = pa.array(np.zeros(n, dtype=bool))
+        cols[nm] = b.column(nm)
+    cols[flag] = pa.array(np.zeros(b.num_rows, dtype=bool))
     return pa.table(cols)
 
 
 def _key_rows(b: pa.Table, key_col: str, names: list[str],
               out_schema: pa.Schema, flag: str,
               key_type: pa.DataType) -> pa.Table:
-    if b.num_rows == 0 or key_col not in b.schema.names:
-        n = 0
-        key = pa.array([], key_type)
-    else:
-        n = b.num_rows
-        key = b.column(key_col).cast(key_type).combine_chunks()
-    cols = {"_key": key}
+    n = b.num_rows
+    cols = {"_key": b.column(key_col).cast(key_type).combine_chunks()}
     for nm in names:
         cols[nm] = pa.nulls(n, out_schema.field(nm).type)
     cols[flag] = pa.array(np.ones(n, dtype=bool))
@@ -157,7 +145,7 @@ def semi_join(left, keys, *, on: str, key_col: str | None = None,
     kt = _key_type(out_schema, on)
 
     tagged = left.map_batches(
-        lambda b: _left_rows(b, on, names, out_schema, "_is_key", kt),
+        lambda b: _left_rows(b, on, names, "_is_key", kt),
         batch_format="pyarrow",
     ).union(keys.map_batches(
         lambda b: _key_rows(b, key_col, names, out_schema, "_is_key", kt),
@@ -212,19 +200,16 @@ def lookup_join(left, lookup, *, on: str, key_col: str | None = None,
     kt = _key_type(left_schema, on)
 
     def left_side(b: pa.Table) -> pa.Table:
-        t = _left_rows(b, on, names, left_schema, "_is_lk", kt)
+        t = _left_rows(b, on, names, "_is_lk", kt)
         for c, typ in val_fields:
             t = t.append_column("_v_" + c, pa.nulls(t.num_rows, typ))
         return t
 
     def lookup_side(b: pa.Table) -> pa.Table:
         t = _key_rows(b, key_col, names, left_schema, "_is_lk", kt)
-        n = t.num_rows
         for c, typ in val_fields:
-            t = t.append_column(
-                "_v_" + c,
-                b.column(c).cast(typ).combine_chunks() if n
-                else pa.nulls(0, typ))
+            t = t.append_column("_v_" + c,
+                                b.column(c).cast(typ).combine_chunks())
         return t
 
     tagged = left.map_batches(left_side, batch_format="pyarrow").union(
@@ -300,8 +285,6 @@ def broadcast_semi_join(left, keys, *, on: str, key_col: str | None = None,
     kk_ref = ray.put(kk)
 
     def keep(b: pa.Table) -> pa.Table:
-        if b.num_rows == 0 or on not in b.schema.names:
-            return out_schema.empty_table()
         value_set = ray.get(kk_ref)
         if len(value_set) == 0:
             mask = pa.array(np.full(b.num_rows, bool(anti)))
@@ -389,8 +372,6 @@ def broadcast_lookup_join(left, lookup, *, on: str,
     model_ref = ray.put((agg_keys, folded))
 
     def attach(b: pa.Table) -> pa.Table:
-        if b.num_rows == 0 or on not in b.schema.names:
-            return full_schema.empty_table()
         agg_keys, folded = ray.get(model_ref)
         cols = {nm: b.column(nm) for nm in names}
         if len(agg_keys) == 0:

@@ -98,5 +98,5 @@ def host_link_graph(pages, out_dir: str, *, num_partitions: int = 64):
             harvest_batch, batch_format="pyarrow"),
         ["src_host", "dst_host"], [("n_links", "sum")],
         rename=["src_host", "dst_host", "n_links"], combine=True,
-        num_partitions=num_partitions, in_schema=EDGE_SCHEMA,
+        num_partitions=num_partitions,
     )

@@ -244,9 +244,6 @@ def media_phash_clusters(ds, *, concurrency=(1, 4),
     hashed = ds.map_batches(MediaPHashActor, batch_format="pyarrow",
                             batch_size=batch_size,
                             concurrency=concurrency)
-    in_schema = pa.schema([("media_id", pa.int64()),
-                           ("phash", pa.int64())])
-
     def fold(g: pa.Table) -> pa.Table:
         idx = pc.sort_indices(g, sort_keys=[
             ("phash", "ascending"), ("media_id", "ascending")])
@@ -264,7 +261,7 @@ def media_phash_clusters(ds, *, concurrency=(1, 4),
         })
 
     return bucketed_map(hashed, ["phash"], fold,
-                        num_partitions=num_partitions, schema=in_schema)
+                        num_partitions=num_partitions)
 
 
 def make_media_dup_table(n: int, seed: int = 42) -> pa.Table:

@@ -60,8 +60,6 @@ def pack_sequences(docs, *, seq_len: int, text_col: str = "text",
     ])
 
     def counts(b: pa.Table) -> pa.Table:
-        if b.num_rows == 0 or text_col not in b.schema.names:
-            return count_schema.empty_table()
         text = pc.fill_null(b.column(text_col).cast(pa.large_string()), "")
         ntok = pc.list_value_length(
             pc.split_pattern_regex(pc.utf8_trim_whitespace(text), r"\s+"))
@@ -78,8 +76,6 @@ def pack_sequences(docs, *, seq_len: int, text_col: str = "text",
         return t.filter(nonempty).cast(count_schema)
 
     def precounted(b: pa.Table) -> pa.Table:
-        if b.num_rows == 0 or tokens_col not in b.schema.names:
-            return count_schema.empty_table()
         ids = b.column(id_col).cast(pa.int64()).combine_chunks()
         buckets = ids.to_numpy(zero_copy_only=False) % num_buckets
         t = pa.table({
@@ -90,8 +86,6 @@ def pack_sequences(docs, *, seq_len: int, text_col: str = "text",
         return t.filter(pc.greater(t.column("n_tokens"), 0))
 
     def place(g: pa.Table) -> pa.Table:
-        if g.num_rows == 0 or "doc_id" not in g.schema.names:
-            return PACK_SCHEMA.empty_table()
         g = g.take(pc.sort_indices(g, sort_keys=[("doc_id", "ascending")]))
         g = g.combine_chunks()
         n = g.column("n_tokens").to_numpy(zero_copy_only=False)

@@ -76,8 +76,6 @@ def window_rows_udf(*, text_col: str = "text", id_col: str = "doc_id",
     are masked out afterwards — no per-doc Python in the hash math."""
 
     def fn(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0 or text_col not in batch.schema.names:
-            return _WIN_SCHEMA.empty_table()
         ids = batch.column(id_col).cast(pa.int64()).to_numpy(
             zero_copy_only=False)
         wh, starts = _word_hashes(batch.column(text_col).to_pylist())
@@ -123,7 +121,7 @@ def duplicated_windows(windows, *, num_partitions: int = DEFAULT_PARTITIONS):
         return g.select(["doc_id", "pos"]).filter(keep).cast(out_schema)
 
     return bucketed_map(windows, ["whash"], dups,
-                        num_partitions=num_partitions, schema=_WIN_SCHEMA)
+                        num_partitions=num_partitions)
 
 
 OUT_SCHEMA = pa.schema(
@@ -160,8 +158,6 @@ def substring_exact_dedup(docs, *, text_col: str = "text",
 
     # union docs (pos = −1 carries the text) with dup-window rows
     def doc_rows(b: pa.Table) -> pa.Table:
-        if b.num_rows == 0 or text_col not in b.schema.names:
-            return doc_side.empty_table()
         return pa.table({
             "doc_id": b.column(id_col).cast(pa.int64()).combine_chunks(),
             "pos": pa.array(np.full(b.num_rows, -1, np.int64)),
@@ -169,8 +165,6 @@ def substring_exact_dedup(docs, *, text_col: str = "text",
         }).cast(doc_side)
 
     def win_rows(b: pa.Table) -> pa.Table:
-        if b.num_rows == 0 or "pos" not in b.schema.names:
-            return doc_side.empty_table()
         return pa.table({
             "doc_id": b.column("doc_id").combine_chunks(),
             "pos": b.column("pos").combine_chunks(),
@@ -219,4 +213,4 @@ def substring_exact_dedup(docs, *, text_col: str = "text",
         }).cast(OUT_SCHEMA)
 
     return bucketed_map(tagged, ["doc_id"], rebuild,
-                        num_partitions=num_partitions, schema=doc_side)
+                        num_partitions=num_partitions)

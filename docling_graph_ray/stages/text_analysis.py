@@ -403,8 +403,6 @@ def tfidf_topk(docs, *, k: int = 5, text_col: str = "text",
     # sentinel rows contribute their tf SUM to the token="" slot, which
     # the same bucketed sum then folds into the global N.
     def df_partial(b: pa.Table) -> pa.Table:
-        if b.num_rows == 0 or "token" not in b.schema.names:
-            return _DF_SCHEMA.empty_table()
         is_sent = pc.equal(b.column("token"), "")
         g = b.filter(pc.invert(is_sent)).group_by("token").aggregate(
             [([], "count_all")]).rename_columns(["token", "df"])
@@ -449,8 +447,6 @@ def tfidf_topk(docs, *, k: int = 5, text_col: str = "text",
     ])
 
     def score_batch(b: pa.Table) -> pa.Table:
-        if b.num_rows == 0 or "df" not in b.schema.names:
-            return out_schema.empty_table()
         # tf * ln(N/df), all Arrow kernels — same libm log as the
         # previous math.log row loop, so values are bit-identical
         score = pc.multiply(
@@ -492,7 +488,7 @@ def tfidf_topk(docs, *, k: int = 5, text_col: str = "text",
             list(out_schema.names)).cast(out_schema)
 
     return bucketed_map(scored, ["doc_id"], topk_partition,
-                        num_partitions=n_buckets, schema=out_schema)
+                        num_partitions=n_buckets)
 
 
 # ---------------------------------------------------------------------------
@@ -515,9 +511,6 @@ def value_quantiles(ds, col: str, qs: list[float]):
     import math
 
     def partial(b: pa.Table) -> pa.Table:
-        if b.num_rows == 0 or col not in b.schema.names:
-            return pa.schema([("v", pa.int64()),
-                              ("n", pa.int64())]).empty_table()
         vc = pc.value_counts(b.column(col).cast(pa.int64()).combine_chunks())
         return pa.table({
             "v": vc.field("values"),

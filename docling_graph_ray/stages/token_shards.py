@@ -107,8 +107,6 @@ def write_token_shards(
     )
 
     def explode(b: pa.Table) -> pa.Table:
-        if b.num_rows == 0:
-            return _SLICE_SCHEMA.empty_table()
         b = b.combine_chunks()
         col = b.column(tokens_list_col)
         if isinstance(col, pa.ChunkedArray):
@@ -142,8 +140,6 @@ def write_token_shards(
         }).cast(_SLICE_SCHEMA)
 
     def assemble(g: pa.Table) -> pa.Table:
-        if g.num_rows == 0:
-            return MANIFEST_SCHEMA.empty_table()
         g = g.combine_chunks()
         skey = int(g.column("skey")[0].as_py())
         bucket, shard = skey >> 32, skey & 0xFFFFFFFF

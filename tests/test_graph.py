@@ -171,11 +171,11 @@ def test_content_hash_dedup_redirects_edges(ray_session):
 
 def test_graph_content_dedup_runs_no_schema_job(ray_session, tmp_path,
                                                 schema_jobs):
-    """``graph_content_dedup`` hands ``content_hash_dedup`` and its
-    distinct the node and edge schemas it builds, so no
-    ``Dataset.schema()`` runs (and cancels) a job on the lazy
-    read → map plans; each customer's edge goes to the least node id of
-    its (nation, segment) content."""
+    """``graph_content_dedup`` hands ``content_hash_dedup`` the edge
+    schema it builds, and the node hashing and the distinct take their
+    types from their rows, so no ``Dataset.schema()`` runs (and cancels)
+    a job on the lazy read → map plans; each customer's edge goes to the
+    least node id of its (nation, segment) content."""
     import pyarrow.parquet as pq
 
     from docling_graph_ray.pipelines.graph import graph_content_dedup

@@ -48,9 +48,10 @@ def test_linked_profile_produces_cross_host_edges(ray_session, tmp_path):
 
 def test_host_link_graph_runs_no_schema_job(ray_session, tmp_path,
                                             schema_jobs):
-    """``host_link_graph`` hands its aggregate the harvest's schema, so no
-    ``Dataset.schema()`` runs (and cancels) a job on the lazy
-    read → harvest plan; the edges equal one eager harvest of the pages."""
+    """``host_link_graph``'s aggregate types its output from its own
+    fold, so no ``Dataset.schema()`` runs (and cancels) a job on the
+    lazy read → harvest plan; the edges equal one eager harvest of the
+    pages."""
     from docling_graph_ray.fixtures.pages import make_pages_table, pages_dataset
 
     edges = host_link_graph(pages_dataset(120, profile="linked"),

@@ -1,8 +1,10 @@
 """Local replica of the driver's correctness gate: run every ``queries()``
 entry and its ``oracle_sql()`` twin at a given sf, compare row count,
-sorted-column schema and order-insensitive value hash.  Each OK/FAIL line
-ends with the Ray side's 16-hex value hash, so the outputs of two
-revisions can be diffed to show which query results changed.  Usage:
+sorted-column schema and order-insensitive value hash.  Each OK/FAIL/rows
+line ends with the Ray side's 16-hex value hash (values compared as
+strings) and an 8-hex digest of its sorted ``column:dtype`` pairs, so the
+outputs of two revisions can be diffed to show which query results
+changed, a dtype drift (int32 -> int64) included.  Usage:
 
     python tools/check_oracles.py [sf_dir] [query ...]
 """
@@ -41,6 +43,11 @@ def value_hash(df: pd.DataFrame) -> str:
     return hashlib.sha256("\n".join(rows).encode()).hexdigest()[:16]
 
 
+def dtype_digest(df: pd.DataFrame) -> str:
+    pairs = sorted(f"{c}:{df[c].dtype}" for c in df.columns)
+    return hashlib.sha256("\n".join(pairs).encode()).hexdigest()[:8]
+
+
 def main() -> int:
     sf_dir = sys.argv[1] if len(sys.argv) > 1 else "/root/testdata/sf0.001"
     only = set(sys.argv[2:])
@@ -74,7 +81,8 @@ def main() -> int:
             failures.append(name)
             continue
         if name not in sqls:
-            print(f"rows  {name}: {len(rdf)} rows (no oracle)", file=out)
+            print(f"rows  {name}: {len(rdf)} rows (no oracle) "
+                  f"dtypes={dtype_digest(rdf)}", file=out)
             continue
         odf = con.sql(sqls[name]).df()
         ok_rows = len(rdf) == len(odf)
@@ -85,7 +93,7 @@ def main() -> int:
         print(
             f"{status} {name}: rows {len(rdf)}/{len(odf)} "
             f"schema={'Y' if ok_schema else 'N'} hash={'Y' if ok_hash else 'N'} "
-            f"value={rhash}",
+            f"value={rhash} dtypes={dtype_digest(rdf)}",
             file=out,
         )
         if status.startswith("FAIL"):
