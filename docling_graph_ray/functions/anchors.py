@@ -56,10 +56,7 @@ def anchor_scan_batch(values_by_url: dict[str, list[str]],
                       chunk_id_col: str = "chunk_id",
                       text_col: str = "chunk_text"):
     """``map_batches`` UDF factory over CHUNK rows: emits one anchor row
-    per (value, chunk) hit, plus one ``derived`` row per value that no
-    chunk of its document matched (resolved in a second tiny pass by the
-    caller when exact bookkeeping is needed; here the per-batch scan
-    emits hits only and ``derive_unanchored`` computes the remainder)."""
+    per (value, chunk) hit, and nothing for a value no chunk matched."""
 
     def fn(batch: pa.Table) -> pa.Table:
         urls = batch.column(url_col).to_pylist()
@@ -191,18 +188,3 @@ def bind_node_provenance(nodes, chunks, *,
         return pa.Table.from_pylist(rows, schema=NODE_PROVENANCE_SCHEMA)
 
     return bucketed_map(tagged, ["_key"], bind_partition)
-
-
-def derive_unanchored(anchors: list[dict],
-                      values_by_url: dict[str, list[str]]) -> list[dict]:
-    """Values with no verbatim hit anywhere → ``derived`` anchor rows
-    (kind=derived, span -1..-1), so every value has exactly-one-or-more
-    anchor rows — the ledger's completeness invariant."""
-    seen = {(a["url"], a["value_id"]) for a in anchors}
-    out = []
-    for url, vals in values_by_url.items():
-        for vid, val in enumerate(vals):
-            if val and (url, vid) not in seen:
-                out.append({"url": url, "value_id": vid, "chunk_id": -1,
-                            "kind": "derived", "start": -1, "end": -1})
-    return sorted(out, key=lambda r: (r["url"], r["value_id"]))

@@ -1,10 +1,10 @@
-"""Property display formatting + JSON fallback serialization.
+"""JSON fallback serialization of property values.
 
-Parity with the reference's display/serialization helpers
-(docling_graph/core/utils/string_formatter.py:13-120): graph exports and
-reports must render arbitrary template-typed property values — dates,
+Parity with the reference's serialization helpers
+(docling_graph/core/utils/string_formatter.py:79-120): graph exports and
+reports must encode arbitrary template-typed property values — dates,
 Decimals, UUIDs, Paths, sets, bytes, Enums, nested Pydantic models —
-deterministically, and truncate long display strings the same way.
+deterministically.
 
 These are pure scalar helpers (no Ray): the batch operators call them
 row-locally inside ``map_batches`` UDFs, so they run on workers with no
@@ -18,42 +18,8 @@ import decimal
 import enum
 import json
 import pathlib
-import re
 import uuid
 from typing import Any
-
-ELLIPSIS = "..."
-
-
-def truncate_string(text: str, max_length: int, suffix: str = ELLIPSIS) -> str:
-    """Cap ``text`` at ``max_length`` INCLUDING the suffix
-    (string_formatter.py:53-76); a suffix that cannot fit is an error."""
-    if len(suffix) >= max_length:
-        raise ValueError(
-            f"max_length ({max_length}) must exceed suffix length ({len(suffix)})"
-        )
-    return text if len(text) <= max_length else text[: max_length - len(suffix)] + suffix
-
-
-def format_property_value(value: Any, max_length: int = 80) -> str:
-    """Display string for a node/edge property: lists render as Python
-    list notation untruncated; everything else is ``str()`` with
-    3-char-ellipsis truncation (string_formatter.py:13-33)."""
-    if isinstance(value, list):
-        return str(value)
-    s = str(value)
-    return s if len(s) <= max_length else s[: max_length - 3] + ELLIPSIS
-
-
-_CAMEL_SPLIT = re.compile(r"([A-Z])")
-
-
-def format_property_key(key: str) -> str:
-    """snake_case / camelCase → Title Case (string_formatter.py:36-50)."""
-    if "_" in key:
-        return " ".join(p.capitalize() for p in key.split("_"))
-    return _CAMEL_SPLIT.sub(r" \1", key).strip().title()
-
 
 def json_serializable(obj: Any) -> Any:
     """``json.dumps(..., default=json_serializable)`` fallback for the

@@ -66,6 +66,7 @@ Design notes for 100 TB:
 
 from __future__ import annotations
 
+import re
 from collections.abc import Iterator
 from functools import partial
 
@@ -114,19 +115,14 @@ LINEAGE_SCHEMA = pa.schema(
 # classify (lane + partition id) — cheap vectorized projection
 
 
-def make_classifier(num_partitions: int, giant_bytes: int = DEFAULT_GIANT_BYTES):
+def make_classifier(num_partitions: int):
     def classify(batch: pa.Table) -> pa.Table:
         html = batch.column("html")
         nbytes = pc.binary_length(html).cast(pa.int64())
-        try:
-            prefix = pc.binary_slice(html, 0, len(PDF_MAGIC))
-            is_pdf = pc.equal(prefix, PDF_MAGIC)
-        except (AttributeError, pa.ArrowNotImplementedError):
-            is_pdf = pa.array(
-                [(h or b"")[: len(PDF_MAGIC)] == PDF_MAGIC for h in html.to_pylist()]
-            )
-        is_pdf = pc.fill_null(is_pdf, False)
-        giant = pc.and_(pc.invert(is_pdf), pc.greater_equal(nbytes, giant_bytes))
+        prefix = pc.binary_slice(html, 0, len(PDF_MAGIC))
+        is_pdf = pc.fill_null(pc.equal(prefix, PDF_MAGIC), False)
+        giant = pc.and_(pc.invert(is_pdf),
+                        pc.greater_equal(nbytes, DEFAULT_GIANT_BYTES))
         lane = pc.if_else(
             is_pdf, "pdf", pc.if_else(giant, "html_giant", "html")
         )
@@ -167,6 +163,25 @@ _SUB_BATCH_BYTES = 32 << 20
 #: (reference: batch halving orchestrator.py:1587-1741 + char-level
 #: splits document_chunker.py:301-334 as the skew playbook, SURVEY §4.1)
 GIANT_PARSE_CAP_BYTES = 8 << 20
+
+_SURROGATE_RE = re.compile("[\ud800-\udfff]")
+
+
+def _replace_surrogates(acc: dict) -> None:
+    """Replace the lone surrogates UTF-8 cannot encode with U+FFFD, in
+    each accumulated row's text and span strings, in place.  A
+    ``"\\ud800"`` escape in DoclingDocument JSON decodes to one (the
+    html lane's ``html.unescape`` already maps ``&#xD800;`` to U+FFFD);
+    a row that had one and parsed ``ok`` counts as ``salvaged``."""
+    for i, text in enumerate(acc["extracted_text"]):
+        acc["extracted_text"][i], n = _SURROGATE_RE.subn("\ufffd", text)
+        for span in acc["spans"][i]:
+            for k, v in span.items():
+                if isinstance(v, str):
+                    span[k], m = _SURROGATE_RE.subn("\ufffd", v)
+                    n += m
+        if n and acc["parse_status"][i] == "ok":
+            acc["parse_status"][i] = "salvaged"
 
 
 class ExtractActor(PdfParseActor):
@@ -232,6 +247,13 @@ class ExtractActor(PdfParseActor):
             }
 
         def flush(acc):
+            try:
+                return build(acc)
+            except UnicodeEncodeError:
+                _replace_surrogates(acc)
+                return build(acc)
+
+        def build(acc):
             idx = pa.array(acc["idx"], pa.int64())
             # single-encode rule: the Arrow array build is the ONE UTF-8
             # encode; sha256 + bytes_out come from the array's own buffer
@@ -825,7 +847,6 @@ def extract_pages_dataset(
     pages,
     *,
     num_partitions: int = 16,
-    giant_bytes: int = DEFAULT_GIANT_BYTES,
     shuffle_codec: str | None = None,
     parser_cls=None,
     ocr_backend: type | None = None,
@@ -841,7 +862,7 @@ def extract_pages_dataset(
     (docling_graph/protocols.py:1-301; docs/usage/advanced/
     custom-backends.md)."""
     classified = pages.map_batches(
-        make_classifier(num_partitions, giant_bytes), batch_format="pyarrow"
+        make_classifier(num_partitions), batch_format="pyarrow"
     )
     return _lanes(classified, shuffle_codec, parser_cls, ocr_backend)
 
@@ -851,7 +872,6 @@ def run_extract_pipeline(
     *,
     out_dir: str | None = None,
     num_partitions: int = 16,
-    giant_bytes: int = DEFAULT_GIANT_BYTES,
     resume: bool = True,
     shuffle_codec: str | None = "zstd",
     parser_cls=None,
@@ -866,7 +886,7 @@ def run_extract_pipeline(
     payload INSIDE the extract stage (see ``ExtractActor.__init__``), so
     the object store and the wide op only ever hold compressed text."""
     classified = pages.map_batches(
-        make_classifier(num_partitions, giant_bytes), batch_format="pyarrow"
+        make_classifier(num_partitions), batch_format="pyarrow"
     )
     done = completed_parts(out_dir) if out_dir and resume else None
     extracted = _lanes(classified, shuffle_codec, parser_cls, ocr_backend,

@@ -22,6 +22,7 @@ from docling_graph_ray.stages.dedup import (
     ngram_jaccard_dedup,
     simhash_dedup,
 )
+from docling_graph_ray.stages.lineage import arrow_refs
 from docling_graph_ray.stages.similarity import brute_force_topk
 
 
@@ -232,7 +233,7 @@ def _fit_bigram_model(docs):
     # an aggregate partition with no rows materializes as a SCHEMA-LESS
     # empty block (Ray emits "new schema: ." warnings) — concat_tables
     # refuses the mixed schemas, so drop empties before the fold
-    parts = [t for t in ray.get(summed.to_arrow_refs()) if t.num_rows]
+    parts = [t for t in ray.get(arrow_refs(summed)) if t.num_rows]
     model = build_bigram_model(
         pa.concat_tables(parts) if parts else pa.table(
             {"pair": pa.array([], pa.int64()), "n": pa.array([], pa.int64())}

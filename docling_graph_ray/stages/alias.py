@@ -34,19 +34,6 @@ def digit_signature(name: str) -> tuple[str, ...]:
     return tuple(sorted(_DIGIT_RE.findall(name)))
 
 
-def is_containment_alias(short: str, long: str) -> bool:
-    """True when ``short``'s canonical tokens are a strict subset of
-    ``long``'s and the digit signatures match (alias_reconciler.py:54-120
-    candidate rule)."""
-    st = set(normalize_entity_name(short).split("_"))
-    lt = set(normalize_entity_name(long).split("_"))
-    st.discard("")
-    lt.discard("")
-    if not st or st == lt:
-        return False
-    return st < lt and digit_signature(short) == digit_signature(long)
-
-
 # Candidate-scan cap per row: a hot class degrades gracefully (a row
 # whose match sits beyond the cap becomes its own survivor, audited via
 # ``audit_col``) instead of hanging a worker on a quadratic scan — the
@@ -130,7 +117,7 @@ def reconcile_group(group: pa.Table, *, name_col: str,
                     truncated = True
                     break
                 s_toks, s_sig = surv_meta[si]
-                # is_containment_alias on precomputed sets: strict token
+                # containment alias on precomputed sets: strict token
                 # subset + equal digit signatures
                 if toks < s_toks and sig == s_sig:
                     target = survivors[si]

@@ -41,16 +41,6 @@ def normalize_bbox(l: float, t: float, r: float, b: float, *,
             int(round(right)), int(round(bot))]
 
 
-def quantize_512(l: float, t: float, r: float, b: float,
-                 page_w: float, page_h: float) -> list[int]:
-    """Pre-rounding floats → 512-grid cells (models.py:72-94)."""
-    if page_w <= 0 or page_h <= 0:
-        return [0, 0, 0, 0]
-    clip = lambda v: max(0, min(GRID - 1, int(v)))
-    return [clip(l * GRID / page_w), clip(t * GRID / page_h),
-            clip(r * GRID / page_w), clip(b * GRID / page_h)]
-
-
 def normalize_geometry_batch(batch: pa.Table) -> pa.Table:
     """Vectorized normalization over columns ``l t r b origin page_w
     page_h`` (+ passthrough of every other column): appends top-left int

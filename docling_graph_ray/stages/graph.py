@@ -99,35 +99,6 @@ def dedup_nodes(nodes, *, key_col: str, order_col: str, attr_cols: list[str]):
     return bucketed_map(nodes, [key_col], enrich_partition)
 
 
-def clean_edges(edges, node_ids_ref, *, src_col: str = "src", dst_col: str = "dst",
-                label_col: str = "label"):
-    """Edge cleanup in one vectorized pass per batch + one distinct:
-
-    1. drop self-loops (src == dst),
-    2. drop orphaned edges: both endpoints must exist in the broadcast
-       node-id set (the one semi-join in the reference's system,
-       graph_cleaner.py:319-364),
-    3. dedup exact (src, dst, label) triples (graph_cleaner.py:81-109).
-
-    ``node_ids_ref`` is a ``ray.put`` handle to a sorted numpy array of
-    node ids — broadcast once, read zero-copy in every task."""
-
-    def pass1(batch: pa.Table) -> pa.Table:
-        ids = ray.get(node_ids_ref)
-        src = batch.column(src_col).to_numpy(zero_copy_only=False)
-        dst = batch.column(dst_col).to_numpy(zero_copy_only=False)
-        keep = (src != dst) & np.isin(src, ids) & np.isin(dst, ids)
-        t = batch.filter(pa.array(keep))
-        # batch-local pre-distinct shrinks the shuffle input
-        return t.group_by([src_col, dst_col, label_col]).aggregate([])
-
-    deduped = edges.map_batches(pass1, batch_format="pyarrow")
-
-    # global distinct, partition-bucketed (stages/bucketing.py): one
-    # vectorized map_groups call per hash bucket, never one per triple
-    return bucketed_first(deduped, [src_col, dst_col, label_col])
-
-
 def phantom_filter(nodes, attr_cols: list[str]):
     """Drop nodes where every non-metadata attribute is null/empty
     (graph_cleaner.py:189-271).  Vectorized: a node survives if ANY attr
@@ -478,11 +449,11 @@ def graph_stats(nodes, edges, *, class_col: str = "class",
 def clean_edges_dataset(edges, node_ids, *, src_col: str = "src",
                         dst_col: str = "dst", label_col: str = "label",
                         id_col: str = "node_id"):
-    """Dataset-native edge cleanup — same semantics as :func:`clean_edges`
-    but the node-id set is a DATASET riding the shuffle, not a broadcast
-    array.  Use this when the node set scales with the input (e.g. every
-    order id of the fact table); keep the broadcast variant for
-    per-partition cleanup where the set is genuinely small.
+    """Dataset-native edge cleanup: drop self-loops, drop edges with an
+    endpoint outside ``node_ids`` (the one semi-join in the reference's
+    system, graph_cleaner.py:319-364) and dedup exact (src, dst, label)
+    triples (graph_cleaner.py:81-109).  The node-id set is a DATASET
+    riding the shuffle, so it may scale with the input.
 
     Two chained semi-joins (src, then dst) via the empty-block-tolerant
     co-group — chained ``Dataset.join`` calls crash on the empty blocks

@@ -56,6 +56,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from docling_graph_ray.stages.bucketing import bucketed_map
+from docling_graph_ray.stages.lineage import arrow_refs
 
 # Measured shuffle-join crossover on this class of box (SURVEY §7.4):
 # below ~400k keys the two-sided shuffle's fixed stage costs exceed a
@@ -251,8 +252,7 @@ def _collect_small(ds, cols: list[str]) -> pa.Table:
     blocks are skipped."""
     import ray
 
-    refs = ds.select_columns(cols).to_arrow_refs()
-    tbls = [t for t in ray.get(refs)
+    tbls = [t for t in ray.get(arrow_refs(ds.select_columns(cols)))
             if t.num_rows and set(cols) <= set(t.schema.names)]
     if not tbls:
         return None

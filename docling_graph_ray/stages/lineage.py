@@ -1,4 +1,5 @@
-"""Stats-ancestry control for iterative Dataset algorithms.
+"""Stats-ancestry control for iterative Dataset algorithms, and block
+refs taken with one run of a plan.
 
 ``materialize()`` cuts EXECUTION lineage (blocks are pinned; the new
 plan reads them as input data) but deliberately carries the old plan's
@@ -51,3 +52,13 @@ def round_barrier(ds, num_blocks: int):
     execution lineage, and sever stats ancestry to keep the driver's
     per-execution summary walk O(1) across rounds."""
     return cut_stats_ancestry(ds.repartition(num_blocks).materialize())
+
+
+def arrow_refs(ds) -> list:
+    """The Arrow block refs of ``ds``, with its plan run once.
+
+    ``Dataset.to_arrow_refs()`` streams the plan, then asks
+    ``schema(fetch_if_missing=True)``, which on a lazy plan runs it a
+    second time under a limit (Ray 2.49, ``dataset.py``); a materialized
+    dataset answers from its snapshot."""
+    return ds.materialize().to_arrow_refs()

@@ -11,8 +11,9 @@ Reference semantics being reproduced: the heavy parse of
 ``DocumentProcessor.convert_to_docling_doc`` (reference:
 docling_graph/core/extractors/document_processor.py:127-327) — text plus
 provenance geometry — and the BOTTOMLEFT→TOPLEFT origin normalization of
-``_chunk_item_geometry`` (document_processor.py:59-118) with the 512-grid
-``dclg_location`` quantizer (core/provenance/models.py:72-94).
+``_chunk_item_geometry`` (document_processor.py:59-118); its 512-grid
+``dclg_location`` quantizer (core/provenance/models.py:72-94) is
+``stages/geometry.py:normalize_geometry_batch``.
 
 PDF ≥1.5 support (round 3): ``/Type /ObjStm`` object streams are
 expanded (the container objects are regular ``N G obj`` bodies the
@@ -823,19 +824,3 @@ def parse_pdf(raw: bytes) -> dict:
                 "image_only_pages": image_only}
     except Exception:
         return {"pages": [], "status": "failed", "image_only_pages": 0}
-
-
-def quantize_bbox_512(bbox: list[int], width: float,
-                      height: float) -> list[int]:
-    """DocLang 512-grid quantization of a top-left-origin bbox
-    (core/provenance/models.py:72-94): coordinates scaled into [0, 512)
-    from the pre-rounding floats of the page box."""
-    if width <= 0 or height <= 0:
-        return [0, 0, 0, 0]
-    l, t, r, b = bbox
-    return [
-        max(0, min(511, int(l * 512.0 / width))),
-        max(0, min(511, int(t * 512.0 / height))),
-        max(0, min(511, int(r * 512.0 / width))),
-        max(0, min(511, int(b * 512.0 / height))),
-    ]

@@ -21,6 +21,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from docling_graph_ray.stages.lineage import arrow_refs
+
 
 def _as_matrix(col, dtype=np.float32) -> np.ndarray:
     return np.array(col.to_pylist(), dtype=dtype)
@@ -106,7 +108,7 @@ def train_ivf_centroids(
 
     sample: list[np.ndarray] = []
     need = sample_rows
-    for ref in ds.select_columns([emb_col]).to_arrow_refs():
+    for ref in arrow_refs(ds.select_columns([emb_col])):
         t = ray.get(ref)
         m = _as_matrix(t.column(emb_col))
         sample.append(m[:need])

@@ -31,7 +31,7 @@ import pyarrow as pa
 
 import ray
 
-__all__ = ["extract_hosts", "blocklist_annotate", "blocklist_filter"]
+__all__ = ["extract_hosts", "blocklist_annotate"]
 
 _HOST_RE = re.compile(r"^[A-Za-z][A-Za-z0-9+.\-]*://([^/?#]+)")
 _PORT_RE = re.compile(r":\d+$")
@@ -89,17 +89,3 @@ def blocklist_annotate(
         )
 
     return ds.map_batches(fn, batch_format="pyarrow")
-
-
-def blocklist_filter(ds, blocked_domains, *, url_col: str = "url",
-                     max_labels: int = 8):
-    """Keep only rows whose host matches no blocklist entry."""
-    import pyarrow.compute as pc
-
-    annotated = blocklist_annotate(
-        ds, blocked_domains, url_col=url_col, max_labels=max_labels)
-    return annotated.map_batches(
-        lambda b: b.filter(pc.invert(b.column("blocked")))
-                   .drop_columns(["blocked", "blocked_by"]),
-        batch_format="pyarrow",
-    )

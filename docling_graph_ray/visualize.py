@@ -16,11 +16,13 @@ import html as _html
 import json
 import os
 
+from docling_graph_ray.stages.lineage import arrow_refs
+
 
 def _collect(ds) -> list[dict]:
     import ray
 
-    return [r for ref in ds.to_arrow_refs() for r in ray.get(ref).to_pylist()]
+    return [r for ref in arrow_refs(ds) for r in ray.get(ref).to_pylist()]
 
 
 def _sample_graph(nodes: list[dict], edges: list[dict], max_nodes: int,

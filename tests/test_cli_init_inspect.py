@@ -99,17 +99,11 @@ def test_inspect_json_to_html(tmp_path):
     assert "P_1" in (tmp_path / "export_graph.html").read_text()
 
 
-def test_inspect_csv_dir_to_html(tmp_path, ray_session):
-    import ray.data
-
-    from docling_graph_ray.stages.exporters import export_graph_csv
-
-    nodes = ray.data.from_items([
-        {"node_id": "A", "__class__": "X", "v": 1},
-        {"node_id": "B", "__class__": "X", "v": 2},
-    ])
-    edges = ray.data.from_items([{"src": "A", "dst": "B", "label": "L"}])
-    export_graph_csv(nodes, edges, str(tmp_path))
+def test_inspect_csv_dir_to_html(tmp_path):
+    (tmp_path / "nodes.csv").write_text(
+        '"node_id","__class__","v"\n"A","X",1\n"B","X",2\n')
+    (tmp_path / "edges.csv").write_text(
+        '"src","dst","label"\n"A","B","L"\n')
     out = tmp_path / "viz.html"
     assert main(["inspect", str(tmp_path), "--out", str(out)]) == 0
     assert "node" in out.read_text().lower()

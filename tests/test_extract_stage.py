@@ -516,3 +516,27 @@ def test_reservation_setting_stays_on_the_pipeline(ray_session, tmp_path):
     assert ds.context.op_resource_reservation_enabled is False
     assert pages.context.op_resource_reservation_enabled is True
     assert ray.data.DataContext.get_current().op_resource_reservation_enabled
+
+
+def test_lone_surrogate_row_is_salvaged_not_fatal(ray_session, tmp_path):
+    """A DoclingDocument-JSON page whose text holds a ``"\\ud800"`` escape
+    decodes to a str UTF-8 cannot encode; the run commits every
+    partition, with the surrogate as U+FFFD and the row ``salvaged``."""
+    pages = make_pages_table(list(range(20)), 42, "t1")
+    doc = b'{"schema_name": "DoclingDocument", "texts": [{"text": "a \\ud800 b"}]}'
+    html = pages.column("html").to_pylist()
+    html[7] = doc
+    pages = pages.set_column(pages.schema.get_field_index("html"), "html",
+                             pa.array(html, pa.binary()))
+    urls = pages.column("url").to_pylist()
+    out = str(tmp_path / "out")
+    lineage = run_extract_pipeline(ray.data.from_arrow(pages), out_dir=out,
+                                   num_partitions=P).take_all()
+    assert sorted(r["part_id"] for r in lineage) == \
+        sorted(set(url_part_ids(urls, P)))
+    rows = {r["url"]: r for r in pq.read_table(out).to_pylist()}
+    assert set(rows) == set(urls)
+    assert rows[urls[7]]["parse_status"] == "salvaged"
+    assert rows[urls[7]]["extracted_text"] == "a � b"
+    assert sum(r["n_salvaged"] for r in lineage) == sum(
+        r["parse_status"] == "salvaged" for r in rows.values())

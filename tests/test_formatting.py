@@ -1,5 +1,5 @@
-"""functions.formatting — display/serialization parity
-(string_formatter.py:13-120 semantics)."""
+"""functions.formatting — serialization parity
+(string_formatter.py:79-120 semantics)."""
 
 import datetime
 import decimal
@@ -12,47 +12,12 @@ import pytest
 
 from docling_graph_ray.functions.formatting import (
     dumps_canonical,
-    format_property_key,
-    format_property_value,
     json_serializable,
-    truncate_string,
 )
 
 
 class Color(enum.Enum):
     RED = "red"
-
-
-def test_format_value_short_passthrough():
-    assert format_property_value("abc") == "abc"
-    assert format_property_value(42) == "42"
-
-
-def test_format_value_truncates_with_ellipsis():
-    s = "x" * 100
-    out = format_property_value(s, max_length=80)
-    assert len(out) == 80
-    assert out.endswith("...")
-    assert out[:77] == s[:77]
-
-
-def test_format_value_lists_never_truncate():
-    long_list = list(range(100))
-    assert format_property_value(long_list) == str(long_list)
-
-
-def test_format_key_snake_and_camel():
-    assert format_property_key("first_name") == "First Name"
-    assert format_property_key("firstName") == "First Name"
-    assert format_property_key("name") == "Name"
-
-
-def test_truncate_string_counts_suffix():
-    assert truncate_string("abcdefgh", 6) == "abc..."[:6]
-    assert len(truncate_string("abcdefgh", 6)) == 6
-    assert truncate_string("abc", 6) == "abc"
-    with pytest.raises(ValueError):
-        truncate_string("abc", 3)
 
 
 def test_json_serializable_ladder():

@@ -10,7 +10,6 @@ import pyarrow as pa
 from docling_graph_ray.stages.geometry import (
     normalize_bbox,
     normalize_geometry_batch,
-    quantize_512,
 )
 
 
@@ -26,9 +25,18 @@ def test_normalize_bbox_flip():
 
 
 def test_quantize_512():
-    assert quantize_512(0, 0, 612, 792, 612, 792) == [0, 0, 511, 511]
-    assert quantize_512(306, 396, 306, 396, 612, 792) == [256, 256, 256, 256]
-    assert quantize_512(1, 1, 2, 2, 0, 792) == [0, 0, 0, 0]
+    """Grid cells clip to [0, 511]; an axis whose page size is 0 maps to
+    cell 0 (the other axis still quantizes)."""
+    batch = pa.table({
+        "l": [0.0, 306.0, 1.0], "t": [0.0, 396.0, 1.0],
+        "r": [612.0, 306.0, 2.0], "b": [792.0, 396.0, 2.0],
+        "origin": ["TOPLEFT"] * 3,
+        "page_w": [612.0, 612.0, 0.0], "page_h": [792.0, 792.0, 792.0],
+    })
+    out = normalize_geometry_batch(batch)
+    q = [list(r) for r in zip(*(out.column(c).to_pylist()
+                                for c in ("q_l", "q_t", "q_r", "q_b")))]
+    assert q == [[0, 0, 511, 511], [256, 256, 256, 256], [0, 0, 0, 1]]
 
 
 def test_normalize_geometry_batch_vectorized():

@@ -187,28 +187,26 @@ def test_same_class_conflict_is_contagious_within_doc_pair():
     assert {r["node_id"] for r in out if r["node_id"].startswith("party")} == {"party"}
 
 
-def test_export_stamped_and_gated_roundtrip(ray_session, tmp_path):
+def test_export_stamped_and_gated_roundtrip(tmp_path):
     """Exports are self-describing (graph_converter.py:279-294): the
     stamped metadata survives graph.json round-trip and drives both the
     gate and id_fields_map resolution on re-merge."""
-    import ray.data
-
-    import pyarrow as pa
+    import json
 
     from docling_graph_ray.stages.exporters import (
-        export_graph_json,
+        FORMAT_MARKER,
         import_graph_json,
     )
 
-    nodes = ray.data.from_arrow(pa.Table.from_pylist(
-        [{"node_id": "n1", "__class__": "Person", "name": "Ada"}]))
-    edges = ray.data.from_arrow(pa.Table.from_pylist(
-        [{"src": "n1", "dst": "n1", "label": "self"}]))
     md = stamp_graph_metadata({"run": "r1"}, id_fields_map=IDMAP)
-    p1 = export_graph_json(nodes, edges, str(tmp_path / "g1.json"), md)
-    p2 = export_graph_json(nodes, edges, str(tmp_path / "g2.json"), md)
-    _, _, m1 = import_graph_json(p1)
-    _, _, m2 = import_graph_json(p2)
+    paths = [tmp_path / "g1.json", tmp_path / "g2.json"]
+    for p in paths:
+        p.write_text(json.dumps({
+            "nodes": [{"node_id": "n1", "__class__": "Person", "name": "Ada"}],
+            "edges": [{"src": "n1", "dst": "n1", "label": "self"}],
+            "metadata": md, "graph": {"format": FORMAT_MARKER},
+        }))
+    (_, _, m1), (_, _, m2) = (import_graph_json(str(p)) for p in paths)
     assert check_merge_compatibility([m1, m2]) == []
     assert resolve_id_fields_map([m1, m2]) == {
         "Invoice": ["number"], "Person": ["name"]}

@@ -9,7 +9,7 @@ import pyarrow as pa
 import pytest
 
 from docling_graph_ray.fixtures.pdf_writer import LETTER, build_pdf, simple_text_pdf
-from docling_graph_ray.stages.pdf_codec import parse_pdf, quantize_bbox_512
+from docling_graph_ray.stages.pdf_codec import parse_pdf
 from docling_graph_ray.stages.pdf_parse import PdfParseActor, assemble_pdf_text
 
 PARAS = [
@@ -48,12 +48,6 @@ def test_bbox_topleft_origin():
     l, t, rgt, b = line["bbox"]
     assert (l, t, b) == (72, 80, 92)
     assert rgt > l
-
-
-def test_quantize_bbox_512():
-    assert quantize_bbox_512([0, 0, 612, 792], 612, 792) == [0, 0, 511, 511]
-    assert quantize_bbox_512([306, 396, 306, 396], 612, 792) == [256, 256, 256, 256]
-    assert quantize_bbox_512([10, 10, 20, 20], 0, 0) == [0, 0, 0, 0]
 
 
 def test_uncompressed_stream():

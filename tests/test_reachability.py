@@ -8,7 +8,8 @@ identifier in ``__ray_entry__.py``, ``bench.py``, ``tools/`` and
 only inside its own body, only by other dead code, or only by tests is
 dead.  Matching is by identifier, not by module, so two same-named defs
 keep each other alive (the pass errs towards "live").  Docstrings and
-comments are not uses.
+comments are not uses.  A module-level ``from m import x as _x`` makes
+every use of ``_x`` in that package a use of ``x``.
 
 A dead name fails the test; delete it, or add it to ``ALLOWLIST`` with a
 one-line reason.  An allowlisted name is a root too, so what it calls
@@ -28,7 +29,6 @@ _ROOT_CODE = ("__ray_entry__.py", "bench.py", "tools", "perfbench")
 
 _PROTOCOL = "protocol surface"
 _TEST_INPUT = "test input builder: kept tests build input or check output with it"
-_TRANCHE_3 = "deferred to dead-code tranche 3"
 
 ALLOWLIST = {
     # state/protocols.py, state/registry.py: the plugin extension points
@@ -47,19 +47,6 @@ ALLOWLIST = {
     "hamming64": _TEST_INPUT,
     # the DuckDB twin of mix32
     "MIX32_SQL": _TEST_INPUT,
-    # only tests call these; tranche 3 cuts them or gives them a caller
-    "truncate_string": _TRANCHE_3,
-    "format_property_key": _TRANCHE_3,
-    "format_property_value": _TRANCHE_3,
-    "quantize_512": _TRANCHE_3,
-    "quantize_bbox_512": _TRANCHE_3,
-    "export_graph_csv": _TRANCHE_3,
-    "export_graph_json": _TRANCHE_3,
-    "clean_edges": _TRANCHE_3,
-    "node_id": _TRANCHE_3,
-    "derive_unanchored": _TRANCHE_3,
-    "is_containment_alias": _TRANCHE_3,
-    "blocklist_filter": _TRANCHE_3,
 }
 
 
@@ -95,6 +82,7 @@ def _scan():
     defs: dict[tuple[str, str], int] = {}
     uses: dict[tuple[str, str], set[str]] = defaultdict(set)
     roots: set[str] = set()
+    aliases: dict[str, set[str]] = defaultdict(set)
     for path in _py_files(_PACKAGE):
         rel = str(path.relative_to(_REPO))
         for stmt in ast.parse(path.read_text()).body:
@@ -106,11 +94,17 @@ def _scan():
                 for name in names:
                     defs[(rel, name)] = stmt.lineno
                     uses[(rel, name)] |= _identifiers(stmt) - {name}
-            elif not isinstance(stmt, (ast.Import, ast.ImportFrom)):
+            elif isinstance(stmt, (ast.Import, ast.ImportFrom)):
+                for a in stmt.names:
+                    if a.asname:
+                        aliases[a.asname].add(a.name.rsplit(".", 1)[-1])
+            else:
                 roots |= _identifiers(stmt)
     for rel in _ROOT_CODE:
         for path in _py_files(rel):
             roots |= _identifiers(ast.parse(path.read_text()))
+    for names in (*uses.values(), roots):
+        names |= {n for a in names & aliases.keys() for n in aliases[a]}
     return defs, uses, roots
 
 

@@ -1,6 +1,5 @@
 """URL domain-blocklist gate (stages/urlfilter.py): suffix semantics
-on label boundaries, host normalization, most-specific-wins, and the
-filter composition."""
+on label boundaries, host normalization, most-specific-wins."""
 
 from __future__ import annotations
 
@@ -10,7 +9,6 @@ import ray.data
 
 from docling_graph_ray.stages.urlfilter import (
     blocklist_annotate,
-    blocklist_filter,
     extract_hosts,
 )
 
@@ -57,15 +55,9 @@ def test_annotate_semantics(ray_session):
     assert out[9]["blocked"] and out[9]["blocked_by"] == "tracker.net"
 
 
-def test_filter_drops_blocked(ray_session):
-    kept = blocklist_filter(_ds(), BLOCKED).take_all()
-    assert sorted(r["doc_id"] for r in kept) == [4, 6, 8]
-    assert all("blocked" not in r for r in kept)
-
-
 def test_empty_blocklist_keeps_everything(ray_session):
-    kept = blocklist_filter(_ds(), []).take_all()
-    assert len(kept) == len(URLS)
+    out = blocklist_annotate(_ds(), []).take_all()
+    assert len(out) == len(URLS) and not any(r["blocked"] for r in out)
 
 
 def test_whitespace_entries_ignored(ray_session):
