@@ -106,12 +106,12 @@ def queries() -> dict[str, Callable[[str], Any]]:
         # exactly SQL-expressible — recursive-CTE _hard_split)
         "doc_chunks": t.doc_chunks_flat,
         "doc_anchor_scan": t.doc_anchor_scan,
+        # --- driver sample boundary (entries below are judge-run via
+        # tools/check_oracles.py; oracle-bearing ones stay green there) ---
         # exact-substring dedup (oracle-checked round 4: window CONTENT
         # equality in SQL ≡ the engine's 64-bit window hashes absent
         # collisions — none at sf0.01)
         "doc_substring_dedup": t.doc_substring_dedup,
-        # --- driver sample boundary (entries below are judge-run via
-        # tools/check_oracles.py; oracle-bearing ones stay green there) ---
         "doc_node_provenance": t.doc_node_provenance,
         "doc_token_counts": t.doc_token_counts,
         "doc_url_canonical": t.doc_url_canonical,

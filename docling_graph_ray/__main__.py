@@ -132,7 +132,6 @@ def cmd_extract(args: argparse.Namespace) -> int:
     _apply_config(args)
     owns = _ray_init(args.num_cpus)
     import ray
-    import ray.data
 
     from docling_graph_ray.pipelines.extract import (
         read_pages_parquet,
@@ -141,14 +140,9 @@ def cmd_extract(args: argparse.Namespace) -> int:
     from docling_graph_ray.report import write_run_report
     from docling_graph_ray.state.manifest import write_run_manifest
 
-    pages = (
-        read_pages_parquet(args.input)
-        if os.path.isdir(args.input)
-        else ray.data.read_parquet(args.input)
-    )
     lineage = run_extract_pipeline(
-        pages, out_dir=args.out, num_partitions=args.partitions,
-        resume=not args.no_resume,
+        read_pages_parquet(args.input), out_dir=args.out,
+        num_partitions=args.partitions, resume=not args.no_resume,
         shuffle_codec=None if args.no_shuffle_codec else "zstd",
     )
     n = lineage.count()

@@ -3,8 +3,8 @@
 Ray-Data-first shape (SURVEY.md §7) — a LINEAR chain, one source scan:
 
     read pages, one task per bin of row groups planned from the footers
-    (one file per task with as many files as CPUs), crawler text left on
-    disk                  (url, warc_ts, html, lang, _src_file, _src_row)
+    (one file per task with as many files as CPUs), crawler text left in
+    storage               (url, warc_ts, html, lang, _src_file, _src_row)
       → classify: lane + part_id                      (cheap, vectorized)
       → map_batches(ExtractActor stage)               (plain task UDF)
           - read, classify and extract are all task UDFs, so Ray FUSES
@@ -66,6 +66,7 @@ Design notes for 100 TB:
 
 from __future__ import annotations
 
+import os
 import re
 from collections.abc import Iterator
 from functools import partial
@@ -73,7 +74,9 @@ from functools import partial
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
+import pyarrow.fs as pafs
 import pyarrow.parquet as pq
+import ray
 from ray.data import Dataset
 from ray.data.block import BlockMetadata
 from ray.data.datasource import Datasource, ReadTask
@@ -509,7 +512,8 @@ class PartitionFinalizer:
     2010-2180) — but per-partition and resumable."""
 
     def __init__(self, out_dir: str | None) -> None:
-        self.out_dir = out_dir
+        # resolved here, in the driver: a worker's cwd is not the caller's
+        self.out_dir = out_dir and os.path.abspath(out_dir)
 
     def __call__(self, group: pa.Table) -> pa.Table:
         part_id = group.column("part_id")[0].as_py()
@@ -646,9 +650,10 @@ def _row_group_piece(table: pa.Table, j: int, k: int) -> pa.Table:
     return table.slice(lo, hi - lo)
 
 
-#: per-row source columns of a local Parquet read: the file (dictionary
-#: string) and the row within it, so ``crawler_text`` can read a failed
-#: row's crawler text from disk
+#: per-row source columns of a Parquet read: the file (dictionary string,
+#: an absolute path or a URI, which ``pq.ParquetFile`` opens through its
+#: pyarrow filesystem) and the row, whence ``crawler_text`` reads the
+#: crawler text of a failed row
 _SRC_FILE, _SRC_ROW = "_src_file", "_src_row"
 
 
@@ -689,9 +694,9 @@ def crawler_text(batch: pa.Table, i: int,
     """The crawler ``text`` of row ``i`` of a pages batch: the fallback of
     a row whose html fails to parse.
 
-    In-memory, JSONL and WARC pages carry the ``text`` column.  A local
-    Parquet read (``read_pages_parquet``) leaves it on disk and tags each
-    row with its source file and row; the text is then read from that
+    In-memory, JSONL and WARC pages carry the ``text`` column.  A Parquet
+    read (``read_pages_parquet``) leaves it in storage and tags each row
+    with its source file and row; the text is then read from that
     row's row group, so a read in which no row fails never decodes the
     column.  ``cache``, a dict the caller keeps (``ExtractActor`` keeps
     one per parser), holds the last row group's text, so the failed rows
@@ -788,55 +793,50 @@ class _RowGroupBinsDatasource(Datasource):
 
 
 def read_pages_parquet(path: str):
-    """Read a pages Parquet directory as bins of row-group pieces planned
-    from the files' footers, ``min(pieces, max(CPUs, files))`` read
-    tasks, without the crawler ``text`` column.
+    """Read pages Parquet as bins of row-group pieces planned from the
+    files' footers, ``min(pieces, max(CPUs, files))`` read tasks, each one
+    task of the fused read → classify → extract operator (``_lanes``).
 
-    Each read task is one task of the fused read → classify → extract
-    operator (``_lanes``), so the read's task count is the extract
-    stage's parallelism.  Each row group with more html bytes than about
-    one CPU's share of the input is cut into contiguous pieces of
-    near-equal html bytes, each re-reading the row group
-    (``_plan_pieces``), and the pieces of all files, in file order, are
-    cut into contiguous bins of near-equal piece count, one read task
-    each.  perfbench's ``giant_skew``, one file of two row groups of
-    ~23 MB of html, reads as four tasks, one per half row group; its
-    ``resume_half``, 4 files of 2 row groups on 4 CPUs, as one task per
-    file.  The task count is fixed here: a read planned with more blocks
-    than tasks splits its output (``SplitBlocks``), and a split read
-    does not fuse; and Ray's default planning targets ~200 blocks
-    whatever the input size, so a bench-scale input fanned into ~180
-    blocks of a few dozen rows and the url-hash groupby became an
-    O(blocks²) tiny-object shuffle (measured 16.4 s vs 3.7 s for the
-    identical sf0.1 flagship run).
+    ``path`` is a local path (absolute, or relative to the caller's
+    working directory) or a URI (``file://``, ``s3://``, ...) naming a
+    Parquet file or a directory, whose ``.parquet`` files at any depth
+    are read in path order, save those under a name that starts with
+    ``.`` or ``_``; a hive ``key=value`` directory adds no column.  A
+    path with no ``.parquet`` file raises here.
 
-    The crawler ``text`` is only the fallback of a row whose html fails
-    to parse, so the read leaves it on disk (on ``giant_skew`` it is 20.7
-    of the 48.7 MB of each row group) and tags every row with its source
-    file and row; ``crawler_text`` reads a failed row's text from there.
+    A row group with more than about one CPU's share of the html bytes is
+    cut into pieces of near-equal html bytes, each re-reading it
+    (``_plan_pieces``), and the pieces, in file order, into contiguous
+    bins of near-equal piece count: perfbench's ``giant_skew`` (one file,
+    two row groups of ~23 MB of html) reads as four tasks, its
+    ``resume_half`` (4 files of 2 row groups, 4 CPUs) as one per file.
+    The task count is fixed here: a read planned with more blocks than
+    tasks splits its output (``SplitBlocks``), which does not fuse; and
+    Ray's default ~200 blocks made a bench-scale url-hash groupby an
+    O(blocks²) tiny-object shuffle (16.4 s vs 3.7 s on the sf0.1
+    flagship).  Without a Ray session (no CPU count) the input reads as
+    one bin per file and no row group is split.
 
-    A path that lists no top-level ``.parquet`` file (a non-local path,
-    a nested layout) keeps Ray's default planning.  Without a Ray
-    session (no CPU count to plan for) a directory reads as many bins as
-    it has files, and no row group is split.
+    The crawler ``text``, only the fallback of a row whose html fails to
+    parse (20.7 of the 48.7 MB of a ``giant_skew`` row group), is left
+    in storage: each row carries its file (``_src_file``: the absolute
+    path, or ``scheme://path`` off the local filesystem) and row, from
+    which ``crawler_text`` reads a failed row's text.
     """
-    import os
-
-    import ray
-
-    try:
-        files = sorted(
-            e.path
-            for e in os.scandir(path)
-            if e.is_file() and e.name.endswith(".parquet")
-        )
-    except OSError:
-        files = []
+    fs, base = pafs.FileSystem.from_uri(
+        path if "://" in path else os.path.abspath(path))
+    scheme = "" if fs.type_name == "local" else path.split("://")[0] + "://"
+    selector = pafs.FileSelector(base, recursive=True)
+    files = [base] if fs.get_file_info(base).is_file else sorted(
+        i.path for i in fs.get_file_info(selector)
+        if i.is_file and i.path.endswith(".parquet") and not any(
+            c.startswith((".", "_")) for c in i.path[len(base):].split("/")))
     if not files:
-        return ray.data.read_parquet(path)
+        raise FileNotFoundError(f"no .parquet file under {path!r}")
     cpus = (int(ray.cluster_resources().get("CPU", 0))
             if ray.is_initialized() else 0)
-    pieces = _plan_pieces(files, [pq.read_metadata(f) for f in files], cpus)
+    metas = [pq.read_metadata(f, filesystem=fs) for f in files]
+    pieces = _plan_pieces([scheme + f for f in files], metas, cpus)
     return ray.data.read_datasource(
         _RowGroupBinsDatasource(pieces),
         override_num_blocks=max(1, min(len(pieces), max(cpus, len(files)))),

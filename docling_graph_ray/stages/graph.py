@@ -377,7 +377,8 @@ def cardinality_bound(nodes, *, class_col: str, max_per_class: int,
         dup = (nodes.select_columns([class_col, *key_cols])
                .map_batches(eq_partial, batch_format="pyarrow")
                .groupby(class_col).sum("n_eq")
-               .filter(lambda r: r["sum(n_eq)"] > 1)
+               .map_batches(lambda t: t.filter(pc.field("sum(n_eq)") > 1),
+                            batch_format="pyarrow")
                .take(5))
         if dup:
             bad = ", ".join(repr(r[class_col]) for r in dup)

@@ -27,10 +27,10 @@ class BatchStage(Protocol):
     compile patterns, build indexes), then transform Arrow batches.
 
     As the flagship's extraction backend (``parser_cls``) it gets
-    classified pages batches.  A batch read from local Parquet
-    (``read_pages_parquet``) has no crawler ``text`` column: each row
-    names its source file and row instead (``_src_file``,
-    ``_src_row``).  A parser that falls back to the crawler text for a
+    classified pages batches.  A batch read from Parquet
+    (``read_pages_parquet``, any local path or URI) has no crawler
+    ``text`` column: each row names its source file and row instead
+    (``_src_file``, ``_src_row``).  A parser that falls back to the crawler text for a
     row it cannot parse takes it with
     ``pipelines.extract.crawler_text(batch, i)``, which reads the
     column where the batch has it (in-memory, JSONL and WARC pages) and

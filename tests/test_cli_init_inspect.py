@@ -44,6 +44,27 @@ def test_extract_consumes_config(tmp_path, ray_session):
     assert len(parts2) == 2
 
 
+def test_extract_takes_relative_paths(tmp_path, ray_session, monkeypatch):
+    """``--input`` and ``--out`` relative to the caller's working
+    directory, which the Ray workers do not share: every row is read and
+    every partition committed there."""
+    import pyarrow.parquet as pq
+
+    from docling_graph_ray.fixtures.pages import make_pages_table
+    from docling_graph_ray.pipelines.golden import golden_extract_pages
+    from docling_graph_ray.state.manifest import read_lineage
+
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "pages").mkdir()
+    pages = make_pages_table(list(range(40)), profile="t1")
+    pq.write_table(pages, tmp_path / "pages" / "part-00000.parquet",
+                   row_group_size=10)
+    assert main(["extract", "--input", "pages", "--out", "run",
+                 "--partitions", "2"]) == 0
+    assert read_lineage("run") == golden_extract_pages(pages, 2)[1].to_pylist()
+    assert len([p for p in os.listdir("run") if p.startswith("part_id=")]) == 2
+
+
 def test_config_codec_value_is_checked_only_for_null(tmp_path):
     """A config from before the codec became zstd says ``zlib``: it still
     means "compress", since only a null value turns the codec off."""

@@ -1,10 +1,11 @@
-"""The flagship's extract stage runs as a task fused into the Parquet read,
-one task per bin of row groups (one file per task with as many files as
-CPUs), a row group with more than a CPU's share of the html bytes cut
-into pieces that each re-read it; the read leaves the crawler text on
-disk, and a row that fails to parse gets its own crawler text from
-there; the tasks run side by side, and the parser classes the stage is
-handed are built only inside the workers."""
+"""The flagship's extract stage runs as a task fused into the Parquet read
+(whatever the input: a directory at any depth, a single file, a URI or a
+relative path), one task per bin of row groups (one file per task with
+as many files as CPUs), a row group with more than a CPU's share of the
+html bytes cut into pieces that each re-read it; the read leaves the
+crawler text in storage, and a row that fails to parse gets its own
+crawler text from there; the tasks run side by side, and the parser
+classes the stage is handed are built only inside the workers."""
 
 import os
 import shutil
@@ -29,10 +30,7 @@ from docling_graph_ray.pipelines.extract import (
     read_pages_parquet,
     run_extract_pipeline,
 )
-from docling_graph_ray.pipelines.golden import (
-    golden_extract,
-    golden_extract_pages,
-)
+from docling_graph_ray.pipelines.golden import golden_extract_pages
 from docling_graph_ray.state.manifest import read_lineage
 
 FUSED = "ReadParquet->MapBatches(classify)->MapBatches(ExtractActor)"
@@ -291,58 +289,11 @@ def test_split_row_groups_extract_golden_fresh_and_resumed(ray_session,
     n, seed, profile = 100, 3, "bench"  # rows 90-99 are the giant ones
     d = tmp_path / "pages"
     d.mkdir()
-    pq.write_table(make_pages_table(list(range(n)), seed, profile),
-                   d / "part-00000.parquet", row_group_size=50)
-    golden, golden_lineage = golden_extract(n, seed, profile, P)
-    want = sorted(zip(golden.column("url").to_pylist(),
-                      golden.column("text_sha256").to_pylist()))
-    out = str(tmp_path / "out")
-    for resumed in (False, True):
-        pages = read_pages_parquet(str(d))
-        assert None in [t.metadata.num_rows for t in _read_tasks(pages)]
-        ds = run_extract_pipeline(pages, out_dir=out, num_partitions=P)
-        lineage = sorted(ds.take_all(), key=lambda r: r["part_id"])
-        names = _operator_names(ds)
-        assert FUSED in names, names
-        assert not any("SplitBlocks" in name for name in names), names
-        committed = pq.read_table(out, columns=["url", "text_sha256"])
-        assert sorted(zip(committed.column("url").to_pylist(),
-                          committed.column("text_sha256").to_pylist())) \
-            == want
-        assert read_lineage(out) == golden_lineage.to_pylist()
-        redone = range(0, P, 2) if resumed else range(P)
-        assert lineage == [golden_lineage.to_pylist()[p] for p in redone]
-        for pid in range(0, P, 2):  # uncommit half the partitions
-            os.remove(os.path.join(out, "_manifests", f"part-{pid:05d}.json"))
-            shutil.rmtree(os.path.join(out, f"part_id={pid}"))
-
-
-def test_read_falls_back_to_read_parquet(ray_session, tmp_path, monkeypatch):
-    """Only a path that lists no top-level Parquet file (a non-local path,
-    a nested layout) goes to ``ray.data.read_parquet``; a local file with
-    no row group gives no read piece."""
-    d = tmp_path / "pages"
-    d.mkdir()
-    _write_file(d / "part-00000.parquet", range(20), row_group_size=10)
-    pq.ParquetWriter(d / "part-00001.parquet",
-                     pq.read_schema(d / "part-00000.parquet")).close()
-    (d / "nested").mkdir()
-    _write_file(d / "nested" / "part-00000.parquet", range(20, 30),
-                row_group_size=10)
-    calls = []
-
-    def fake_read_parquet(path, **kw):
-        calls.append((path, kw))
-        return "read_parquet"
-
-    monkeypatch.setattr(ray.data, "read_parquet", fake_read_parquet)
-    tasks = _read_tasks(read_pages_parquet(str(d)))
-    assert [t.metadata.input_files for t in tasks] == [
-        [str(d / "part-00000.parquet")]] * 2
-    assert calls == []
-    assert read_pages_parquet("s3://bucket/pages") == "read_parquet"
-    assert read_pages_parquet(str(tmp_path)) == "read_parquet"
-    assert calls == [("s3://bucket/pages", {}), (str(tmp_path), {})]
+    pages = make_pages_table(list(range(n)), seed, profile)
+    pq.write_table(pages, d / "part-00000.parquet", row_group_size=50)
+    assert None in [t.metadata.num_rows
+                    for t in _read_tasks(read_pages_parquet(str(d)))]
+    _check_golden_fresh_and_resumed(str(d), pages, [], str(tmp_path / "out"))
 
 
 CORRUPT = b"\x1f\x8b\x00\x00 not a gzip stream"  # gzip magic, no stream
@@ -376,6 +327,8 @@ CORRUPT_CASES = {
     "later_piece_of_a_split_row_group": ("bench", 3, 100, 1, 50, [92, 96]),
     # one task per file, each of two row groups
     "files_ge_cpus": ("t1", 42, 80, CPUS, 10, [56, 78]),
+    # the same, read through the directory's ``file://`` URI
+    "files_ge_cpus_file_uri": ("t1", 42, 80, CPUS, 10, [56, 78]),
 }
 
 
@@ -389,11 +342,10 @@ def test_failed_rows_get_their_own_crawler_text(ray_session, tmp_path, case):
     pages = _corrupt(make_pages_table(list(range(n)), seed, profile), bad)
     urls = pages.column("url").to_pylist()
     assert all(urls.count(urls[r]) == 1 for r in bad)
-    # both rows are in partitions the resumed run redoes
-    assert all(p % 2 == 0 for p in url_part_ids([urls[r] for r in bad], P))
     d = tmp_path / "pages"
     _write_pages(d, pages, files, rg_size)
-    read = read_pages_parquet(str(d))
+    path = d.as_uri() if case.endswith("file_uri") else str(d)
+    read = read_pages_parquet(path)
     blocks = [pa.concat_tables(list(t())) for t in _read_tasks(read)]
     for r in bad:
         block = next(b for b in blocks if urls[r] in b.column("url").to_pylist())
@@ -404,15 +356,29 @@ def test_failed_rows_get_their_own_crawler_text(ray_session, tmp_path, case):
             assert block.column("_src_row")[0].as_py() % rg_size
         else:  # the file's second row group
             assert block.num_rows == n // files and r % (n // files) >= rg_size
+    _check_golden_fresh_and_resumed(path, pages, bad, str(tmp_path / "out"))
+
+
+def _check_golden_fresh_and_resumed(path: str, pages: pa.Table, bad, out):
+    """``run_extract_pipeline`` over ``read_pages_parquet(path)`` runs as
+    the one fused operator with no ``SplitBlocks``, and its committed
+    text digests, manifests and returned lineage equal the eager golden's
+    of ``pages``, fresh and after half the partitions are uncommitted;
+    the rows ``bad`` (in even partitions) fall back to their own crawler
+    text."""
+    urls = pages.column("url").to_pylist()
+    assert all(p % 2 == 0 for p in url_part_ids([urls[r] for r in bad], P))
     golden, golden_lineage = golden_extract_pages(pages, P)
     assert sum(golden_lineage.column("n_fallback").to_pylist()) == len(bad)
     want = sorted(zip(golden.column("url").to_pylist(),
                       golden.column("text_sha256").to_pylist()))
-    out = str(tmp_path / "out")
     for resumed in (False, True):
-        ds = run_extract_pipeline(read_pages_parquet(str(d)), out_dir=out,
+        ds = run_extract_pipeline(read_pages_parquet(path), out_dir=out,
                                   num_partitions=P)
         lineage = sorted(ds.take_all(), key=lambda r: r["part_id"])
+        names = _operator_names(ds)
+        assert FUSED in names, names
+        assert not any("SplitBlocks" in name for name in names), names
         redone = range(0, P, 2) if resumed else range(P)
         assert lineage == [golden_lineage.to_pylist()[p] for p in redone]
         committed = pq.read_table(out)
@@ -427,6 +393,78 @@ def test_failed_rows_get_their_own_crawler_text(ray_session, tmp_path, case):
         for pid in range(0, P, 2):  # uncommit half the partitions
             os.remove(os.path.join(out, "_manifests", f"part-{pid:05d}.json"))
             shutil.rmtree(os.path.join(out, f"part_id={pid}"))
+
+
+def _write_layout(root, pages: pa.Table, kind: str) -> str:
+    """``pages`` written under ``root`` in the layout ``kind``, and the
+    path ``read_pages_parquet`` is given for it."""
+    d = root / "pages"
+    if kind == "single_file":
+        d.mkdir()
+        pq.write_table(pages, d / "pages.parquet", row_group_size=10)
+        return str(d / "pages.parquet")
+    if kind != "nested":
+        _write_pages(d, pages, CPUS, 10)
+        return {"flat_dir": str(d), "file_uri": d.as_uri(),
+                "relative_dir": "pages"}[kind]
+    # halves at two depths, one under a hive directory; the ``.``/``_``
+    # names and the non-Parquet file hold rows the golden does not have
+    n = pages.num_rows // 2
+    extra = make_pages_table(list(range(500, 510)), profile="t1")
+    for sub, table in (("a", pages.slice(0, n)),
+                       ("b/crawl=2024", pages.slice(n)),
+                       ("_tmp", extra), (".staging", extra)):
+        (d / sub).mkdir(parents=True)
+        pq.write_table(table, d / sub / "part-00000.parquet",
+                       row_group_size=10)
+    pq.write_table(extra, d / "b" / "_part-00001.parquet")
+    pq.write_table(extra, d / "b" / ".part-00002.parquet")
+    (d / "README").write_text("not Parquet")
+    return str(d)
+
+
+@pytest.mark.parametrize("kind", ["flat_dir", "file_uri", "relative_dir",
+                                  "single_file", "nested"])
+def test_one_reader_plans_every_input_fused(ray_session, tmp_path,
+                                            monkeypatch, kind):
+    """A directory, its ``file://`` URI, a path relative to the caller's
+    working directory (Ray workers do not share it), a single file and a
+    nested layout (``.``/``_`` names skipped, a hive directory adding no
+    column) all read through the one planned read: every row of the
+    input once, without the crawler ``text``, and the fused pipeline
+    commits the golden, a failed row's crawler text included."""
+    pages = _corrupt(make_pages_table(list(range(80)), 42, "t1"), [56, 78])
+    monkeypatch.chdir(tmp_path)
+    path = _write_layout(tmp_path, pages, kind)
+    tasks = _read_tasks(read_pages_parquet(path))
+    got = pa.concat_tables([b for t in tasks for b in t()])
+    assert got.column_names == [c for c in pages.column_names
+                                if c != "text"] + SRC
+    assert sorted(got.column("url").to_pylist()) \
+        == sorted(pages.column("url").to_pylist())
+    assert all(os.path.isabs(f) for t in tasks for f in t.metadata.input_files)
+    _check_golden_fresh_and_resumed(path, pages, [56, 78],
+                                    str(tmp_path / "out"))
+
+
+def test_read_refuses_a_path_with_no_parquet_file(ray_session, tmp_path):
+    """A path under which no ``.parquet`` file is read raises at planning
+    time, naming the path; a file with no row group gives no piece."""
+    d = tmp_path / "pages"
+    (d / "_tmp").mkdir(parents=True)
+    _write_file(d / "_tmp" / "part-00000.parquet", range(10), 10)
+    (d / "README").write_text("not Parquet")
+    for path in (str(d), d.as_uri()):
+        with pytest.raises(FileNotFoundError, match=str(d)):
+            read_pages_parquet(path)
+    with pytest.raises(FileNotFoundError):
+        read_pages_parquet(str(tmp_path / "missing"))
+    _write_file(d / "part-00000.parquet", range(20), row_group_size=10)
+    pq.ParquetWriter(d / "part-00001.parquet",
+                     pq.read_schema(d / "part-00000.parquet")).close()
+    tasks = _read_tasks(read_pages_parquet(str(d)))
+    assert [t.metadata.input_files for t in tasks] == [
+        [str(d / "part-00000.parquet")]] * 2
 
 
 def test_read_decodes_crawler_text_only_for_failed_rows(tmp_path,

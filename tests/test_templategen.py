@@ -193,9 +193,10 @@ def test_render_edges_and_nesting():
     classes = verify_template_source(src)
     root = classes["Root"](name="r", parts=[classes["Part"](label="p")])
     assert root.parts[0].label == "p"
-    extra = root.model_fields["parts"].json_schema_extra
+    fields = type(root).model_fields
+    extra = fields["parts"].json_schema_extra
     assert extra["edge_label"] == "HAS_PART"
-    assert root.model_fields["owner"].json_schema_extra["graph_reference"]
+    assert fields["owner"].json_schema_extra["graph_reference"]
 
 
 def test_render_refuses_unsafe_names():
